@@ -13,6 +13,7 @@ from .curve import (
     divisor_of_y,
     evaluate_theta,
     sample_points,
+    suitable_params,
 )
 from .ideal import (
     Degree2Report,

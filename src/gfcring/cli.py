@@ -7,28 +7,28 @@ Exit codes: 0 = all embedded assertions passed, 1 = a verification failed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from math import comb
+from typing import Iterator
 
 from .curve import (
     InsufficientPointsError,
     basis_rank_check,
-    full_rank_oversample,
     divisor_of_theta,
-    sample_points,
+    full_rank_oversample,
+    suitable_params,
 )
 from .ideal import export_ideal, per_character_span_dims, verify_degree2_kernel
 from .indexsets import count_im, enumerate_im, standard_set_identity
 from .params import (
     CurveParams,
     ParameterError,
-    default_prime_bound,
     dim_vm,
     genus,
-    make_curve_params,
     require_nonhyperelliptic,
 )
 from .reps import all_labels, check_equivariance, mu_table, nu_table, syzygy_table
@@ -38,113 +38,72 @@ from .reps import all_labels, check_equivariance, mu_table, nu_table, syzygy_tab
 KERNEL_GRID = {(2, 4), (2, 5), (3, 3), (4, 2), (3, 4)}
 
 
-@dataclass
-class RunConfig:
-    command: str
-    k: int = 0
-    n: int = 0
-    m: int | None = None
-    d: int | None = None
-    kind: str | None = None
-    lam: tuple[int, ...] | None = None
-    seed: int | None = None
-    prime: str = "auto"
-    char: tuple[int, ...] | None = None
-    fmt: str = "json"
-    out: str | None = None
-    grid: bool = False
-    kmax: int = 4
-    nmax: int = 4
-    mmax: int = 3
-
-
 def _label_str(h) -> str:
     return ",".join(str(x) for x in h)
 
 
-def _prime_bound(k: int, n: int) -> int:
-    env = os.environ.get("GFC_DEFAULT_PRIME_BOUND")
-    return int(env) if env else default_prime_bound(k, n)
-
-
-def _build_params(cfg: RunConfig, needed_points: int = 0) -> CurveParams:
-    """Resolve the prime spec; with "auto", escalate until enough points."""
-    if cfg.prime != "auto":
-        params = make_curve_params(cfg.k, cfg.n, lam=cfg.lam, seed=cfg.seed,
-                                   p=int(cfg.prime))
-        if needed_points:
-            pts, _ = sample_points(params, needed_points)
-            if len(pts) < needed_points:
-                raise InsufficientPointsError(
-                    f"p = {params.p} yields only {len(pts)} points, "
-                    f"need {needed_points}; pick a larger prime"
-                )
-        return params
-    bound = _prime_bound(cfg.k, cfg.n)
-    while True:
-        params = make_curve_params(cfg.k, cfg.n, lam=cfg.lam, seed=cfg.seed,
-                                   min_bound=bound)
-        if not needed_points:
-            return params
-        pts, _ = sample_points(params, needed_points)
-        if len(pts) >= needed_points:
-            return params
-        bound = 2 * params.p
-
-
-def _next_params(cfg: RunConfig, after: CurveParams, needed_points: int) -> CurveParams:
-    """The next suitable prime above an existing configuration."""
-    bound = after.p + 1
-    while True:
-        params = make_curve_params(cfg.k, cfg.n, lam=cfg.lam, seed=cfg.seed,
-                                   min_bound=bound)
-        pts, _ = sample_points(params, needed_points) if needed_points else ([], False)
-        if not needed_points or len(pts) >= needed_points:
-            return params
-        bound = params.p + 1
+def _curve_params(
+    args: argparse.Namespace, needed_points: int = 0
+) -> Iterator[CurveParams]:
+    """The library's prime iterator for this run's curve specification."""
+    if args.prime == "auto":
+        pinned = None
+        env = os.environ.get("GFC_DEFAULT_PRIME_BOUND")
+        min_bound = int(env) if env else None
+    else:
+        try:
+            pinned, min_bound = int(args.prime), None
+        except ValueError:
+            raise ParameterError(
+                f"--prime must be 'auto' or an integer, got {args.prime!r}"
+            ) from None
+    return suitable_params(args.k, args.n, needed_points, lam=args.lam,
+                           seed=args.seed, p=pinned, min_bound=min_bound)
 
 
 # --- commands -----------------------------------------------------------------
 
-def cmd_info(cfg: RunConfig) -> tuple[dict, int]:
-    require_nonhyperelliptic(cfg.k, cfg.n)
-    g = genus(cfg.k, cfg.n)
+def cmd_info(args: argparse.Namespace) -> tuple[dict, int]:
+    require_nonhyperelliptic(args.k, args.n)
+    g = genus(args.k, args.n)
     report = {
-        "k": cfg.k,
-        "n": cfg.n,
+        "k": args.k,
+        "n": args.n,
         "genus": g,
-        "dims": {str(m): dim_vm(cfg.k, cfg.n, m) for m in range(1, 7)},
+        "dims": {str(m): dim_vm(args.k, args.n, m) for m in range(1, 7)},
     }
     return report, 0
 
 
-def cmd_basis(cfg: RunConfig) -> tuple[dict, int]:
-    require_nonhyperelliptic(cfg.k, cfg.n)
-    m = cfg.m if cfg.m is not None else 1
-    members = enumerate_im(cfg.k, cfg.n, m).members
-    expected = dim_vm(cfg.k, cfg.n, m)
+def cmd_basis(args: argparse.Namespace) -> tuple[dict, int]:
+    require_nonhyperelliptic(args.k, args.n)
+    m = args.m
+    members = enumerate_im(args.k, args.n, m).members
+    expected = dim_vm(args.k, args.n, m)
     rows = [
-        {"index": list(t), "divisor": list(divisor_of_theta(cfg.k, cfg.n, m, t))}
+        {"index": list(t), "divisor": list(divisor_of_theta(args.k, args.n, m, t))}
         for t in members
     ]
     ok = len(rows) == expected and all(min(r["divisor"]) >= 0 for r in rows)
     report = {
-        "k": cfg.k, "n": cfg.n, "m": m,
+        "k": args.k, "n": args.n, "m": m,
         "count": len(rows), "expected": expected, "passed": ok,
         "rows": rows,
     }
     return report, 0 if ok else 1
 
 
-def cmd_multiplicities(cfg: RunConfig) -> tuple[dict, int]:
-    k, n = cfg.k, cfg.n
-    kind = cfg.kind or "nu"
-    degree = cfg.m if kind == "nu" else cfg.d
+def cmd_multiplicities(args: argparse.Namespace) -> tuple[dict, int]:
+    k, n, kind = args.k, args.n, args.kind
+    degree = args.m if kind == "nu" else args.d
     if degree is None:
-        degree = cfg.m if cfg.m is not None else (cfg.d if cfg.d is not None else 1)
+        degree = args.m if args.m is not None else (args.d if args.d is not None else 1)
     require_nonhyperelliptic(k, n)
     labels = all_labels(k, n)
-    wanted = None if cfg.char is None else tuple(x % k for x in cfg.char)
+    wanted = None if args.char is None else tuple(x % k for x in args.char)
+    if wanted is not None and len(wanted) != n:
+        raise ParameterError(f"--char label {_label_str(args.char)} has length "
+                             f"{len(wanted)}, expected n = {n}")
     rows = []
     ok = True
 
@@ -195,40 +154,16 @@ def cmd_multiplicities(cfg: RunConfig) -> tuple[dict, int]:
     return report, 0 if ok else 1
 
 
-def _degree2_report_dict(params: CurveParams) -> dict:
-    rep = verify_degree2_kernel(params)
-    return {
-        "p": rep.p,
-        "dim_s2": rep.dim_s2,
-        "n_binomials": rep.n_binomials,
-        "n_trinomials": rep.n_trinomials,
-        "phi2_rank": rep.phi2_rank,
-        "ker_dim": rep.ker_dim,
-        "span_rank": rep.span_rank,
-        "standard_count": rep.standard_count,
-        "points_used": rep.points_used,
-        "symbolic_kernel_ok": rep.symbolic_kernel_ok,
-        "point_kernel_ok": rep.point_kernel_ok,
-        "span_rank_ok": rep.span_rank_ok,
-        "standard_count_ok": rep.standard_count_ok,
-        "trinomial_initial_ok": rep.trinomial_initial_ok,
-        "per_character": {_label_str(h): d for h, d in rep.per_character},
-        "passed": rep.passed,
-    }
-
-
-def _verify_one(cfg: RunConfig) -> tuple[dict, int]:
-    k, n = cfg.k, cfg.n
+def _verify_one(args: argparse.Namespace) -> tuple[dict, int]:
+    k, n = args.k, args.n
     d2 = dim_vm(k, n, 2)
     # Enough points for the degree-2 point checks and for complete-fiber
     # coverage of both evaluation-rank checks (points arrive in x-fibers).
     needed = max(full_rank_oversample(k, n, 1), full_rank_oversample(k, n, 2),
                  d2 + 10, 60)
-    params1 = _build_params(cfg, needed_points=needed)
-    two_primes = cfg.prime == "auto"
-    params_list = [params1]
-    if two_primes:
-        params_list.append(_next_params(cfg, params1, needed))
+    # Two primes, or the one pinned prime.
+    params_list = list(itertools.islice(_curve_params(args, needed), 2))
+    params1 = params_list[0]
 
     report: dict = {
         "k": k, "n": n,
@@ -252,7 +187,7 @@ def _verify_one(cfg: RunConfig) -> tuple[dict, int]:
         checks.extend(per_prime.values())
     report["basis_rank"] = basis_results
 
-    equi = check_equivariance(params1, 100, seed=cfg.seed or 0)
+    equi = check_equivariance(params1, 100, seed=args.seed or 0)
     report["equivariance_ok"] = equi
     checks.append(equi)
 
@@ -266,9 +201,14 @@ def _verify_one(cfg: RunConfig) -> tuple[dict, int]:
         checks.append(ssi)
         degree2 = {}
         for pp in params_list:
-            d = _degree2_report_dict(pp)
-            degree2[str(pp.p)] = d
-            checks.append(d["passed"])
+            rep = verify_degree2_kernel(pp)
+            entry = asdict(rep)
+            for key in ("k", "n", "plane_quintic_warning"):
+                del entry[key]
+            entry["per_character"] = {_label_str(h): d for h, d in rep.per_character}
+            entry["passed"] = rep.passed
+            degree2[str(pp.p)] = entry
+            checks.append(rep.passed)
         report["degree2"] = degree2
 
         syz = syzygy_table(k, n, 2).as_dict()
@@ -282,20 +222,20 @@ def _verify_one(cfg: RunConfig) -> tuple[dict, int]:
     return report, 0 if passed else 1
 
 
-def _verify_grid(cfg: RunConfig) -> tuple[dict, int]:
+def _verify_grid(args: argparse.Namespace) -> tuple[dict, int]:
     rows = []
     all_ok = True
-    for k in range(2, cfg.kmax + 1):
-        for n in range(2, cfg.nmax + 1):
+    for k in range(2, args.kmax + 1):
+        for n in range(2, args.nmax + 1):
             if (k - 1) * (n - 1) <= 2:
                 continue
             card_ok = all(
-                count_im(k, n, m) == dim_vm(k, n, m) for m in range(1, cfg.mmax + 1)
+                count_im(k, n, m) == dim_vm(k, n, m) for m in range(1, args.mmax + 1)
             )
             nu_ok = all(
                 nu_table(k, n, m, closed=True).values
                 == nu_table(k, n, m, closed=False).values
-                for m in range(1, cfg.mmax + 1)
+                for m in range(1, args.mmax + 1)
             )
             ssi = standard_set_identity(k, n)
             syz = syzygy_table(k, n, 2)
@@ -308,8 +248,7 @@ def _verify_grid(cfg: RunConfig) -> tuple[dict, int]:
                 "syzygy_nonneg_ok": syz_ok,
             }
             if (k, n) in KERNEL_GRID:
-                sub = RunConfig(command="verify", k=k, n=n, seed=cfg.seed,
-                                prime=cfg.prime)
+                sub = argparse.Namespace(**{**vars(args), "k": k, "n": n, "lam": None})
                 subreport, _ = _verify_one(sub)
                 row["degree2_ok"] = subreport["passed"]
             else:
@@ -319,28 +258,28 @@ def _verify_grid(cfg: RunConfig) -> tuple[dict, int]:
             all_ok = all_ok and row_pass
             rows.append(row)
     report = {
-        "grid": {"kmax": cfg.kmax, "nmax": cfg.nmax, "mmax": cfg.mmax},
+        "grid": {"kmax": args.kmax, "nmax": args.nmax, "mmax": args.mmax},
         "rows": rows,
         "passed": all_ok,
     }
     return report, 0 if all_ok else 1
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.grid:
-        return _verify_grid(cfg)
-    return _verify_one(cfg)
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.grid:
+        return _verify_grid(args)
+    return _verify_one(args)
 
 
-def cmd_export(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.fmt not in ("json", "cas-text"):
-        raise ParameterError(f"export format must be json or cas-text, got {cfg.fmt!r}")
-    params = _build_params(cfg)
-    text = export_ideal(params, cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def cmd_export(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.fmt not in ("json", "cas-text"):
+        raise ParameterError(f"export format must be json or cas-text, got {args.fmt!r}")
+    params = next(_curve_params(args))
+    text = export_ideal(params, args.fmt)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
-        return {"written": cfg.out, "bytes": len(text), "p": params.p}, 0
+        return {"written": args.out, "bytes": len(text), "p": params.p}, 0
     # raw payload straight to stdout
     sys.stdout.write(text)
     return {}, 0
@@ -404,12 +343,12 @@ def render_pretty(obj, indent: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
+def _emit(report: dict, args: argparse.Namespace) -> None:
     if not report:
         return
-    text = render_pretty(report) if cfg.fmt == "pretty" else json.dumps(report, indent=2) + "\n"
-    if cfg.out and cfg.command != "export":
-        with open(cfg.out, "w") as fh:
+    text = render_pretty(report) if args.fmt == "pretty" else json.dumps(report, indent=2) + "\n"
+    if args.out and args.command != "export":
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -480,30 +419,12 @@ DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        k=getattr(args, "k", 0),
-        n=getattr(args, "n", 0),
-        m=getattr(args, "m", None),
-        d=getattr(args, "d", None),
-        kind=getattr(args, "kind", None),
-        lam=getattr(args, "lam", None),
-        seed=getattr(args, "seed", None),
-        prime=getattr(args, "prime", "auto"),
-        char=getattr(args, "char", None),
-        fmt=args.fmt,
-        out=args.out,
-        grid=getattr(args, "grid", False),
-        kmax=getattr(args, "kmax", 4),
-        nmax=getattr(args, "nmax", 4),
-        mmax=getattr(args, "mmax", 3),
-    )
     try:
-        report, code = DISPATCH[cfg.command](cfg)
+        report, code = DISPATCH[args.command](args)
     except (ParameterError, InsufficientPointsError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
-    _emit(report, cfg)
+    _emit(report, args)
     return code
 
 

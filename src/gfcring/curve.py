@@ -13,12 +13,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .indexsets import IndexTuple, enumerate_im
 from .linalg import rank_mod_p_array
-from .params import CurveParams, dim_vm
+from .params import (
+    CurveParams,
+    ParameterError,
+    default_prime_bound,
+    dim_vm,
+    make_curve_params,
+)
 
 
 class InsufficientPointsError(RuntimeError):
@@ -79,6 +86,50 @@ def sample_points(
     return points, True
 
 
+def suitable_params(
+    k: int,
+    n: int,
+    needed_points: int = 0,
+    *,
+    lam: list[int] | tuple[int, ...] | None = None,
+    seed: int | None = None,
+    p: int | None = None,
+    min_bound: int | None = None,
+) -> Iterator[CurveParams]:
+    """Yield configurations over increasing primes p = 1 (mod k), each with at
+    least `needed_points` affine points.
+
+    The first prime is searched from `min_bound` (default
+    default_prime_bound(k, n)), doubling the bound past every prime that
+    falls short; each later prime is the next one above its predecessor that
+    has enough points.  A pinned `p` is yielded once, or raises
+    InsufficientPointsError when it falls short.
+    """
+
+    def found(params: CurveParams) -> int:
+        # sample_points with count 0 would scan the whole field
+        return len(sample_points(params, needed_points)[0]) if needed_points else 0
+
+    if p is not None:
+        params = make_curve_params(k, n, lam=lam, seed=seed, p=p)
+        have = found(params)
+        if have < needed_points:
+            raise InsufficientPointsError(
+                f"p = {p} yields only {have} points, "
+                f"need {needed_points}; pick a larger prime"
+            )
+        yield params
+        return
+    bound = min_bound or default_prime_bound(k, n)
+    first = True
+    while True:
+        params = make_curve_params(k, n, lam=lam, seed=seed, min_bound=bound)
+        if found(params) >= needed_points:
+            yield params
+            first = False
+        bound = 2 * params.p if first else params.p + 1
+
+
 def evaluate_theta(params: CurveParams, pt: AffinePoint, t: IndexTuple) -> int:
     """Value of x^r * prod y_j^(-a_j) at the point (tensor factor omitted)."""
     p = params.p
@@ -93,7 +144,7 @@ def apply_group(params: CurveParams, pt: AffinePoint, g: IndexTuple) -> AffinePo
     """Translate the point by the automorphism indexed by g = (e_1, ..., e_n):
     x scales by zeta^(e_1) and y_{j+1} by zeta^(e_{j+1})."""
     if len(g) != params.n:
-        raise ValueError(f"group element {g} has length {len(g)}, expected {params.n}")
+        raise ParameterError(f"group element {g} has length {len(g)}, expected {params.n}")
     p, zeta = params.p, params.zeta
     x = pt.x * pow(zeta, g[0] % params.k, p) % p
     ys = tuple(
@@ -108,7 +159,7 @@ def divisor_of_theta(k: int, n: int, m: int, t: IndexTuple) -> tuple[int, ...]:
     """Divisor coefficients (c_0, ..., c_n) of the m-fold differential at t:
     c_0 = |a| - 2m - r, c_1 = r, c_j = m(k-1) - a_j."""
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise ParameterError(f"need m >= 1, got {m}")
     r, a = t[0], t[1:]
     return (sum(a) - 2 * m - r, r, *(m * (k - 1) - aj for aj in a))
 
@@ -120,7 +171,7 @@ def divisor_of_x(n: int) -> tuple[int, ...]:
 def divisor_of_y(n: int, j: int) -> tuple[int, ...]:
     """Divisor of y_j for j in 2..n: a pole on D_0, a zero on D_j."""
     if not 2 <= j <= n:
-        raise ValueError(f"y index must be in 2..{n}, got {j}")
+        raise ParameterError(f"y index must be in 2..{n}, got {j}")
     c = [0] * (n + 1)
     c[0], c[j] = -1, 1
     return tuple(c)
@@ -162,7 +213,7 @@ def basis_rank_check(params: CurveParams, m: int, oversample: int) -> bool:
     """
     d_m = dim_vm(params.k, params.n, m)
     if oversample < d_m:
-        raise ValueError(f"oversample {oversample} below the dimension {d_m}")
+        raise ParameterError(f"oversample {oversample} below the dimension {d_m}")
     points, shortfall = sample_points(params, oversample)
     if shortfall:
         raise InsufficientPointsError(

@@ -33,7 +33,7 @@ from .indexsets import (
     standard_set_identity,
 )
 from .linalg import rank_mod_p_array
-from .params import CurveParams, dim_vm
+from .params import CurveParams, ParameterError, dim_vm
 from .reps import character_of
 
 MonomialKey = tuple[IndexTuple, ...]
@@ -84,7 +84,7 @@ def tau(k: int, n: int, t: IndexTuple) -> MonomialKey:
     """The order-minimal degree-2 monomial with index-sum t."""
     tau_map = _degree2_data(k, n)[2]
     if tuple(t) not in tau_map:
-        raise ValueError(f"{t} is not a sum of two degree-1 window members")
+        raise ParameterError(f"{t} is not a sum of two degree-1 window members")
     return tau_map[tuple(t)]
 
 
@@ -175,7 +175,7 @@ def reduce_to_basis(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]
     """
     t = tuple(t)
     if t not in minkowski_di1(params.k, params.n, 2):
-        raise ValueError(f"{t} is not a 2-fold sumset point")
+        raise ParameterError(f"{t} is not a 2-fold sumset point")
     out = dict(_reduce_cached(params, t))
     assert all(s in enumerate_im(params.k, params.n, 2) for s in out)
     return out
@@ -446,7 +446,7 @@ def export_ideal(params: CurveParams, fmt: str) -> str:
             )
         return "\n".join(lines) + "\n"
 
-    raise ValueError(f"unknown export format: {fmt!r}")
+    raise ParameterError(f"unknown export format: {fmt!r}")
 
 
 def parse_ideal_json(text: str) -> dict:

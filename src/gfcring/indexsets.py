@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 
-from .params import dim_vm
+from .params import ParameterError, dim_vm
 
 IndexTuple = tuple[int, ...]
 
@@ -58,9 +58,9 @@ def member_im(k: int, n: int, m: int, t: IndexTuple) -> bool:
     """Whether t lies in the m-th basis window: (m-1)(k-1) <= a_j <= m(k-1)
     for every coordinate and 0 <= r <= |a| - 2m."""
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise ParameterError(f"need m >= 1, got {m}")
     if len(t) != n:
-        raise ValueError(f"index tuple {t} has length {len(t)}, expected n = {n}")
+        raise ParameterError(f"index tuple {t} has length {len(t)}, expected n = {n}")
     r, a = t[0], t[1:]
     lo, hi = (m - 1) * (k - 1), m * (k - 1)
     return all(lo <= aj <= hi for aj in a) and 0 <= r <= sum(a) - 2 * m
@@ -70,7 +70,7 @@ def member_im(k: int, n: int, m: int, t: IndexTuple) -> bool:
 def enumerate_im(k: int, n: int, m: int) -> IndexSet:
     """All members of the m-th window, sorted; cardinality is dim_vm(k,n,m)."""
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise ParameterError(f"need m >= 1, got {m}")
     lo, hi = (m - 1) * (k - 1), m * (k - 1)
     members = []
     for a in itertools.product(range(lo, hi + 1), repeat=n - 1):
@@ -88,7 +88,7 @@ def count_im(k: int, n: int, m: int) -> int:
     i.e. the coefficients of (1 + x + ... + x^(k-1))^(n-1).
     """
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise ParameterError(f"need m >= 1, got {m}")
     hist = [1]
     for _ in range(n - 1):
         new = [0] * (len(hist) + k - 1)
@@ -109,7 +109,7 @@ def minkowski_di1(k: int, n: int, d: int) -> IndexSet:
     {0 <= a_j <= 2(k-1), 0 <= r <= |a| - 4}.
     """
     if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+        raise ParameterError(f"need d >= 1, got {d}")
     i1 = enumerate_im(k, n, 1)
     if d == 1:
         return IndexSet(k, n, "dI1", (1,), i1.members)
@@ -139,7 +139,7 @@ def enumerate_ci(k: int, n: int, i: int) -> IndexSet:
     are computed; they must coincide.
     """
     if not 1 <= i <= n - 1:
-        raise ValueError(f"relation index must be in 1..{n - 1}, got {i}")
+        raise ParameterError(f"relation index must be in 1..{n - 1}, got {i}")
     m2 = minkowski_di1(k, n, 2)
     defn = []
     for t in m2:
@@ -199,7 +199,7 @@ def count_partitions(k: int, n: int, d: int, t: IndexTuple) -> int:
     so each multiset is counted exactly once.
     """
     if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+        raise ParameterError(f"need d >= 1, got {d}")
     items = enumerate_im(k, n, 1).members
     hi_a = k - 1
     hi_r = (n - 1) * (k - 1) - 2  # largest r of any window member
@@ -229,7 +229,7 @@ def partition_count_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
     inputs, so packed addition never carries between coordinates.
     """
     if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+        raise ParameterError(f"need d >= 1, got {d}")
     items = enumerate_im(k, n, 1).members
     shift = 16
     assert d * max((n - 1) * (k - 1), 1) * (k - 1) < (1 << shift)
@@ -272,7 +272,7 @@ def enumerate_jd(k: int, n: int, d: int, h: IndexTuple) -> IndexSet:
     k^n labels partition the sumset.
     """
     if len(h) != n:
-        raise ValueError(f"character label {h} has length {len(h)}, expected {n}")
+        raise ParameterError(f"character label {h} has length {len(h)}, expected {n}")
     hh = tuple(x % k for x in h)
     members = tuple(
         t for t in minkowski_di1(k, n, d)

@@ -8,24 +8,15 @@ multiply and p**2 fits comfortably in int64 for the primes we use.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 
-def rank_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
-    """Rank of the matrix with the given rows over F_p."""
-    mat = np.array([[int(x) % p for x in row] for row in rows], dtype=np.int64)
-    if mat.size == 0:
-        return 0
-    return _eliminate(mat, p)
-
-
-def rank_mod_p_array(mat: np.ndarray, p: int) -> int:
-    """Rank over F_p of an int64 numpy array (copied, not clobbered)."""
-    if mat.size == 0:
-        return 0
-    return _eliminate(np.array(mat, dtype=np.int64) % p, p)
+def rank_mod_p_array(mat: np.ndarray | Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p of an integer array or list of rows (never clobbered)."""
+    mat = np.array(mat, dtype=np.int64)
+    return _eliminate(mat, p) if mat.size else 0
 
 
 def _eliminate(mat: np.ndarray, p: int) -> int:
@@ -72,7 +63,3 @@ def _eliminate(mat: np.ndarray, p: int) -> int:
         rank += 1
     return rank
 
-
-def nullity_mod_p(rows: Iterable[Sequence[int]], n_cols: int, p: int) -> int:
-    """Dimension of the kernel of the row span, i.e. n_cols - rank."""
-    return n_cols - rank_mod_p(rows, p)

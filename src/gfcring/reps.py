@@ -28,14 +28,14 @@ from .indexsets import (
     enumerate_jd,
     partition_count_table,
 )
-from .params import CurveParams, dim_vm
+from .params import CurveParams, ParameterError, dim_vm
 
 
 def action_exponent(k: int, m: int, t: IndexTuple, g: IndexTuple) -> int:
     """Exponent of zeta by which the automorphism g scales the weight-m
     element at t: e_1 (r + m) - a . e, reduced mod k."""
     if len(g) != len(t):
-        raise ValueError(f"length mismatch: t={t}, g={g}")
+        raise ParameterError(f"length mismatch: t={t}, g={g}")
     return (g[0] * (t[0] + m) - sum(aj * ej for aj, ej in zip(t[1:], g[1:]))) % k
 
 
@@ -65,7 +65,7 @@ def nu_closed(k: int, n: int, m: int, h: IndexTuple) -> int:
     exhaustively against nu_bruteforce.
     """
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise ParameterError(f"need m >= 1, got {m}")
     h1 = h[0] % k
     while h1 < m:
         h1 += k

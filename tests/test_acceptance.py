@@ -8,10 +8,10 @@ before being frozen; nothing is tuned to make a test green.
 import json
 import random
 import time
+from itertools import islice
 from math import comb
 
-from gfcring.cli import RunConfig, _build_params, _next_params
-from gfcring.curve import divisor_of_theta
+from gfcring.curve import divisor_of_theta, suitable_params
 from gfcring.ideal import (
     compare_monomials,
     export_ideal,
@@ -131,9 +131,7 @@ def test_criterion_5_degree2_kernel_two_primes():
     ok = True
     details = []
     for (k, n) in KERNEL_CURVES:
-        cfg = RunConfig(command="verify", k=k, n=n)
-        first = _build_params(cfg, needed_points=60)
-        second = _next_params(cfg, first, 60)
+        first, second = islice(suitable_params(k, n, 60), 2)
         d2 = dim_vm(k, n, 2)
         for pp in (first, second):
             rep = verify_degree2_kernel(pp)
@@ -168,8 +166,7 @@ def test_criterion_7_evaluation_representation_consistency():
     t0 = time.perf_counter()
     ok = True
     for (k, n) in KERNEL_CURVES:
-        cfg = RunConfig(command="verify", k=k, n=n)
-        pp = _build_params(cfg, needed_points=25)
+        pp = next(suitable_params(k, n, 25))
         ok = ok and check_equivariance(pp, 100, seed=2026)
     elapsed = time.perf_counter() - t0
     _report(7, ok, elapsed, 30.0, "100 random action/evaluation ratios per curve")

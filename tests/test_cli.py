@@ -207,3 +207,19 @@ def test_prime_bound_env_override(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["p"] == 211  # first prime = 1 mod 3 above 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--k", "3", "--n", "3", "--m", "0"],
+    ["multiplicities", "--k", "3", "--n", "3", "--kind", "mu", "--d", "0"],
+    ["verify", "--k", "3", "--n", "3", "--prime", "foo"],
+    ["multiplicities", "--k", "3", "--n", "3", "--char", "1,2"],
+])
+def test_bad_input_is_one_json_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}
+    assert "Traceback" not in err

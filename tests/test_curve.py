@@ -1,11 +1,11 @@
 """Affine points, evaluation, group action, divisors, and rank checks."""
 
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from gfcring.cli import RunConfig, _build_params, _next_params
 from gfcring.curve import (
     AffinePoint,
     InsufficientPointsError,
@@ -20,9 +20,10 @@ from gfcring.curve import (
     apply_group,
     is_on_curve,
     sample_points,
+    suitable_params,
 )
 from gfcring.indexsets import enumerate_im
-from gfcring.linalg import rank_mod_p
+from gfcring.linalg import rank_mod_p_array
 from gfcring.params import dim_vm, genus, make_curve_params
 
 GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
@@ -51,6 +52,30 @@ def test_sample_points_shortfall():
     pp = make_curve_params(3, 4, p=127)
     pts, short = sample_points(pp, 1)
     assert short and pts == []
+
+
+def test_suitable_params_prime_policy():
+    # The first prime doubles the search bound past every prime that falls
+    # short (a linear search would stop at 181 here); later primes are the
+    # next ones with enough points.  These primes are frozen CLI output.
+    assert [pp.p for pp in islice(suitable_params(5, 3, 60, seed=2), 2)] == [311, 331]
+    # 475 points is what `verify --k 5 --n 3` asks for
+    assert [pp.p for pp in islice(suitable_params(5, 3, 475, seed=2), 2)] == [1291, 1301]
+    assert [pp.p for pp in islice(suitable_params(3, 3, min_bound=200), 2)] == [211, 223]
+    # a pinned prime yields exactly one configuration
+    assert [pp.p for pp in suitable_params(3, 3, 60, p=103)] == [103]
+    with pytest.raises(InsufficientPointsError, match="p = 7 yields only 0 points, need 60"):
+        next(suitable_params(3, 3, 60, p=7))
+
+
+def test_suitable_params_without_points_never_samples(monkeypatch):
+    # sample_points with count 0 would scan the whole field
+    def fail(*args):
+        raise AssertionError("sample_points called")
+
+    monkeypatch.setattr("gfcring.curve.sample_points", fail)
+    assert [pp.p for pp in islice(suitable_params(3, 3), 3)] == [103, 109, 127]
+    assert [pp.p for pp in suitable_params(3, 3, p=7)] == [7]
 
 
 def test_is_on_curve_rejects():
@@ -161,8 +186,8 @@ def test_full_rank_oversample_is_sharp():
     pts, short = sample_points(pp, need)
     assert not short
     rows = [[evaluate_theta(pp, q, t) for t in basis] for q in pts]
-    assert rank_mod_p(rows[: need - fiber], pp.p) < dim_vm(3, 4, 1)
-    assert rank_mod_p(rows, pp.p) == dim_vm(3, 4, 1)
+    assert rank_mod_p_array(rows[: need - fiber], pp.p) < dim_vm(3, 4, 1)
+    assert rank_mod_p_array(rows, pp.p) == dim_vm(3, 4, 1)
 
 
 def test_basis_rank_check_frozen_examples():
@@ -179,10 +204,8 @@ def test_basis_rank_check_frozen_examples():
 def test_basis_rank_grid_two_primes():
     # full-rank evaluation for m = 1, 2, 3 over two distinct primes each
     for (k, n) in GRID:
-        cfg = RunConfig(command="verify", k=k, n=n)
         need = max(full_rank_oversample(k, n, m) for m in (1, 2, 3))
-        first = _build_params(cfg, needed_points=need)
-        second = _next_params(cfg, first, need)
+        first, second = islice(suitable_params(k, n, need), 2)
         assert first.p != second.p
         for pp in (first, second):
             for m in (1, 2, 3):

@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from gfcring.linalg import nullity_mod_p, rank_mod_p, rank_mod_p_array
+from gfcring.linalg import rank_mod_p_array
 
 
 def test_rank_small_frozen():
-    assert rank_mod_p([[1, 2], [2, 4]], 5) == 1
-    assert rank_mod_p([[1, 2], [2, 4]], 3) == 1
-    assert rank_mod_p([[1, 0], [0, 1]], 7) == 2
-    assert rank_mod_p([[0, 0], [0, 0]], 7) == 0
-    assert rank_mod_p([], 7) == 0
+    assert rank_mod_p_array([[1, 2], [2, 4]], 5) == 1
+    assert rank_mod_p_array([[1, 2], [2, 4]], 3) == 1
+    assert rank_mod_p_array([[1, 0], [0, 1]], 7) == 2
+    assert rank_mod_p_array([[0, 0], [0, 0]], 7) == 0
+    assert rank_mod_p_array([], 7) == 0
     # rank can drop mod p even when the integer matrix is invertible
-    assert rank_mod_p([[1, 1], [1, 8]], 7) == 1
-    assert rank_mod_p([[1, 1], [1, 8]], 5) == 2
+    assert rank_mod_p_array([[1, 1], [1, 8]], 7) == 1
+    assert rank_mod_p_array([[1, 1], [1, 8]], 5) == 2
 
 
 def test_rank_mod_p_array_does_not_clobber():
@@ -43,14 +43,15 @@ def test_duplicated_column_leaves_rank_unchanged():
 
 
 def test_nullity():
-    assert nullity_mod_p([[1, 2, 3]], 3, 5) == 2
-    assert nullity_mod_p([[1, 0], [0, 1]], 2, 5) == 0
+    # nullity = n_cols - rank
+    assert 3 - rank_mod_p_array([[1, 2, 3]], 5) == 2
+    assert 2 - rank_mod_p_array([[1, 0], [0, 1]], 5) == 0
 
 
 def test_large_prime_is_rejected():
     # int64 exactness needs p^2 < 2^62
     with pytest.raises(AssertionError):
-        rank_mod_p([[1, 1], [1, 2]], 2305843009213693951)  # 2^61 - 1, prime
+        rank_mod_p_array([[1, 1], [1, 2]], 2305843009213693951)  # 2^61 - 1, prime
 
 
 def test_multiple_of_p_matrix_has_rank_zero():

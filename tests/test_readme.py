@@ -1,0 +1,15 @@
+"""The README's library snippet runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_snippet_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(compile(blocks[0], str(README), "exec"), namespace)
+    assert namespace["pp"].p == 103
+    assert namespace["rep"].span_rank == 28
