@@ -22,7 +22,7 @@ from .curve import (
     full_rank_oversample,
     suitable_params,
 )
-from .ideal import export_ideal, per_character_span_dims, verify_degree2_kernel
+from .ideal import export_ideal, verify_degree2_kernel
 from .indexsets import count_im, enumerate_im, standard_set_identity
 from .params import (
     CurveParams,
@@ -200,8 +200,8 @@ def _verify_one(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         checks.append(ssi)
         degree2 = {}
-        for pp in params_list:
-            rep = verify_degree2_kernel(pp)
+        reps = [verify_degree2_kernel(pp) for pp in params_list]
+        for pp, rep in zip(params_list, reps):
             entry = asdict(rep)
             for key in ("k", "n", "plane_quintic_warning"):
                 del entry[key]
@@ -212,7 +212,7 @@ def _verify_one(args: argparse.Namespace) -> tuple[dict, int]:
         report["degree2"] = degree2
 
         syz = syzygy_table(k, n, 2).as_dict()
-        dims = per_character_span_dims(params_list[0])
+        dims = dict(reps[0].per_character)
         per_char_ok = all(dims.get(h, 0) == syz[h] for h in all_labels(k, n))
         report["per_character_ok"] = per_char_ok
         checks.append(per_char_ok)

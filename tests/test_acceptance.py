@@ -42,9 +42,12 @@ from gfcring.reps import (
     syzygy_table,
 )
 
-GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
-KERNEL_CURVES = [(2, 4), (2, 5), (3, 3), (4, 2), (3, 4)]
-SPAN_RANKS = {(2, 4): 3, (2, 5): 105, (3, 3): 28, (4, 2): 0, (3, 4): 1378}
+GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4), (5, 3), (2, 7)]
+KERNEL_CURVES = [(2, 4), (2, 5), (3, 3), (4, 2), (3, 4), (4, 3), (5, 3), (2, 7), (4, 4)]
+SPAN_RANKS = {
+    (2, 4): 3, (2, 5): 105, (3, 3): 28, (4, 2): 0, (3, 4): 1378,
+    (4, 3): 465, (5, 3): 2701, (2, 7): 8001, (4, 4): 24753,
+}
 
 
 def _report(num: int, ok: bool, elapsed: float, bound: float, detail: str) -> None:

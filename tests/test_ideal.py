@@ -5,11 +5,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gfcring.curve import InsufficientPointsError, evaluate_theta, sample_points
+from gfcring.curve import (
+    InsufficientPointsError,
+    evaluate_theta,
+    sample_points,
+    suitable_params,
+)
 from gfcring.ideal import (
     Degree2Report,
     Relation,
+    _relations_vanish,
     compare_monomials,
     degree2_monomials,
     export_ideal,
@@ -45,7 +53,9 @@ RELATION_COUNTS = {
 }
 
 # rank of the degree-2 relation span = dim S_2 - d_2
-SPAN_RANKS = {(2, 4): 3, (3, 3): 28, (3, 4): 1378, (4, 2): 0, (2, 5): 105}
+SPAN_RANKS = {
+    (2, 4): 3, (3, 3): 28, (3, 4): 1378, (4, 2): 0, (2, 5): 105, (4, 3): 465,
+}
 
 
 def test_term_order_degree_first():
@@ -256,6 +266,51 @@ def test_span_rank_matches_dense_elimination():
         else:
             dense = 0
         assert structural == dense == SPAN_RANKS[(k, n)]
+
+
+@pytest.mark.parametrize("k,n,p", [(2, 4, 101), (3, 3, 103), (3, 4, 127)])
+def test_sparse_kernel_check_matches_dense_oracle(k, n, p):
+    pp = make_curve_params(k, n, p=p)
+    bins = generate_binomials(k, n)
+    tris = generate_trinomials(pp)
+    phi2 = phi2_matrix(pp)
+
+    def dense(rels):
+        return not np.any(phi2 @ relation_matrix(pp, rels).T % p)
+
+    # a trinomial whose lam_i coefficient is off by one
+    (lam_c, lam_m), *rest = tris[0].terms
+    bad_tri = Relation((((lam_c + 1) % p, lam_m), *rest), "trinomial", tris[0].index)
+    # a binomial whose second term lies over a different fiber than its first
+    first = bins[0].terms[0][1] if bins else degree2_monomials(k, n)[0]
+    other = next(m for m in degree2_monomials(k, n)
+                 if index_sum(m) != index_sum(first))
+    bad_bin = Relation(((1, first), (-1, other)), "binomial")
+
+    cases = [
+        (bins + tris, True),
+        (bins + [bad_tri] + tris[1:], False),
+        ([bad_bin] + bins[1:] + tris, False),
+    ]
+    for rels, expected in cases:
+        assert _relations_vanish(pp, rels) == dense(rels) == expected
+
+
+@given(
+    curve=st.sampled_from([(3, 3), (4, 3)]),
+    min_bound=st.integers(100, 3000),
+    seed=st.integers(0, 2**31),
+)
+def test_kernel_invariants_are_field_independent(curve, min_bound, seed):
+    k, n = curve
+    pp = next(suitable_params(k, n, 60, seed=seed, min_bound=min_bound))
+    rep = verify_degree2_kernel(pp)
+    assert rep.phi2_rank == dim_vm(k, n, 2)
+    assert rep.span_rank == SPAN_RANKS[curve]
+    dims = dict(rep.per_character)
+    for h, v in syzygy_table(k, n, 2).as_dict().items():
+        assert dims.get(h, 0) == v
+    assert rep.symbolic_kernel_ok and rep.point_kernel_ok
 
 
 def test_per_character_dims_match_syzygy_table():
