@@ -1,7 +1,9 @@
 """Command-line surface: JSON-first reports, exit codes for scripted grids.
 
 Exit codes: 0 = all embedded assertions passed, 1 = a verification failed,
-2 = parameter/usage problem (including primes too small to sample points).
+2 = bad input: an argument argparse rejects, a parameter outside the domain,
+a prime too small to sample points, a non-integer GFC_DEFAULT_PRIME_BOUND or
+an unwritable --out.  Exit 2 writes one JSON line {"error": ...} to stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 import sys
 from dataclasses import asdict
 from math import comb
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from .curve import (
     InsufficientPointsError,
@@ -46,19 +48,11 @@ def _curve_params(
     args: argparse.Namespace, needed_points: int = 0
 ) -> Iterator[CurveParams]:
     """The library's prime iterator for this run's curve specification."""
-    if args.prime == "auto":
-        pinned = None
-        env = os.environ.get("GFC_DEFAULT_PRIME_BOUND")
-        min_bound = int(env) if env else None
-    else:
-        try:
-            pinned, min_bound = int(args.prime), None
-        except ValueError:
-            raise ParameterError(
-                f"--prime must be 'auto' or an integer, got {args.prime!r}"
-            ) from None
-    return suitable_params(args.k, args.n, needed_points, lam=args.lam,
-                           seed=args.seed, p=pinned, min_bound=min_bound)
+    env = os.environ.get("GFC_DEFAULT_PRIME_BOUND", "") if args.prime is None else ""
+    if env and not env.isdecimal():
+        raise ParameterError(f"GFC_DEFAULT_PRIME_BOUND must be a decimal integer, got {env!r}")
+    return suitable_params(args.k, args.n, needed_points, lam=args.lam, seed=args.seed,
+                           p=args.prime, min_bound=int(env) if env else None)
 
 
 # --- commands -----------------------------------------------------------------
@@ -95,63 +89,48 @@ def cmd_basis(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_multiplicities(args: argparse.Namespace) -> tuple[dict, int]:
     k, n, kind = args.k, args.n, args.kind
-    degree = args.m if kind == "nu" else args.d
-    if degree is None:
-        degree = args.m if args.m is not None else (args.d if args.d is not None else 1)
+    # nu is graded by the weight --m, mu and syzygy by the degree --d; either
+    # flag stands in for the other.
+    own, other = (args.m, args.d) if kind == "nu" else (args.d, args.m)
+    degree = own if own is not None else (other if other is not None else 1)
     require_nonhyperelliptic(k, n)
-    labels = all_labels(k, n)
     wanted = None if args.char is None else tuple(x % k for x in args.char)
     if wanted is not None and len(wanted) != n:
         raise ParameterError(f"--char label {_label_str(args.char)} has length "
                              f"{len(wanted)}, expected n = {n}")
-    rows = []
-    ok = True
 
     if kind == "nu":
         closed = nu_table(k, n, degree, closed=True).as_dict()
         brute = nu_table(k, n, degree, closed=False).as_dict()
-        for h in labels:
-            agree = closed[h] == brute[h]
-            ok = ok and agree
-            if wanted is None or h == wanted:
-                rows.append({"label": _label_str(h), "nu_closed": closed[h],
-                             "nu_bruteforce": brute[h], "agree": agree})
-        total = sum(closed.values())
-        expected_total = dim_vm(k, n, degree)
-    elif kind == "mu":
-        table = mu_table(k, n, degree).as_dict()
-        for h in labels:
-            if wanted is None or h == wanted:
-                rows.append({"label": _label_str(h), "mu": table[h]})
-        total = sum(table.values())
-        expected_total = comb(dim_vm(k, n, 1) + degree - 1, degree)
-    elif kind == "syzygy":
-        table = syzygy_table(k, n, degree).as_dict()
-        mu_d = mu_table(k, n, degree).as_dict()
-        nu_d = nu_table(k, n, degree).as_dict()
-        for h in labels:
-            nonneg = table[h] >= 0
-            ok = ok and nonneg
-            if wanted is None or h == wanted:
-                rows.append({"label": _label_str(h), "mu": mu_d[h], "nu": nu_d[h],
-                             "syzygy": table[h]})
-        if degree == 1:
-            ok = ok and all(v == 0 for v in table.values())
-        total = sum(table.values())
-        expected_total = (
-            comb(dim_vm(k, n, 1) + degree - 1, degree) - dim_vm(k, n, degree)
-        )
+        agree = {h: closed[h] == brute[h] for h in closed}
+        columns = {"nu_closed": closed, "nu_bruteforce": brute, "agree": agree}
+        counted, expected_total, ok = closed, dim_vm(k, n, degree), all(agree.values())
     else:
-        raise ParameterError(f"unknown multiplicity kind: {kind!r}")
+        mu_d = mu_table(k, n, degree).as_dict()
+        sym_dim = comb(dim_vm(k, n, 1) + degree - 1, degree)
+        if kind == "mu":
+            columns = {"mu": mu_d}
+            counted, expected_total, ok = mu_d, sym_dim, True
+        else:
+            nu_d = nu_table(k, n, degree).as_dict()
+            syz = {h: mu_d[h] - nu_d[h] for h in mu_d}
+            columns = {"mu": mu_d, "nu": nu_d, "syzygy": syz}
+            counted, expected_total = syz, sym_dim - dim_vm(k, n, degree)
+            # degree 1 has no relations: the degree-1 part of the ring is V_1
+            ok = all(v >= 0 if degree > 1 else v == 0 for v in syz.values())
 
-    ok = ok and total == expected_total
+    rows = [
+        {"label": _label_str(h), **{name: col[h] for name, col in columns.items()}}
+        for h in all_labels(k, n) if wanted in (None, h)
+    ]
+    total = sum(counted.values())
     report = {
         "k": k, "n": n, "kind": kind, "degree": degree,
         "total": total, "expected_total": expected_total,
-        "passed": ok,
+        "passed": ok and total == expected_total,
         "rows": rows,
     }
-    return report, 0 if ok else 1
+    return report, 0 if report["passed"] else 1
 
 
 def _verify_one(args: argparse.Namespace) -> tuple[dict, int]:
@@ -265,15 +244,7 @@ def _verify_grid(args: argparse.Namespace) -> tuple[dict, int]:
     return report, 0 if all_ok else 1
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
-    if args.grid:
-        return _verify_grid(args)
-    return _verify_one(args)
-
-
 def cmd_export(args: argparse.Namespace) -> tuple[dict, int]:
-    if args.fmt not in ("json", "cas-text"):
-        raise ParameterError(f"export format must be json or cas-text, got {args.fmt!r}")
     params = next(_curve_params(args))
     text = export_ideal(params, args.fmt)
     if args.out:
@@ -307,11 +278,10 @@ def _inline(v) -> str | None:
     return _fmt_scalar(v)
 
 
-def render_pretty(obj, indent: int = 0) -> str:
+def render_pretty(obj) -> str:
     lines: list[str] = []
 
-    def walk(x, ind: int, label: str | None) -> None:
-        pad = "  " * ind
+    def walk(x, pad: str, label: str | None) -> None:
         flat = _inline(x)
         if flat is not None:
             lines.append(f"{pad}{label}: {flat}" if label is not None else pad + flat)
@@ -319,27 +289,20 @@ def render_pretty(obj, indent: int = 0) -> str:
         if label is not None:
             lines.append(f"{pad}{label}:")
             pad += "  "
-            ind += 1
         if isinstance(x, dict):
             for key, val in x.items():
-                inline = _inline(val)
-                if inline is not None:
-                    lines.append(f"{pad}{key}: {inline}")
-                else:
-                    walk(val, ind, str(key))
+                walk(val, pad, str(key))
         else:
             for item in x:
                 if isinstance(item, dict):
-                    lines.append(
-                        pad + "- " + "  ".join(
-                            f"{a}={_inline(b)}" for a, b in item.items()
-                            if _inline(b) is not None
-                        )
-                    )
+                    lines.append(pad + "- " + "  ".join(
+                        f"{a}={v}" for a, b in item.items()
+                        if (v := _inline(b)) is not None
+                    ))
                 else:
                     lines.append(pad + "- " + _fmt_scalar(item))
 
-    walk(obj, indent, None)
+    walk(obj, "", None)
     return "\n".join(lines) + "\n"
 
 
@@ -358,73 +321,77 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.replace(" ", "").split(",") if x != "")
 
 
+def _prime(text: str) -> int | None:
+    return None if text == "auto" else int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that main reports them as one JSON line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gfcring",
         description="Canonical-ring computations for the k-th power Fermat-type curve family",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_curve_spec: bool = False, curve_required: bool = True) -> None:
+    def add_command(name: str, help_text: str, run, with_curve_spec: bool = False,
+                    curve_required: bool = True) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(run=run)
         sp.add_argument("--k", type=int, required=curve_required, default=0)
         sp.add_argument("--n", type=int, required=curve_required, default=0)
         sp.add_argument("--format", dest="fmt", default="json",
-                        choices=["json", "cas-text", "pretty"])
+                        choices=["json", "cas-text" if name == "export" else "pretty"])
         sp.add_argument("--out", default=None)
         if with_curve_spec:
             group = sp.add_mutually_exclusive_group()
             group.add_argument("--lambda", dest="lam", type=_int_list, default=None,
                                help="comma-separated lambda values, leading value 1")
             group.add_argument("--seed", type=int, default=None)
-            sp.add_argument("--prime", default="auto",
+            sp.add_argument("--prime", type=_prime, default="auto",
                             help="explicit prime, or 'auto' (default)")
+        return sp
 
-    sp = sub.add_parser("info", help="genus and graded dimensions")
-    add_common(sp)
+    add_command("info", "genus and graded dimensions", cmd_info)
 
-    sp = sub.add_parser("basis", help="weight-m basis with divisors")
-    add_common(sp)
+    sp = add_command("basis", "weight-m basis with divisors", cmd_basis)
     sp.add_argument("--m", type=int, default=1)
 
-    sp = sub.add_parser("multiplicities", help="character multiplicity tables")
-    add_common(sp)
+    sp = add_command("multiplicities", "character multiplicity tables", cmd_multiplicities)
     sp.add_argument("--kind", default="nu", choices=["nu", "mu", "syzygy"])
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--char", type=_int_list, default=None,
                     help="restrict rows to one label, e.g. 1,0,1")
 
-    sp = sub.add_parser("verify", help="run the verification pipeline")
-    add_common(sp, with_curve_spec=True, curve_required=False)
+    sp = add_command("verify", "run the verification pipeline",
+                     lambda args: (_verify_grid if args.grid else _verify_one)(args),
+                     with_curve_spec=True, curve_required=False)
     sp.add_argument("--grid", action="store_true",
                     help="aggregate the property suite over a (k, n) grid")
     sp.add_argument("--kmax", type=int, default=4)
     sp.add_argument("--nmax", type=int, default=4)
     sp.add_argument("--mmax", type=int, default=3)
 
-    sp = sub.add_parser("export", help="serialize the degree-2 generators")
-    add_common(sp, with_curve_spec=True)
+    add_command("export", "serialize the degree-2 generators", cmd_export,
+                with_curve_spec=True)
 
     return parser
 
 
-DISPATCH = {
-    "info": cmd_info,
-    "basis": cmd_basis,
-    "multiplicities": cmd_multiplicities,
-    "verify": cmd_verify,
-    "export": cmd_export,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        report, code = DISPATCH[args.command](args)
-    except (ParameterError, InsufficientPointsError) as exc:
+        args = build_parser().parse_args(argv)
+        report, code = args.run(args)
+        _emit(report, args)
+    except (ParameterError, InsufficientPointsError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
-    _emit(report, args)
     return code
 
 

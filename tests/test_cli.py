@@ -1,8 +1,14 @@
 """Command-line surface: reports, exit codes, formats, and file output."""
 
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfcring.cli import main
 from gfcring.ideal import export_ideal, parse_ideal_json
@@ -45,14 +51,30 @@ def test_basis(capsys):
     assert min(first["divisor"]) >= 0
 
 
-def test_multiplicities_nu(capsys):
-    code, rep, _ = run_json(
-        capsys, "multiplicities", "--k", "3", "--n", "3", "--kind", "nu", "--m", "2"
-    )
+# At (3,3): dim V_1 = g = 10, dim V_2 = 27; a weight-m nu table totals
+# dim V_m, a degree-d mu table comb(g + d - 1, d).  The kind's own degree
+# flag (--m for nu, --d otherwise) wins over the other one.
+@pytest.mark.parametrize("flags, degree, total, columns, row_ok", [
+    (["--kind", "nu", "--m", "2"], 2, 27, ["nu_closed", "nu_bruteforce", "agree"],
+     lambda r: r["agree"] and r["nu_closed"] == r["nu_bruteforce"]),
+    (["--kind", "nu", "--d", "2"], 2, 27, ["nu_closed", "nu_bruteforce", "agree"],
+     lambda r: r["agree"]),
+    (["--kind", "mu", "--d", "2"], 2, comb(11, 2), ["mu"], lambda r: r["mu"] >= 0),
+    (["--kind", "mu", "--m", "3"], 3, comb(12, 3), ["mu"], lambda r: r["mu"] >= 0),
+    (["--kind", "mu", "--m", "3", "--d", "2"], 2, comb(11, 2), ["mu"],
+     lambda r: r["mu"] >= 0),
+    (["--kind", "syzygy", "--d", "1"], 1, 0, ["mu", "nu", "syzygy"],
+     lambda r: r["syzygy"] == 0 and r["mu"] == r["nu"]),
+], ids=["nu-m2", "nu-d2", "mu-d2", "mu-m3", "mu-m3-d2", "syzygy-d1"])
+def test_multiplicities_table(capsys, flags, degree, total, columns, row_ok):
+    code, rep, _ = run_json(capsys, "multiplicities", "--k", "3", "--n", "3", *flags)
     assert code == 0
-    assert rep["total"] == rep["expected_total"] == 27
-    assert all(row["agree"] for row in rep["rows"])
+    assert rep["passed"]
+    assert rep["degree"] == degree
+    assert rep["total"] == rep["expected_total"] == total
     assert len(rep["rows"]) == 27
+    assert all(list(row) == ["label", *columns] for row in rep["rows"])
+    assert all(row_ok(row) for row in rep["rows"])
 
 
 def test_multiplicities_single_label(capsys):
@@ -66,6 +88,15 @@ def test_multiplicities_single_label(capsys):
     assert row["label"] == "0,0,0"
     assert row["syzygy"] == row["mu"] - row["nu"] >= 0
     assert rep["total"] == 28  # all labels still enter the total
+
+    code, out, _ = run(
+        capsys, "multiplicities", "--k", "3", "--n", "3",
+        "--kind", "syzygy", "--d", "2", "--char", "0,0,0", "--format", "pretty",
+    )
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "rows:", f"  - label=0,0,0  mu={row['mu']}  nu={row['nu']}  syzygy={row['syzygy']}",
+    ]
 
 
 def test_verify_single_curve(capsys):
@@ -209,17 +240,89 @@ def test_prime_bound_env_override(capsys, monkeypatch):
     assert json.loads(out)["p"] == 211  # first prime = 1 mod 3 above 200
 
 
-@pytest.mark.parametrize("argv", [
-    ["basis", "--k", "3", "--n", "3", "--m", "0"],
-    ["multiplicities", "--k", "3", "--n", "3", "--kind", "mu", "--d", "0"],
-    ["verify", "--k", "3", "--n", "3", "--prime", "foo"],
-    ["multiplicities", "--k", "3", "--n", "3", "--char", "1,2"],
-])
-def test_bad_input_is_one_json_error_line(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def assert_one_json_error_line(code, out, err):
     assert code == 2
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     assert set(json.loads(lines[0])) == {"error"}
     assert "Traceback" not in err
+
+
+def test_prime_bound_env_rejects_junk(capsys, monkeypatch):
+    monkeypatch.setenv("GFC_DEFAULT_PRIME_BOUND", "abc")
+    code, out, err = run(capsys, "export", "--k", "3", "--n", "3")
+    assert_one_json_error_line(code, out, err)
+    assert "GFC_DEFAULT_PRIME_BOUND" in err
+
+
+# A path below the null device, which cannot be created.
+UNWRITABLE = os.path.join(os.devnull, "report.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--k", "3", "--n", "3", "--m", "0"],
+    ["multiplicities", "--k", "3", "--n", "3", "--kind", "mu", "--d", "0"],
+    ["verify", "--k", "3", "--n", "3", "--prime", "foo"],
+    ["multiplicities", "--k", "3", "--n", "3", "--char", "1,2"],
+    ["info", "--k", "3", "--n", "3", "--out", UNWRITABLE],
+    ["export", "--k", "3", "--n", "3", "--out", UNWRITABLE],
+    ["info", "--k", "foo", "--n", "3"],
+    ["info", "--k", "3"],
+    ["export", "--k", "3", "--n", "3", "--format", "pretty"],
+    ["info", "--k", "3", "--n", "3", "--format", "cas-text"],
+    ["verify", "--lambda", "1,2", "--seed", "3"],
+])
+def test_bad_input_is_one_json_error_line(capsys, argv):
+    assert_one_json_error_line(*run(capsys, *argv))
+
+
+# argv grammar for the fuzz test: every command with --k/--n, then any of its
+# own flags and one stray flag, values drawn from small ints, negatives and
+# junk.  Curves and grids stay at k, n <= 3 so that each run is fast, and
+# --out is left out so that nothing is written.
+INTS = st.sampled_from(["3", "3", "2", "1", "0", "-1", "x", "", "1.5"])
+LABELS = st.sampled_from(["1,51", "1,2", "0,0,0", "4,5,6", "1,1", "1,-2", "", "x"])
+FLAG_VALUES = {
+    "--k": INTS, "--n": INTS, "--m": INTS, "--d": INTS, "--seed": INTS,
+    "--kmax": INTS, "--nmax": INTS, "--mmax": INTS,
+    "--kind": st.sampled_from(["nu", "mu", "syzygy", "x"]),
+    "--format": st.sampled_from(["json", "pretty", "cas-text", "x"]),
+    "--char": LABELS, "--lambda": LABELS,
+    "--prime": st.sampled_from(["auto", "7", "13", "101", "103", "109", "-5", "x"]),
+    "--grid": None,
+}
+CURVE_SPEC = ["--lambda", "--seed", "--prime"]
+OWN_FLAGS = {
+    "info": [], "basis": ["--m"], "multiplicities": ["--kind", "--m", "--d", "--char"],
+    "verify": ["--grid", "--kmax", "--nmax", "--mmax", *CURVE_SPEC], "export": CURVE_SPEC,
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(OWN_FLAGS)))
+    stray = draw(st.sampled_from(sorted(FLAG_VALUES)))
+    pool = ["--format", *OWN_FLAGS[command], stray]
+    argv = [command]
+    for flag in ["--k", "--n", *draw(st.lists(st.sampled_from(pool), unique=True))]:
+        argv.append(flag)
+        if FLAG_VALUES[flag] is not None:
+            argv.append(draw(FLAG_VALUES[flag]))
+    return argv
+
+
+# More examples than the profile's 8: most argv stop at a parse error within
+# microseconds, and 60 reach a successful run of every command.
+@settings(max_examples=60)
+@given(cli_argv())
+def test_cli_fuzz_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert_one_json_error_line(code, out.getvalue(), err.getvalue())
+    elif "--format" not in argv or argv[argv.index("--format") + 1] == "json":
+        json.loads(out.getvalue())
