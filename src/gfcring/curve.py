@@ -2,7 +2,9 @@
 
 A point is (x, y_2, ..., y_n) with lam[j-1] + x^k + y_{j+1}^k = 0 for every
 j; points with any y coordinate equal to 0 are branch points and are never
-sampled, since evaluation inverts the y's.
+sampled, since evaluation inverts the y's.  evaluate_theta is the scalar
+reference; evaluation_matrix is the vectorized kernel that the basis rank
+check and the degree-2 point check both use.
 
 Divisors are integer vectors (c_0, c_1, ..., c_n) of coefficients on the
 n+1 branch-point classes D_0 (over x = infinity), D_1 (over x = 0) and D_j
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -83,7 +85,7 @@ def sample_points(
             points.append(pt)
             if len(points) == count:
                 return points, False
-    return points, True
+    return points, len(points) < count
 
 
 def suitable_params(
@@ -138,6 +140,40 @@ def evaluate_theta(params: CurveParams, pt: AffinePoint, t: IndexTuple) -> int:
         if aj:
             val = val * pow(pow(yj, aj, p), p - 2, p) % p
     return val
+
+
+def evaluation_matrix(
+    params: CurveParams, points: list[AffinePoint], basis: Sequence[IndexTuple]
+) -> np.ndarray:
+    """C-ordered int64 (points x basis) matrix of evaluate_theta values mod p.
+
+    Builds power tables of x^r and of y_j^(-a), with one Fermat inverse per
+    point and coordinate, and gathers one table column per basis element,
+    reducing mod p after every product.  Entries stay below p, so each
+    product is exact while p^2 < 2^62.
+    """
+    p, width = params.p, params.n
+    if p * p >= 2**62:
+        raise ParameterError(f"p = {p} is too large for int64 evaluation (need p^2 < 2^62)")
+    exps = np.array(basis, dtype=np.intp).reshape(-1, width)
+    xs = np.array([pt.x % p for pt in points], dtype=np.int64)
+    inv = np.array(
+        [[pow(yj, p - 2, p) for yj in pt.y] for pt in points], dtype=np.int64
+    ).reshape(-1, width - 1)
+
+    def powers(base: np.ndarray, top: int) -> np.ndarray:
+        """Columns base^0, ..., base^top mod p."""
+        table = np.ones((base.size, top + 1), dtype=np.int64)
+        for e in range(1, top + 1):
+            table[:, e] = table[:, e - 1] * base % p
+        return table
+
+    top = exps.max(axis=0, initial=0)
+    out = np.take(powers(xs, int(top[0])), exps[:, 0], axis=1)
+    for j in range(1, width):
+        out *= np.take(powers(inv[:, j - 1], int(top[j])), exps[:, j], axis=1)
+        out %= p
+    return np.ascontiguousarray(out)
 
 
 def apply_group(params: CurveParams, pt: AffinePoint, g: IndexTuple) -> AffinePoint:
@@ -206,7 +242,8 @@ def full_rank_oversample(k: int, n: int, m: int) -> int:
 
 
 def basis_rank_check(params: CurveParams, m: int, oversample: int) -> bool:
-    """True iff the (points x basis) evaluation matrix has full rank d_m.
+    """True iff the (points x basis) evaluation matrix, built by
+    evaluation_matrix, has full rank d_m.
 
     Raises InsufficientPointsError when fewer than oversample points exist
     over the configured prime.
@@ -220,9 +257,5 @@ def basis_rank_check(params: CurveParams, m: int, oversample: int) -> bool:
             f"only {len(points)} affine points over p = {params.p}, "
             f"wanted {oversample}"
         )
-    basis = enumerate_im(params.k, params.n, m)
-    mat = np.array(
-        [[evaluate_theta(params, pt, t) for t in basis] for pt in points],
-        dtype=np.int64,
-    )
-    return rank_mod_p_array(mat, params.p) == d_m
+    basis = enumerate_im(params.k, params.n, m).members
+    return rank_mod_p_array(evaluation_matrix(params, points, basis), params.p) == d_m

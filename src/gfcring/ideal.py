@@ -15,8 +15,10 @@ the latter vanishing because lam_i + x^k + y_{i+1}^k = 0 on the curve.
 verify_degree2_kernel checks the kernel claim without dense matrices: each
 relation's terms are expanded in the weight-2 basis and summed in Python
 ints mod p (exact at any p), and the rank of the evaluation map is taken on
-one column per fiber.  phi2_matrix and relation_matrix are the dense forms,
-kept as oracles for tests.
+one column per fiber.  The independent pointwise check evaluates the
+degree-1 window at sampled points with curve.evaluation_matrix.
+phi2_matrix and relation_matrix are the dense forms, kept as oracles for
+tests.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from math import comb
 
 import numpy as np
 
-from .curve import InsufficientPointsError, evaluate_theta, sample_points
+from .curve import AffinePoint, InsufficientPointsError, evaluation_matrix, sample_points
 from .indexsets import (
     IndexTuple,
     enumerate_ci,
@@ -234,6 +236,34 @@ def _relations_vanish(params: CurveParams, rels: list[Relation]) -> bool:
     return True
 
 
+def _relations_vanish_at(
+    params: CurveParams, rels: list[Relation], points: list[AffinePoint]
+) -> bool:
+    """Whether every relation evaluates to zero at every point.
+
+    The degree-1 window is evaluated once as a (points x variables) matrix.
+    Relations are padded to a common term count with zero coefficients, and
+    at each point all of them are checked as one int64 expression; the scan
+    stops at the first point where some relation is non-zero.  One point at
+    a time keeps the working set at a few relation-sized arrays.
+    """
+    p = params.p
+    window = enumerate_im(params.k, params.n, 1).members
+    var = {t: i for i, t in enumerate(window)}
+    width = max((len(rel.terms) for rel in rels), default=0)
+    coeff = np.zeros((len(rels), width), dtype=np.int64)
+    left = np.zeros((len(rels), width), dtype=np.intp)
+    right = np.zeros((len(rels), width), dtype=np.intp)
+    for i, rel in enumerate(rels):
+        for j, (c, (s, t)) in enumerate(rel.terms):
+            coeff[i, j], left[i, j], right[i, j] = c % p, var[s], var[t]
+    for vals in evaluation_matrix(params, points, window):
+        terms = vals[left] * vals[right] % p * coeff % p
+        if np.any(terms.sum(axis=1) % p):
+            return False
+    return True
+
+
 # --- span-rank bookkeeping ----------------------------------------------------
 
 def _fiber_matrix(params: CurveParams, rels: list[Relation]) -> np.ndarray:
@@ -356,23 +386,11 @@ def verify_degree2_kernel(params: CurveParams, min_points: int = 50) -> Degree2R
 
     # (a) numeric: evaluate every relation at sampled points.
     points, shortfall = sample_points(params, min_points)
-    if shortfall and len(points) < min_points:
+    if shortfall:
         raise InsufficientPointsError(
             f"only {len(points)} points over p = {p}, wanted {min_points}"
         )
-    point_kernel_ok = True
-    var_cols = enumerate_im(k, n, 1).members
-    for pt in points:
-        val = {t: evaluate_theta(params, pt, t) for t in var_cols}
-        for rel in rels:
-            acc = 0
-            for c, mono in rel.terms:
-                acc += c * val[mono[0]] * val[mono[1]]
-            if acc % p:
-                point_kernel_ok = False
-                break
-        if not point_kernel_ok:
-            break
+    point_kernel_ok = _relations_vanish_at(params, rels, points)
 
     # (b) span rank via the character decomposition.
     per_char = span_rank_by_character(params)

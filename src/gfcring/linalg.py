@@ -14,8 +14,12 @@ import numpy as np
 
 
 def rank_mod_p_array(mat: np.ndarray | Sequence[Sequence[int]], p: int) -> int:
-    """Rank over F_p of an integer array or list of rows (never clobbered)."""
-    mat = np.array(mat, dtype=np.int64)
+    """Rank over F_p of an integer array or list of rows (never clobbered).
+
+    The working copy is C-ordered whatever the input's layout: elimination
+    walks rows, and on a column-strided copy it runs about 3x slower.
+    """
+    mat = np.array(mat, dtype=np.int64, order="C")
     return _eliminate(mat, p) if mat.size else 0
 
 

@@ -5,6 +5,8 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfcring.curve import (
     AffinePoint,
@@ -16,6 +18,7 @@ from gfcring.curve import (
     divisor_of_x,
     divisor_of_y,
     evaluate_theta,
+    evaluation_matrix,
     full_rank_oversample,
     apply_group,
     is_on_curve,
@@ -24,7 +27,7 @@ from gfcring.curve import (
 )
 from gfcring.indexsets import enumerate_im
 from gfcring.linalg import rank_mod_p_array
-from gfcring.params import dim_vm, genus, make_curve_params
+from gfcring.params import ParameterError, dim_vm, genus, make_curve_params
 
 GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
 
@@ -47,6 +50,9 @@ def test_sample_points_shortfall():
     pts, short = sample_points(pp, 500)
     assert short
     assert all(is_on_curve(pp, q) for q in pts)
+    # count 0 scans the whole field, and nothing is missing
+    every, short = sample_points(make_curve_params(3, 3, p=103), 0)
+    assert len(every) == 162 and not short
     # (3,4) over p=127 with the seed-0 lambda draw genuinely has no points
     # with every coordinate nonzero; the shortfall flag must say so.
     pp = make_curve_params(3, 4, p=127)
@@ -100,6 +106,53 @@ def test_evaluate_theta_manual():
     assert evaluate_theta(pp, q, t) == expected
     # r = 0 and a = 0 gives the constant 1
     assert evaluate_theta(pp, q, (0, 0, 0)) == 1
+
+
+@settings(max_examples=20)  # enough draws to reach every curve
+@given(
+    curve=st.sampled_from([(2, 4), (3, 3), (3, 4), (4, 3), (5, 3)]),
+    min_bound=st.integers(100, 3000),
+    seed=st.integers(0, 2**31),
+)
+def test_evaluation_matrix_matches_evaluate_theta(curve, min_bound, seed):
+    k, n = curve
+    pp = next(suitable_params(k, n, 40, seed=seed, min_bound=min_bound))
+    pts, _ = sample_points(pp, 40)
+    for m in (1, 2, 3):
+        basis = enumerate_im(k, n, m).members
+        expected = [[evaluate_theta(pp, q, t) for t in basis] for q in pts]
+        assert evaluation_matrix(pp, pts, basis).tolist() == expected
+
+
+def test_evaluation_matrix_layout_and_edge_cases():
+    pp = make_curve_params(3, 3, p=103)
+    pts, _ = sample_points(pp, 20)
+    basis = enumerate_im(3, 3, 2).members
+    mat = evaluation_matrix(pp, pts, basis)
+    assert mat.dtype == np.int64 and mat.flags.c_contiguous
+    assert mat.shape == (20, len(basis))
+    assert evaluation_matrix(pp, pts, []).shape == (20, 0)
+    assert evaluation_matrix(pp, [], basis).shape == (0, len(basis))
+    # x = 0 (and every y = 1): 0^0 = 1 in the r = 0 columns, 0 elsewhere
+    window = enumerate_im(3, 3, 1).members
+    row = evaluation_matrix(pp, [AffinePoint(0, (1, 1))], window)[0].tolist()
+    assert row == [int(t[0] == 0) for t in window]
+    assert 0 in row and 1 in row
+
+
+def test_evaluation_matrix_is_exact_below_the_int64_limit():
+    # 2^31 - 1 is prime and 1 mod 3: products of residues reach ~2^62
+    p = 2**31 - 1
+    pp = make_curve_params(3, 3, p=p)
+    pts = [AffinePoint(p - 1, (p - 2, p - 3)), AffinePoint(p - 7, (123456789, p - 1)),
+           AffinePoint(2, (p - 1, 3))]
+    basis = enumerate_im(3, 3, 3).members
+    expected = [[evaluate_theta(pp, q, t) for t in basis] for q in pts]
+    assert evaluation_matrix(pp, pts, basis).tolist() == expected
+    # above it a product of two residues no longer fits in int64
+    big = make_curve_params(3, 3, p=2147483659)  # the first prime > 2^31 that is 1 mod 3
+    with pytest.raises(ParameterError):
+        evaluation_matrix(big, pts, basis)
 
 
 def test_apply_group():

@@ -18,6 +18,7 @@ from gfcring.ideal import (
     Degree2Report,
     Relation,
     _relations_vanish,
+    _relations_vanish_at,
     compare_monomials,
     degree2_monomials,
     export_ideal,
@@ -270,30 +271,39 @@ def test_span_rank_matches_dense_elimination():
 
 @pytest.mark.parametrize("k,n,p", [(2, 4, 101), (3, 3, 103), (3, 4, 127)])
 def test_sparse_kernel_check_matches_dense_oracle(k, n, p):
+    def cases(pp):
+        bins = generate_binomials(k, n)
+        tris = generate_trinomials(pp)
+        # a trinomial whose lam_i coefficient is off by one
+        (lam_c, lam_m), *rest = tris[0].terms
+        bad_tri = Relation((((lam_c + 1) % pp.p, lam_m), *rest), "trinomial", tris[0].index)
+        # a binomial whose second term lies over a different fiber than its first
+        first = bins[0].terms[0][1] if bins else degree2_monomials(k, n)[0]
+        other = next(m for m in degree2_monomials(k, n)
+                     if index_sum(m) != index_sum(first))
+        bad_bin = Relation(((1, first), (-1, other)), "binomial")
+        return [
+            (bins + tris, True),
+            (bins + [bad_tri] + tris[1:], False),
+            ([bad_bin] + bins[1:] + tris, False),
+        ]
+
+    def dense(pp, rels):
+        return not np.any(phi2_matrix(pp) @ relation_matrix(pp, rels).T % pp.p)
+
     pp = make_curve_params(k, n, p=p)
-    bins = generate_binomials(k, n)
-    tris = generate_trinomials(pp)
-    phi2 = phi2_matrix(pp)
+    for rels, expected in cases(pp):
+        assert _relations_vanish(pp, rels) == dense(pp, rels) == expected
 
-    def dense(rels):
-        return not np.any(phi2 @ relation_matrix(pp, rels).T % p)
-
-    # a trinomial whose lam_i coefficient is off by one
-    (lam_c, lam_m), *rest = tris[0].terms
-    bad_tri = Relation((((lam_c + 1) % p, lam_m), *rest), "trinomial", tris[0].index)
-    # a binomial whose second term lies over a different fiber than its first
-    first = bins[0].terms[0][1] if bins else degree2_monomials(k, n)[0]
-    other = next(m for m in degree2_monomials(k, n)
-                 if index_sum(m) != index_sum(first))
-    bad_bin = Relation(((1, first), (-1, other)), "binomial")
-
-    cases = [
-        (bins + tris, True),
-        (bins + [bad_tri] + tris[1:], False),
-        ([bad_bin] + bins[1:] + tris, False),
-    ]
-    for rels, expected in cases:
-        assert _relations_vanish(pp, rels) == dense(rels) == expected
+    # (3,4) has no affine points over 127, so the pointwise check runs at the
+    # first prime from p on with 50 points (p itself for the other curves).
+    pp = next(suitable_params(k, n, 50, min_bound=p))
+    pts, short = sample_points(pp, 50)
+    assert not short
+    for rels, expected in cases(pp):
+        assert _relations_vanish_at(pp, rels, pts) == _relations_vanish(pp, rels) == expected
+        assert dense(pp, rels) == expected
+    assert _relations_vanish_at(pp, [], pts)
 
 
 @given(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gfcring import linalg
 from gfcring.linalg import rank_mod_p_array
 
 
@@ -22,6 +23,23 @@ def test_rank_mod_p_array_does_not_clobber():
     before = mat.copy()
     assert rank_mod_p_array(mat, 101) == 2
     assert np.array_equal(mat, before)
+
+
+def test_fortran_ordered_input_is_eliminated_in_c_order(monkeypatch):
+    rng = np.random.default_rng(5)
+    mat = np.asfortranarray(rng.integers(0, 101, size=(30, 20)))
+    before = mat.copy()
+    layouts = []
+    eliminate = linalg._eliminate
+
+    def spy(work, p):
+        layouts.append(work.flags.c_contiguous)
+        return eliminate(work, p)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    assert rank_mod_p_array(mat, 101) == rank_mod_p_array(np.ascontiguousarray(mat), 101) == 20
+    assert np.array_equal(mat, before) and mat.flags.f_contiguous
+    assert layouts == [True, True]
 
 
 def test_rank_of_products():
