@@ -23,9 +23,9 @@ from .ideal import (
     generate_binomials,
     generate_trinomials,
     parse_ideal_json,
-    per_character_span_dims,
     phi2_matrix,
     reduce_to_basis,
+    span_rank_by_character,
     tau,
     verify_degree2_kernel,
 )
@@ -55,7 +55,6 @@ from .reps import (
     action_exponent,
     mu,
     mu_table,
-    nu_bruteforce,
     nu_closed,
     nu_table,
     syzygy_multiplicity,

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from math import comb
 from typing import Iterator, NoReturn
 
 from .curve import (
@@ -25,7 +24,7 @@ from .curve import (
     suitable_params,
 )
 from .ideal import export_ideal, verify_degree2_kernel
-from .indexsets import count_im, enumerate_im, standard_set_identity
+from .indexsets import count_im, enumerate_im, standard_set_identity, total_degree_d_monomials
 from .params import (
     CurveParams,
     ParameterError,
@@ -107,7 +106,7 @@ def cmd_multiplicities(args: argparse.Namespace) -> tuple[dict, int]:
         counted, expected_total, ok = closed, dim_vm(k, n, degree), all(agree.values())
     else:
         mu_d = mu_table(k, n, degree).as_dict()
-        sym_dim = comb(dim_vm(k, n, 1) + degree - 1, degree)
+        sym_dim = total_degree_d_monomials(k, n, degree)
         if kind == "mu":
             columns = {"mu": mu_d}
             counted, expected_total, ok = mu_d, sym_dim, True

@@ -228,8 +228,8 @@ def full_rank_oversample(k: int, n: int, m: int) -> int:
     """Point count guaranteeing the m-th evaluation matrix reaches full rank.
 
     sample_points emits complete x-fibers of k^(n-1) points each.  On a single
-    fiber x is constant, so basis elements sharing the same residues a mod k
-    collapse; each window [.(k-1), ..] is a run of k consecutive integers, so
+    fiber x is constant and the y's run over zeta-multiples, so a DFT over the
+    y-roots splits the fiber's rows by the residues a mod k; each window [.(k-1), ..] is a run of k consecutive integers, so
     the classes are singletons and a fiber separates exactly the characters.
     Within the class of a fixed a the elements differ only by the contiguous
     exponents r = 0..|a|-2m, and distinct fiber abscissas give a nonsingular
@@ -242,20 +242,34 @@ def full_rank_oversample(k: int, n: int, m: int) -> int:
 
 
 def basis_rank_check(params: CurveParams, m: int, oversample: int) -> bool:
-    """True iff the (points x basis) evaluation matrix, built by
-    evaluation_matrix, has full rank d_m.
+    """True iff the weight-m basis evaluated at `oversample` points has rank d_m.
 
-    Raises InsufficientPointsError when fewer than oversample points exist
-    over the configured prime.
+    The points form complete x-fibers, whose rows split by the class of a mod
+    k (see full_rank_oversample); within a class all points of a fiber give
+    one row up to scalars.  So the rank is a sum over the classes, each taken
+    on one point per fiber.  Raises ParameterError when oversample is below
+    d_m or not a whole number of fibers, and InsufficientPointsError when the
+    prime has fewer points.
     """
-    d_m = dim_vm(params.k, params.n, m)
+    k, n, p = params.k, params.n, params.p
+    d_m = dim_vm(k, n, m)
+    fiber = k ** (n - 1)
     if oversample < d_m:
         raise ParameterError(f"oversample {oversample} below the dimension {d_m}")
+    if oversample % fiber:
+        raise ParameterError(
+            f"oversample {oversample} is not a whole number of {fiber}-point fibers")
     points, shortfall = sample_points(params, oversample)
     if shortfall:
         raise InsufficientPointsError(
-            f"only {len(points)} affine points over p = {params.p}, "
+            f"only {len(points)} affine points over p = {p}, "
             f"wanted {oversample}"
         )
-    basis = enumerate_im(params.k, params.n, m).members
-    return rank_mod_p_array(evaluation_matrix(params, points, basis), params.p) == d_m
+    assert all(len({pt.x for pt in points[i:i + fiber]}) == 1
+               for i in range(0, oversample, fiber))
+    basis = enumerate_im(k, n, m).members
+    classes: dict[IndexTuple, list[int]] = {}
+    for col, t in enumerate(basis):
+        classes.setdefault(tuple(a % k for a in t[1:]), []).append(col)
+    firsts = evaluation_matrix(params, points[::fiber], basis)
+    return sum(rank_mod_p_array(firsts[:, cols], p) for cols in classes.values()) == d_m

@@ -14,11 +14,10 @@ the latter vanishing because lam_i + x^k + y_{i+1}^k = 0 on the curve.
 
 verify_degree2_kernel checks the kernel claim without dense matrices: each
 relation's terms are expanded in the weight-2 basis and summed in Python
-ints mod p (exact at any p), and the rank of the evaluation map is taken on
-one column per fiber.  The independent pointwise check evaluates the
-degree-1 window at sampled points with curve.evaluation_matrix.
-phi2_matrix and relation_matrix are the dense forms, kept as oracles for
-tests.
+ints mod p (exact at any p), and every rank is a sum of (Z/k)^n character
+block ranks.  The independent pointwise check evaluates the degree-1 window
+at sampled points with curve.evaluation_matrix.  phi2_matrix and
+relation_matrix are the dense forms, kept as oracles for tests.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -39,6 +37,7 @@ from .indexsets import (
     minkowski_di1,
     standard_set,
     standard_set_identity,
+    total_degree_d_monomials,
 )
 from .linalg import rank_mod_p_array
 from .params import CurveParams, ParameterError, dim_vm
@@ -189,23 +188,6 @@ def reduce_to_basis(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]
     return out
 
 
-def _fiber_columns(params: CurveParams) -> np.ndarray:
-    """phi2 with one column per fiber, in sorted fiber order.
-
-    Every monomial above a fiber has the same column, so this matrix has the
-    rank of phi2 at a fraction of its width.
-    """
-    k, n = params.k, params.n
-    fibers = sorted(_degree2_data(k, n)[1])
-    basis = enumerate_im(k, n, 2).members
-    row = {t: idx for idx, t in enumerate(basis)}
-    mat = np.zeros((len(basis), len(fibers)), dtype=np.int64)
-    for col, t in enumerate(fibers):
-        for s, c in _reduce_cached(params, t):
-            mat[row[s], col] = c
-    return mat
-
-
 def phi2_matrix(params: CurveParams) -> np.ndarray:
     """Evaluation matrix of degree-2 monomials in the weight-2 basis.
 
@@ -214,9 +196,13 @@ def phi2_matrix(params: CurveParams) -> np.ndarray:
     index-sum.  Full row rank (= dim V_2) is the surjectivity statement.
     """
     k, n = params.k, params.n
-    fiber_col = {t: i for i, t in enumerate(sorted(_degree2_data(k, n)[1]))}
-    cols = [fiber_col[index_sum(mono)] for mono in degree2_monomials(k, n)]
-    return np.take(_fiber_columns(params), cols, axis=1)
+    monos = degree2_monomials(k, n)
+    row = {s: i for i, s in enumerate(enumerate_im(k, n, 2).members)}
+    mat = np.zeros((len(row), len(monos)), dtype=np.int64)
+    for col, mono in enumerate(monos):
+        for s, c in _reduce_cached(params, index_sum(mono)):
+            mat[row[s], col] = c
+    return mat
 
 
 def _relations_vanish(params: CurveParams, rels: list[Relation]) -> bool:
@@ -266,49 +252,54 @@ def _relations_vanish_at(
 
 # --- span-rank bookkeeping ----------------------------------------------------
 
-def _fiber_matrix(params: CurveParams, rels: list[Relation]) -> np.ndarray:
-    """Trinomial coefficients in fiber coordinates (columns = index-sums).
+def _character_ranks(
+    params: CurveParams, tris: list[Relation]
+) -> tuple[int, dict[IndexTuple, int]]:
+    """(rank of phi2, nonzero span ranks of the relations by character).
 
-    Valid because trinomials only involve tau monomials: one per fiber.
+    _reduce_cached moves coordinates by multiples of k, so each fiber's phi2
+    column lies in its own character's rows (a miss raises KeyError).  Every
+    non-tau monomial is in exactly one binomial, so a character's binomials
+    add their count sum(|fiber| - 1); trinomials only involve tau monomials,
+    one per fiber, which no binomial pivot touches, so they add the rank of
+    their block in fiber coordinates.
     """
-    cols = sorted({index_sum(mono) for rel in rels for _, mono in rel.terms})
-    col = {t: i for i, t in enumerate(cols)}
-    mat = np.zeros((len(rels), len(cols)), dtype=np.int64)
-    for r, rel in enumerate(rels):
-        for c, mono in rel.terms:
-            mat[r, col[index_sum(mono)]] += c
-    return mat
-
-
-def span_rank_by_character(
-    params: CurveParams,
-) -> dict[IndexTuple, int]:
-    """Rank of the degree-2 relation span, split by character label.
-
-    Every non-tau monomial appears in exactly one binomial, so binomial rows
-    are already in echelon form on those columns and contribute their count
-    to the rank; trinomial rows are supported on tau monomials only, which
-    the binomial pivots never touch, so their contribution is the rank of
-    the fiber-coordinate matrix.  Characters are preserved by both families,
-    so the blocks are independent and their ranks add.
-    """
-    k = params.k
-    dims: dict[IndexTuple, int] = {}
-    for rel in generate_binomials(k, params.n):
-        h = relation_character(k, rel)
-        dims[h] = dims.get(h, 0) + 1
+    k, n, p = params.k, params.n, params.p
+    fiber_map = _degree2_data(k, n)[1]
+    fibers: dict[IndexTuple, list[IndexTuple]] = {}
+    for t in sorted(fiber_map):
+        fibers.setdefault(character_of(k, 2, t), []).append(t)
+    rows: dict[IndexTuple, list[IndexTuple]] = {}
+    for s in enumerate_im(k, n, 2).members:
+        rows.setdefault(character_of(k, 2, s), []).append(s)
     tri_by_char: dict[IndexTuple, list[Relation]] = {}
-    for rel in generate_trinomials(params):
+    for rel in tris:
         tri_by_char.setdefault(relation_character(k, rel), []).append(rel)
-    for h, rels in sorted(tri_by_char.items()):
-        dims[h] = dims.get(h, 0) + rank_mod_p_array(_fiber_matrix(params, rels), params.p)
-    return dict(sorted(dims.items()))
+
+    phi2_rank, dims = 0, {}
+    for h, ts in sorted(fibers.items()):
+        col = {t: i for i, t in enumerate(ts)}
+        row = {s: i for i, s in enumerate(rows.get(h, ()))}
+        phi2 = np.zeros((len(row), len(col)), dtype=np.int64)
+        for t in ts:
+            for s, c in _reduce_cached(params, t):
+                phi2[row[s], col[t]] = c
+        phi2_rank += rank_mod_p_array(phi2, p)
+        rels = tri_by_char.get(h, [])
+        tri = np.zeros((len(rels), len(col)), dtype=np.int64)
+        for r, rel in enumerate(rels):
+            for c, mono in rel.terms:
+                tri[r, col[index_sum(mono)]] += c
+        dim = sum(len(fiber_map[t]) - 1 for t in ts) + rank_mod_p_array(tri, p)
+        if dim:
+            dims[h] = dim
+    return phi2_rank, dims
 
 
-def per_character_span_dims(params: CurveParams) -> dict[IndexTuple, int]:
+def span_rank_by_character(params: CurveParams) -> dict[IndexTuple, int]:
     """Rank of each character's block of the degree-2 relation span; labels
     with no relations are omitted (their dimension is 0)."""
-    return {h: d for h, d in span_rank_by_character(params).items() if d}
+    return _character_ranks(params, generate_trinomials(params))[1]
 
 
 def relation_matrix(params: CurveParams, rels: list[Relation]) -> np.ndarray:
@@ -363,25 +354,23 @@ def verify_degree2_kernel(params: CurveParams, min_points: int = 50) -> Degree2R
         basis (its terms' expansions summed exactly mod p) and evaluates to
         zero at >= min_points curve points;
     (b) the relation span has rank dim S_2 - dim V_2 (with the evaluation
-        matrix itself of full rank dim V_2, taken on one column per fiber);
+        matrix itself of full rank dim V_2), both ranks summed over the
+        character blocks;
     (c) the surviving-fiber count from the shifted C_i sets equals both the
         weight-2 window size and dim S_2 - span rank;
     (d) each trinomial's order-maximal term is its lam_i-term.
     Raises InsufficientPointsError when the prime is too small for (a).
     """
     k, n, p = params.k, params.n, params.p
-    g = dim_vm(k, n, 1)
     d2 = dim_vm(k, n, 2)
-    monos = degree2_monomials(k, n)
-    dim_s2 = len(monos)
-    assert dim_s2 == comb(g + 1, 2)
+    dim_s2 = len(degree2_monomials(k, n))
+    assert dim_s2 == total_degree_d_monomials(k, n, 2)
 
     bins = generate_binomials(k, n)
     tris = generate_trinomials(params)
     rels = bins + tris
 
     # (a) symbolic: every relation's basis expansion vanishes mod p.
-    phi2_rank = rank_mod_p_array(_fiber_columns(params), p)
     symbolic_kernel_ok = _relations_vanish(params, rels)
 
     # (a) numeric: evaluate every relation at sampled points.
@@ -392,8 +381,8 @@ def verify_degree2_kernel(params: CurveParams, min_points: int = 50) -> Degree2R
         )
     point_kernel_ok = _relations_vanish_at(params, rels, points)
 
-    # (b) span rank via the character decomposition.
-    per_char = span_rank_by_character(params)
+    # (b) phi2 rank and span rank via the character decomposition.
+    phi2_rank, per_char = _character_ranks(params, tris)
     span_rank = sum(per_char.values())
     span_rank_ok = phi2_rank == d2 and span_rank == dim_s2 - d2
 

@@ -1,9 +1,9 @@
 """Dense linear algebra over a prime field F_p.
 
-Everything here works on small/medium matrices (a few thousand rows at
-most), so plain Gaussian elimination on int64 numpy arrays is fine.  All
-arithmetic stays exact because entries are reduced mod p after every
-multiply and p**2 fits comfortably in int64 for the primes we use.
+The library only ranks character blocks of a few dozen rows, and the tests'
+dense oracles a few thousand rows at most, so plain Gaussian elimination on
+int64 numpy arrays is fine.  All arithmetic stays exact because entries are
+reduced mod p after every multiply and the prime must satisfy p**2 < 2**62.
 """
 
 from __future__ import annotations
@@ -12,13 +12,18 @@ from typing import Sequence
 
 import numpy as np
 
+from .params import ParameterError
+
 
 def rank_mod_p_array(mat: np.ndarray | Sequence[Sequence[int]], p: int) -> int:
     """Rank over F_p of an integer array or list of rows (never clobbered).
 
     The working copy is C-ordered whatever the input's layout: elimination
     walks rows, and on a column-strided copy it runs about 3x slower.
+    Raises ParameterError when p^2 >= 2^62, where int64 products would wrap.
     """
+    if p * p >= 2**62:
+        raise ParameterError(f"p = {p} is too large for int64 elimination (need p^2 < 2^62)")
     mat = np.array(mat, dtype=np.int64, order="C")
     return _eliminate(mat, p) if mat.size else 0
 
@@ -33,7 +38,6 @@ def _eliminate(mat: np.ndarray, p: int) -> int:
     trailing block before int64 could overflow; for desk-scale primes that
     never actually triggers.
     """
-    assert p * p < 2**62
     n_rows, n_cols = mat.shape
     mat %= p
     rank = 0

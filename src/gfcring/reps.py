@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb
 
 from .curve import apply_group, evaluate_theta, sample_points
 from .indexsets import (
@@ -27,8 +26,9 @@ from .indexsets import (
     enumerate_im,
     enumerate_jd,
     partition_count_table,
+    total_degree_d_monomials,
 )
-from .params import CurveParams, ParameterError, dim_vm
+from .params import CurveParams, ParameterError
 
 
 def action_exponent(k: int, m: int, t: IndexTuple, g: IndexTuple) -> int:
@@ -48,12 +48,6 @@ def all_labels(k: int, n: int) -> list[IndexTuple]:
     return [t for t in itertools.product(range(k), repeat=n)]
 
 
-def nu_bruteforce(k: int, n: int, m: int, h: IndexTuple) -> int:
-    """Count window members whose character is h, by direct enumeration."""
-    hh = tuple(x % k for x in h)
-    return sum(1 for t in enumerate_im(k, n, m) if character_of(k, m, t) == hh)
-
-
 def nu_closed(k: int, n: int, m: int, h: IndexTuple) -> int:
     """Closed-form multiplicity of the character h in weight m.
 
@@ -62,7 +56,7 @@ def nu_closed(k: int, n: int, m: int, h: IndexTuple) -> int:
     a nonnegative quotient, so the leading residue must be taken in the
     window [m, m + k) (the trailing residues stay in [0, k)).  Labels whose
     interval is empty come out negative and are clamped to 0.  Validated
-    exhaustively against nu_bruteforce.
+    exhaustively against nu_table(..., closed=False).
     """
     if m < 1:
         raise ParameterError(f"need m >= 1, got {m}")
@@ -127,7 +121,7 @@ def mu_table(k: int, n: int, d: int) -> MultiplicityTable:
     for t, cnt in partition_count_table(k, n, d).items():
         vals[character_of(k, d, t)] += cnt
     table = MultiplicityTable(k, n, "mu", d, tuple(sorted(vals.items())))
-    assert table.total == comb(dim_vm(k, n, 1) + d - 1, d)
+    assert table.total == total_degree_d_monomials(k, n, d)
     return table
 
 

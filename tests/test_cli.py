@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfcring import curve, ideal
 from gfcring.cli import main
 from gfcring.ideal import export_ideal, parse_ideal_json
+from gfcring.linalg import rank_mod_p_array
 from gfcring.params import make_curve_params
 
 
@@ -112,6 +114,22 @@ def test_verify_single_curve(capsys):
     for d2 in rep["degree2"].values():
         assert d2["passed"]
         assert d2["span_rank"] == 3
+
+
+def test_verify_ranks_only_character_blocks(capsys, monkeypatch):
+    # Every rank verify takes is of one character block, a few dozen rows at
+    # most, never of the dense phi2 or basis evaluation matrix.
+    shapes = []
+
+    def spy(mat, p):
+        shapes.append(mat.shape)
+        return rank_mod_p_array(mat, p)
+
+    monkeypatch.setattr(curve, "rank_mod_p_array", spy)
+    monkeypatch.setattr(ideal, "rank_mod_p_array", spy)
+    code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
+    assert code == 0 and rep["passed"]
+    assert shapes and max(rows for rows, _ in shapes) <= 30
 
 
 def test_verify_pinned_prime(capsys):

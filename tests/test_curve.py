@@ -2,12 +2,14 @@
 
 import random
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfcring import curve
 from gfcring.curve import (
     AffinePoint,
     InsufficientPointsError,
@@ -265,3 +267,36 @@ def test_basis_rank_grid_two_primes():
                 assert basis_rank_check(pp, m, full_rank_oversample(k, n, m)), (
                     k, n, m, pp.p,
                 )
+
+
+@settings(max_examples=20)  # enough draws to reach every curve
+@given(
+    curve_kn=st.sampled_from([(2, 4), (3, 3), (3, 4), (4, 3), (5, 3)]),
+    min_bound=st.integers(100, 3000),
+    seed=st.integers(0, 2**31),
+)
+def test_blocked_basis_rank_equals_dense_rank(curve_kn, min_bound, seed):
+    # One fiber fewer than the bound (rank-deficient), the bound, one more.
+    k, n = curve_kn
+    fiber = k ** (n - 1)
+    most = max(full_rank_oversample(k, n, m) for m in (1, 2, 3)) + fiber
+    pp = next(suitable_params(k, n, most, seed=seed, min_bound=min_bound))
+    ranks = []
+
+    def spy(mat, p):
+        ranks.append(rank_mod_p_array(mat, p))
+        return ranks[-1]
+
+    for m in (1, 2, 3):
+        basis = enumerate_im(k, n, m).members
+        need = full_rank_oversample(k, n, m)
+        for count in (need - fiber, need, need + fiber):
+            pts, _ = sample_points(pp, count)
+            dense = rank_mod_p_array(evaluation_matrix(pp, pts, basis), pp.p)
+            ranks.clear()
+            with mock.patch.object(curve, "rank_mod_p_array", spy):
+                full = basis_rank_check(pp, m, count)
+            assert sum(ranks) == dense and full == (dense == len(basis)), (m, count)
+            assert full == (count >= need)
+        with pytest.raises(ParameterError):
+            basis_rank_check(pp, m, need + 1)

@@ -17,6 +17,7 @@ from gfcring.curve import (
 from gfcring.ideal import (
     Degree2Report,
     Relation,
+    _character_ranks,
     _relations_vanish,
     _relations_vanish_at,
     compare_monomials,
@@ -27,7 +28,6 @@ from gfcring.ideal import (
     index_sum,
     monomial_sort_key,
     parse_ideal_json,
-    per_character_span_dims,
     phi2_matrix,
     reduce_to_basis,
     relation_character,
@@ -40,7 +40,7 @@ from gfcring.ideal import (
 from gfcring.indexsets import enumerate_ci, enumerate_im, minkowski_di1
 from gfcring.linalg import rank_mod_p_array
 from gfcring.params import dim_vm, make_curve_params
-from gfcring.reps import character_of, syzygy_table
+from gfcring.reps import character_of, nu_table, syzygy_table
 
 # relation counts per curve: binomials = #monomials - #fibers,
 # trinomials = sum of the |C_i|
@@ -256,6 +256,31 @@ def test_phi2_matrix_frozen_shapes_and_ranks():
     assert rank_mod_p_array(mat, pp.p) == 27
 
 
+@given(
+    curve=st.sampled_from([(2, 4), (3, 3), (3, 4), (4, 3), (5, 3)]),
+    min_bound=st.integers(100, 3000),
+    seed=st.integers(0, 2**31),
+)
+def test_phi2_character_blocks_sum_to_dense_rank(curve, min_bound, seed):
+    # phi2 is block-diagonal by character, each block of rank nu(2, h), and
+    # the block ranks add up to the dense rank
+    k, n = curve
+    pp = next(suitable_params(k, n, seed=seed, min_bound=min_bound))
+    mat = phi2_matrix(pp)
+    rows = np.array([character_of(k, 2, s) for s in enumerate_im(k, n, 2).members])
+    cols = np.array([character_of(k, 2, index_sum(m)) for m in degree2_monomials(k, n)])
+    nu = nu_table(k, n, 2).as_dict()
+    total = 0
+    for h in {tuple(c) for c in cols}:
+        in_rows, in_cols = (rows == h).all(axis=1), (cols == h).all(axis=1)
+        assert not np.any(mat[~in_rows][:, in_cols])
+        block = rank_mod_p_array(mat[in_rows][:, in_cols], pp.p)
+        assert block == nu[h]
+        total += block
+    dense = rank_mod_p_array(mat, pp.p)
+    assert total == dense == _character_ranks(pp, generate_trinomials(pp))[0] == dim_vm(k, n, 2)
+
+
 def test_span_rank_matches_dense_elimination():
     # per-character structural rank vs one dense elimination over everything
     for (k, n) in [(2, 4), (3, 3), (4, 2), (2, 5), (3, 4)]:
@@ -326,7 +351,7 @@ def test_kernel_invariants_are_field_independent(curve, min_bound, seed):
 def test_per_character_dims_match_syzygy_table():
     for (k, n) in [(2, 4), (3, 3), (2, 5)]:
         pp = make_curve_params(k, n)
-        dims = per_character_span_dims(pp)
+        dims = span_rank_by_character(pp)
         expected = syzygy_table(k, n, 2).as_dict()
         assert all(v > 0 for v in dims.values())
         for h, v in expected.items():

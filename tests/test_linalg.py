@@ -1,10 +1,16 @@
 """Exact rank computation over prime fields."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gfcring
 from gfcring import linalg
 from gfcring.linalg import rank_mod_p_array
+from gfcring.params import ParameterError
 
 
 def test_rank_small_frozen():
@@ -68,8 +74,27 @@ def test_nullity():
 
 def test_large_prime_is_rejected():
     # int64 exactness needs p^2 < 2^62
-    with pytest.raises(AssertionError):
+    with pytest.raises(ParameterError):
         rank_mod_p_array([[1, 1], [1, 2]], 2305843009213693951)  # 2^61 - 1, prime
+
+
+def test_large_prime_is_rejected_under_optimization():
+    # python -O strips asserts, so the p^2 < 2^62 guard must be a raise
+    code = (
+        "from gfcring.linalg import rank_mod_p_array\n"
+        "from gfcring.params import ParameterError\n"
+        "try:\n"
+        "    rank_mod_p_array([[1, 1], [1, 2]], 2305843009213693951)\n"
+        "except ParameterError:\n"
+        "    print('rejected')\n"
+    )
+    src = os.path.dirname(os.path.dirname(gfcring.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "rejected\n"
 
 
 def test_multiple_of_p_matrix_has_rank_zero():
