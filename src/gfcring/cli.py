@@ -30,6 +30,7 @@ from .params import (
     ParameterError,
     dim_vm,
     genus,
+    is_nonhyperelliptic,
     require_nonhyperelliptic,
 )
 from .reps import all_labels, check_equivariance, mu_table, nu_table, syzygy_table
@@ -201,40 +202,43 @@ def _verify_one(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _verify_grid(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.mmax < 1:
+        raise ParameterError(f"need --mmax >= 1, got {args.mmax}")
+    curves = [(k, n) for k in range(2, args.kmax + 1) for n in range(2, args.nmax + 1)
+              if is_nonhyperelliptic(k, n)]
+    if not curves:
+        raise ParameterError(f"the grid up to (kmax, nmax) = ({args.kmax}, {args.nmax}) "
+                             "holds no curve with (k-1)(n-1) > 2")
     rows = []
     all_ok = True
-    for k in range(2, args.kmax + 1):
-        for n in range(2, args.nmax + 1):
-            if (k - 1) * (n - 1) <= 2:
-                continue
-            card_ok = all(
-                count_im(k, n, m) == dim_vm(k, n, m) for m in range(1, args.mmax + 1)
-            )
-            nu_ok = all(
-                nu_table(k, n, m, closed=True).values
-                == nu_table(k, n, m, closed=False).values
-                for m in range(1, args.mmax + 1)
-            )
-            ssi = standard_set_identity(k, n)
-            syz = syzygy_table(k, n, 2)
-            syz_ok = all(v >= 0 for _, v in syz.values)
-            row = {
-                "k": k, "n": n,
-                "cardinalities_ok": card_ok,
-                "nu_oracle_ok": nu_ok,
-                "standard_set_ok": ssi,
-                "syzygy_nonneg_ok": syz_ok,
-            }
-            if (k, n) in KERNEL_GRID:
-                sub = argparse.Namespace(**{**vars(args), "k": k, "n": n, "lam": None})
-                subreport, _ = _verify_one(sub)
-                row["degree2_ok"] = subreport["passed"]
-            else:
-                row["degree2_ok"] = None
-            row_pass = all(v for v in row.values() if isinstance(v, bool))
-            row["passed"] = row_pass
-            all_ok = all_ok and row_pass
-            rows.append(row)
+    for k, n in curves:
+        card_ok = all(
+            count_im(k, n, m) == dim_vm(k, n, m) for m in range(1, args.mmax + 1)
+        )
+        nu_ok = all(
+            nu_table(k, n, m, closed=True).values
+            == nu_table(k, n, m, closed=False).values
+            for m in range(1, args.mmax + 1)
+        )
+        ssi = standard_set_identity(k, n)
+        syz_ok = all(v >= 0 for _, v in syzygy_table(k, n, 2).values)
+        row = {
+            "k": k, "n": n,
+            "cardinalities_ok": card_ok,
+            "nu_oracle_ok": nu_ok,
+            "standard_set_ok": ssi,
+            "syzygy_nonneg_ok": syz_ok,
+        }
+        if (k, n) in KERNEL_GRID:
+            sub = argparse.Namespace(**{**vars(args), "k": k, "n": n, "lam": None})
+            subreport, _ = _verify_one(sub)
+            row["degree2_ok"] = subreport["passed"]
+        else:
+            row["degree2_ok"] = None
+        row_pass = all(v for v in row.values() if isinstance(v, bool))
+        row["passed"] = row_pass
+        all_ok = all_ok and row_pass
+        rows.append(row)
     report = {
         "grid": {"kmax": args.kmax, "nmax": args.nmax, "mmax": args.mmax},
         "rows": rows,

@@ -59,6 +59,12 @@ def _kth_roots(c: int, k: int, p: int, zeta: int) -> list[int]:
     return sorted(root * pow(zeta, t, p) % p for t in range(k))
 
 
+def _require_int64_prime(p: int) -> None:
+    """Points are evaluated in int64, which is exact only while p^2 < 2^62."""
+    if p * p >= 2**62:
+        raise ParameterError(f"p = {p} is too large for int64 evaluation (need p^2 < 2^62)")
+
+
 def sample_points(
     params: CurveParams, count: int
 ) -> tuple[list[AffinePoint], bool]:
@@ -68,9 +74,11 @@ def sample_points(
     nonzero k-th power residue (tested by raising to (p-1)/k), and then all
     combinations of the k root choices per coordinate are emitted.  Returns
     (points, shortfall): shortfall is True when the whole field was scanned
-    and fewer than `count` points exist.
+    and fewer than `count` points exist.  Raises ParameterError before the
+    scan when p^2 >= 2^62, where evaluation_matrix would reject the points.
     """
     k, p, zeta = params.k, params.p, params.zeta
+    _require_int64_prime(p)
     res_exp = (p - 1) // k
     points: list[AffinePoint] = []
     for x in range(p):
@@ -153,8 +161,7 @@ def evaluation_matrix(
     product is exact while p^2 < 2^62.
     """
     p, width = params.p, params.n
-    if p * p >= 2**62:
-        raise ParameterError(f"p = {p} is too large for int64 evaluation (need p^2 < 2^62)")
+    _require_int64_prime(p)
     exps = np.array(basis, dtype=np.intp).reshape(-1, width)
     xs = np.array([pt.x % p for pt in points], dtype=np.int64)
     inv = np.array(

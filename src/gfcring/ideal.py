@@ -68,7 +68,9 @@ def _degree2_data(
     k: int, n: int
 ) -> tuple[tuple[MonomialKey, ...], dict[IndexTuple, tuple[MonomialKey, ...]], dict[IndexTuple, MonomialKey]]:
     """(all degree-2 monomials in term order, fiber -> its monomials in term
-    order, fiber -> tau).  Treat the returned structures as immutable."""
+    order, fiber -> tau).  Treat the returned structures as immutable.  The
+    fibers, read off the monomials' index sums, must equal minkowski_di1's
+    closed form: an independent enumeration of the 2-fold sumset."""
     i1 = enumerate_im(k, n, 1).members
     monos = sorted(
         (tuple(sorted(pair)) for pair in itertools.combinations_with_replacement(i1, 2)),
@@ -125,10 +127,6 @@ def generate_binomials(k: int, n: int) -> list[Relation]:
     return out
 
 
-def _shift_down(t: IndexTuple, i: int, k: int) -> IndexTuple:
-    return (*t[:i], t[i] - k, *t[i + 1:])
-
-
 def generate_trinomials(params: CurveParams) -> list[Relation]:
     """lam_i*tau(t) + tau(t+(k,0,..)) + tau(t-k*e_i) for each i and t in C_i."""
     k, n = params.k, params.n
@@ -138,7 +136,7 @@ def generate_trinomials(params: CurveParams) -> list[Relation]:
         lam_i = params.lam[i - 1] % params.p
         for t in enumerate_ci(k, n, i):
             up = (t[0] + k, *t[1:])
-            down = _shift_down(t, i, k)
+            down = (*t[:i], t[i] - k, *t[i + 1:])
             out.append(
                 Relation(
                     ((lam_i, tau_map[t]), (1, tau_map[up]), (1, tau_map[down])),

@@ -104,57 +104,40 @@ def count_im(k: int, n: int, m: int) -> int:
 def minkowski_di1(k: int, n: int, d: int) -> IndexSet:
     """The d-fold sumset of the degree-1 window with itself.
 
-    Computed by iterated sumset with deduplication; for d = 2 the result is
-    additionally asserted against its closed form
-    {0 <= a_j <= 2(k-1), 0 <= r <= |a| - 4}.
+    d = 2 is built from its closed form {0 <= a_j <= 2(k-1), 0 <= r <= |a| - 4},
+    which ideal._degree2_data checks against the degree-2 monomials; each
+    larger d adds the window once to the cached (d-1)-fold set.
     """
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
-    i1 = enumerate_im(k, n, 1)
     if d == 1:
-        return IndexSet(k, n, "dI1", (1,), i1.members)
-    cur = set(i1.members)
-    for _ in range(d - 1):
-        cur = {tuple(x + y for x, y in zip(s, t)) for s in cur for t in i1.members}
-    members = tuple(sorted(cur))
-    if d == 2:
-        closed = []
-        for a in itertools.product(range(2 * k - 1), repeat=n - 1):
-            for r in range(sum(a) - 3):
-                closed.append((r, *a))
-        assert members == tuple(sorted(closed)), (
-            f"2-fold sumset for (k={k}, n={n}) disagrees with its closed form"
-        )
-    return IndexSet(k, n, "dI1", (d,), members)
+        members = enumerate_im(k, n, 1).members
+    elif d == 2:
+        members = sorted((r, *a) for a in itertools.product(range(2 * k - 1), repeat=n - 1)
+                         for r in range(sum(a) - 3))
+    else:
+        members = sorted({tuple(x + y for x, y in zip(s, t))
+                          for s in minkowski_di1(k, n, d - 1) for t in enumerate_im(k, n, 1)})
+    return IndexSet(k, n, "dI1", (d,), tuple(members))
 
 
 @lru_cache(maxsize=None)
 def enumerate_ci(k: int, n: int, i: int) -> IndexSet:
-    """Points t of the 2-fold sumset such that t + (k, 0, ..., 0) and
-    t - k*e_i both remain in the sumset (e_i = unit vector at flat
-    position i, the a-coordinate tied to relation index i).
+    """The relation family C_i in closed form: the points of the 2-fold sumset
+    with k <= a_i <= 2k-2 and r <= |a| - (k+4).
 
-    Both the definitional form and the closed form
-    {k <= a_i <= 2k-2, 0 <= a_j <= 2k-2, 0 <= r <= |a| - (k+4)}
-    are computed; they must coincide.
+    These are exactly the sumset points t for which t + (k, 0, ..., 0) and
+    t - k*e_i also lie in the sumset (e_i = unit vector at flat position i,
+    the a-coordinate tied to relation index i); generate_trinomials looks up
+    tau at both shifts of every member.
     """
     if not 1 <= i <= n - 1:
         raise ParameterError(f"relation index must be in 1..{n - 1}, got {i}")
-    m2 = minkowski_di1(k, n, 2)
-    defn = []
-    for t in m2:
-        up = (t[0] + k, *t[1:])
-        down = (*t[:i], t[i] - k, *t[i + 1:])
-        if up in m2 and down in m2:
-            defn.append(t)
-    closed = [
-        t for t in m2
-        if k <= t[i] <= 2 * k - 2 and 0 <= t[0] <= sum(t[1:]) - (k + 4)
-    ]
-    assert defn == closed, (
-        f"C_{i} definitional/closed forms disagree for (k={k}, n={n})"
+    members = tuple(
+        t for t in minkowski_di1(k, n, 2)
+        if k <= t[i] and t[0] <= sum(t[1:]) - (k + 4)
     )
-    return IndexSet(k, n, "C_i", (i,), tuple(defn))
+    return IndexSet(k, n, "C_i", (i,), members)
 
 
 def shifted_ci_union(k: int, n: int) -> set[IndexTuple]:
@@ -171,8 +154,10 @@ def shifted_ci_union(k: int, n: int) -> set[IndexTuple]:
     return out
 
 
+@lru_cache(maxsize=None)
 def standard_set(k: int, n: int) -> IndexSet:
-    """Fibers of the 2-fold sumset surviving all relation eliminations."""
+    """Fibers of the 2-fold sumset surviving all relation eliminations; built
+    once per curve, like the sets it is made from."""
     keep = sorted(set(minkowski_di1(k, n, 2).members) - shifted_ci_union(k, n))
     return IndexSet(k, n, "I2cap", (), tuple(keep))
 
@@ -225,14 +210,18 @@ def partition_count_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
 
     Classic coin-change dynamic program over the sorted window (ascending
     multiset sizes per item count repeats exactly once).  Tuples are packed
-    into single integers — coordinate sums stay below 2^16 for desk-scale
-    inputs, so packed addition never carries between coordinates.
+    into single integers of 16 bits per coordinate; a d-fold sum has
+    coordinates at most d * max((n-1)(k-1) - 2, k - 1), and when that reaches
+    2^16, packed addition would carry, so ParameterError is raised instead.
     """
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
-    items = enumerate_im(k, n, 1).members
     shift = 16
-    assert d * max((n - 1) * (k - 1), 1) * (k - 1) < (1 << shift)
+    top = d * max((n - 1) * (k - 1) - 2, k - 1)
+    if top >= 1 << shift:
+        raise ParameterError(f"a {d}-fold sum for (k, n) = ({k}, {n}) has coordinates "
+                             f"up to {top}, beyond the 2^{shift} packing limit")
+    items = enumerate_im(k, n, 1).members
 
     def pack(t: IndexTuple) -> int:
         code = 0

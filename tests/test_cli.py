@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfcring import curve, ideal
+from gfcring import curve, ideal, indexsets
 from gfcring.cli import main
 from gfcring.ideal import export_ideal, parse_ideal_json
+from gfcring.indexsets import shifted_ci_union
 from gfcring.linalg import rank_mod_p_array
 from gfcring.params import make_curve_params
 
@@ -130,6 +131,21 @@ def test_verify_ranks_only_character_blocks(capsys, monkeypatch):
     code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
     assert code == 0 and rep["passed"]
     assert shapes and max(rows for rows, _ in shapes) <= 30
+
+
+def test_verify_builds_standard_set_once(capsys, monkeypatch):
+    # verify and both primes' degree-2 checks share one cached standard set.
+    calls = []
+
+    def spy(k, n):
+        calls.append((k, n))
+        return shifted_ci_union(k, n)
+
+    indexsets.standard_set.cache_clear()
+    monkeypatch.setattr(indexsets, "shifted_ci_union", spy)
+    code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
+    assert code == 0 and rep["passed"]
+    assert calls == [(4, 4)]
 
 
 def test_verify_pinned_prime(capsys):
@@ -290,6 +306,10 @@ UNWRITABLE = os.path.join(os.devnull, "report.json")
     ["export", "--k", "3", "--n", "3", "--format", "pretty"],
     ["info", "--k", "3", "--n", "3", "--format", "cas-text"],
     ["verify", "--lambda", "1,2", "--seed", "3"],
+    ["verify", "--k", "3", "--n", "3", "--prime", "4294967311"],
+    ["multiplicities", "--k", "3", "--n", "3", "--kind", "mu", "--d", "40000"],
+    ["verify", "--grid", "--kmax", "3", "--nmax", "2"],
+    ["verify", "--grid", "--mmax", "0"],
 ])
 def test_bad_input_is_one_json_error_line(capsys, argv):
     assert_one_json_error_line(*run(capsys, *argv))
@@ -307,7 +327,8 @@ FLAG_VALUES = {
     "--kind": st.sampled_from(["nu", "mu", "syzygy", "x"]),
     "--format": st.sampled_from(["json", "pretty", "cas-text", "x"]),
     "--char": LABELS, "--lambda": LABELS,
-    "--prime": st.sampled_from(["auto", "7", "13", "101", "103", "109", "-5", "x"]),
+    "--prime": st.sampled_from(["auto", "7", "13", "101", "103", "109", "-5", "x",
+                                 "4294967311"]),
     "--grid": None,
 }
 CURVE_SPEC = ["--lambda", "--seed", "--prime"]

@@ -19,12 +19,13 @@ from gfcring.indexsets import (
     standard_set_identity,
     total_degree_d_monomials,
 )
-from gfcring.params import dim_vm
+from gfcring.params import ParameterError, dim_vm, genus
 
 GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
+DIRECT_SUM_CURVES = GRID + [(5, 3), (2, 7)]
 
-# (k, n) -> |I1 + I1|, computed by iterated sumset and double-checked against
-# the closed form inside minkowski_di1 itself.
+# (k, n) -> |I1 + I1|, the size of minkowski_di1's closed form; the closed
+# form itself is compared with the direct pairwise sums on DIRECT_SUM_CURVES.
 SUMSET_SIZES = {
     (2, 4): 15,
     (3, 3): 35,
@@ -98,6 +99,11 @@ def test_minkowski_strictly_contains_window():
 
 
 def test_minkowski_d3_by_direct_sum():
+    # d = 2 is built from its closed form; compare it with the pairwise sums.
+    for (k, n) in DIRECT_SUM_CURVES:
+        window = enumerate_im(k, n, 1).members
+        pairs = {tuple(x + y for x, y in zip(s, t)) for s in window for t in window}
+        assert set(minkowski_di1(k, n, 2).members) == pairs, (k, n)
     items = enumerate_im(3, 3, 1).members
     direct = {
         tuple(x + y + z for x, y, z in zip(s, t, u))
@@ -124,6 +130,16 @@ def test_ci_membership():
         assert (t[0] + 3, t[1], t[2]) in m2
         assert (t[0], t[1] - 3, t[2]) in m2
         assert t[1] >= 3  # a_i at least k
+    # C_i is built from its closed form; compare it with the definition: the
+    # sumset points t with t + (k, 0, ..., 0) and t - k*e_i in the sumset.
+    for (k, n) in DIRECT_SUM_CURVES:
+        m2 = minkowski_di1(k, n, 2)
+        for i in range(1, n):
+            defn = tuple(
+                t for t in m2
+                if (t[0] + k, *t[1:]) in m2 and (*t[:i], t[i] - k, *t[i + 1:]) in m2
+            )
+            assert enumerate_ci(k, n, i).members == defn, (k, n, i)
     with pytest.raises(ValueError):
         enumerate_ci(3, 3, 0)
     with pytest.raises(ValueError):
@@ -180,6 +196,15 @@ def test_partition_table_matches_per_point_counts():
         assert set(table) == set(minkowski_di1(k, n, d).members)
         for t in minkowski_di1(k, n, d):
             assert table[t] == count_partitions(k, n, d, t), (k, n, d, t)
+
+
+def test_partition_table_packing_bound():
+    # The largest packed coordinate of a d-fold sum is
+    # d * max((n-1)(k-1) - 2, k - 1): 256 here, far below the 2^16 limit.
+    assert sum(partition_count_table(257, 2, 1).values()) == genus(257, 2) == 32640
+    # (3, 3) reaches 2 * 40000 >= 2^16, which packed addition would carry.
+    with pytest.raises(ParameterError):
+        partition_count_table(3, 3, 40000)
 
 
 def test_partition_spot_checks_random_targets():
