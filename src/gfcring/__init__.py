@@ -42,16 +42,13 @@ from .indexsets import (
 )
 from .params import (
     CurveParams,
-    HilbertNumbers,
     ParameterError,
     dim_vm,
     find_prime_and_root,
     genus,
-    hilbert_numbers,
     make_curve_params,
 )
 from .reps import (
-    MultiplicityTable,
     action_exponent,
     mu,
     mu_table,

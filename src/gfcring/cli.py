@@ -100,19 +100,19 @@ def cmd_multiplicities(args: argparse.Namespace) -> tuple[dict, int]:
                              f"{len(wanted)}, expected n = {n}")
 
     if kind == "nu":
-        closed = nu_table(k, n, degree, closed=True).as_dict()
-        brute = nu_table(k, n, degree, closed=False).as_dict()
+        closed = nu_table(k, n, degree, closed=True)
+        brute = nu_table(k, n, degree, closed=False)
         agree = {h: closed[h] == brute[h] for h in closed}
         columns = {"nu_closed": closed, "nu_bruteforce": brute, "agree": agree}
         counted, expected_total, ok = closed, dim_vm(k, n, degree), all(agree.values())
     else:
-        mu_d = mu_table(k, n, degree).as_dict()
+        mu_d = mu_table(k, n, degree)
         sym_dim = total_degree_d_monomials(k, n, degree)
         if kind == "mu":
             columns = {"mu": mu_d}
             counted, expected_total, ok = mu_d, sym_dim, True
         else:
-            nu_d = nu_table(k, n, degree).as_dict()
+            nu_d = nu_table(k, n, degree)
             syz = {h: mu_d[h] - nu_d[h] for h in mu_d}
             columns = {"mu": mu_d, "nu": nu_d, "syzygy": syz}
             counted, expected_total = syz, sym_dim - dim_vm(k, n, degree)
@@ -182,15 +182,13 @@ def _verify_one(args: argparse.Namespace) -> tuple[dict, int]:
         reps = [verify_degree2_kernel(pp) for pp in params_list]
         for pp, rep in zip(params_list, reps):
             entry = asdict(rep)
-            for key in ("k", "n", "plane_quintic_warning"):
-                del entry[key]
             entry["per_character"] = {_label_str(h): d for h, d in rep.per_character}
             entry["passed"] = rep.passed
             degree2[str(pp.p)] = entry
             checks.append(rep.passed)
         report["degree2"] = degree2
 
-        syz = syzygy_table(k, n, 2).as_dict()
+        syz = syzygy_table(k, n, 2)
         dims = dict(reps[0].per_character)
         per_char_ok = all(dims.get(h, 0) == syz[h] for h in all_labels(k, n))
         report["per_character_ok"] = per_char_ok
@@ -216,12 +214,11 @@ def _verify_grid(args: argparse.Namespace) -> tuple[dict, int]:
             count_im(k, n, m) == dim_vm(k, n, m) for m in range(1, args.mmax + 1)
         )
         nu_ok = all(
-            nu_table(k, n, m, closed=True).values
-            == nu_table(k, n, m, closed=False).values
+            nu_table(k, n, m, closed=True) == nu_table(k, n, m, closed=False)
             for m in range(1, args.mmax + 1)
         )
         ssi = standard_set_identity(k, n)
-        syz_ok = all(v >= 0 for _, v in syzygy_table(k, n, 2).values)
+        syz_ok = all(v >= 0 for v in syzygy_table(k, n, 2).values())
         row = {
             "k": k, "n": n,
             "cardinalities_ok": card_ok,

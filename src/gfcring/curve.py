@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .indexsets import IndexTuple, enumerate_im
-from .linalg import rank_mod_p_array
+from .linalg import rank_mod_p_array, require_int64_prime
 from .params import (
     CurveParams,
     ParameterError,
@@ -59,12 +59,6 @@ def _kth_roots(c: int, k: int, p: int, zeta: int) -> list[int]:
     return sorted(root * pow(zeta, t, p) % p for t in range(k))
 
 
-def _require_int64_prime(p: int) -> None:
-    """Points are evaluated in int64, which is exact only while p^2 < 2^62."""
-    if p * p >= 2**62:
-        raise ParameterError(f"p = {p} is too large for int64 evaluation (need p^2 < 2^62)")
-
-
 def sample_points(
     params: CurveParams, count: int
 ) -> tuple[list[AffinePoint], bool]:
@@ -78,7 +72,7 @@ def sample_points(
     scan when p^2 >= 2^62, where evaluation_matrix would reject the points.
     """
     k, p, zeta = params.k, params.p, params.zeta
-    _require_int64_prime(p)
+    require_int64_prime(p)
     res_exp = (p - 1) // k
     points: list[AffinePoint] = []
     for x in range(p):
@@ -161,7 +155,7 @@ def evaluation_matrix(
     product is exact while p^2 < 2^62.
     """
     p, width = params.p, params.n
-    _require_int64_prime(p)
+    require_int64_prime(p)
     exps = np.array(basis, dtype=np.intp).reshape(-1, width)
     xs = np.array([pt.x % p for pt in points], dtype=np.int64)
     inv = np.array(
@@ -236,8 +230,9 @@ def full_rank_oversample(k: int, n: int, m: int) -> int:
 
     sample_points emits complete x-fibers of k^(n-1) points each.  On a single
     fiber x is constant and the y's run over zeta-multiples, so a DFT over the
-    y-roots splits the fiber's rows by the residues a mod k; each window [.(k-1), ..] is a run of k consecutive integers, so
-    the classes are singletons and a fiber separates exactly the characters.
+    y-roots splits the fiber's rows by the residues a mod k; each coordinate
+    window [(m-1)(k-1), m(k-1)] holds k consecutive integers, so the classes
+    are singletons and a fiber separates exactly the characters.
     Within the class of a fixed a the elements differ only by the contiguous
     exponents r = 0..|a|-2m, and distinct fiber abscissas give a nonsingular
     Vandermonde block, so F complete fibers yield rank sum(min(F, |a|-2m+1)).

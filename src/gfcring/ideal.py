@@ -315,8 +315,6 @@ def relation_matrix(params: CurveParams, rels: list[Relation]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Degree2Report:
-    k: int
-    n: int
     p: int
     dim_s2: int
     n_binomials: int
@@ -332,7 +330,6 @@ class Degree2Report:
     standard_count_ok: bool
     trinomial_initial_ok: bool
     per_character: tuple[tuple[IndexTuple, int], ...]
-    plane_quintic_warning: bool
 
     @property
     def passed(self) -> bool:
@@ -345,12 +342,16 @@ class Degree2Report:
         )
 
 
-def verify_degree2_kernel(params: CurveParams, min_points: int = 50) -> Degree2Report:
+# Curve points at which every relation is evaluated in check (a).
+KERNEL_POINTS = 50
+
+
+def verify_degree2_kernel(params: CurveParams) -> Degree2Report:
     """Run every degree-2 check and collect the outcome.
 
     (a) each relation, binomials included, maps to zero in the weight-2
         basis (its terms' expansions summed exactly mod p) and evaluates to
-        zero at >= min_points curve points;
+        zero at KERNEL_POINTS curve points;
     (b) the relation span has rank dim S_2 - dim V_2 (with the evaluation
         matrix itself of full rank dim V_2), both ranks summed over the
         character blocks;
@@ -372,10 +373,10 @@ def verify_degree2_kernel(params: CurveParams, min_points: int = 50) -> Degree2R
     symbolic_kernel_ok = _relations_vanish(params, rels)
 
     # (a) numeric: evaluate every relation at sampled points.
-    points, shortfall = sample_points(params, min_points)
+    points, shortfall = sample_points(params, KERNEL_POINTS)
     if shortfall:
         raise InsufficientPointsError(
-            f"only {len(points)} points over p = {p}, wanted {min_points}"
+            f"only {len(points)} points over p = {p}, wanted {KERNEL_POINTS}"
         )
     point_kernel_ok = _relations_vanish_at(params, rels, points)
 
@@ -399,8 +400,6 @@ def verify_degree2_kernel(params: CurveParams, min_points: int = 50) -> Degree2R
     )
 
     return Degree2Report(
-        k=k,
-        n=n,
         p=p,
         dim_s2=dim_s2,
         n_binomials=len(bins),
@@ -416,7 +415,6 @@ def verify_degree2_kernel(params: CurveParams, min_points: int = 50) -> Degree2R
         standard_count_ok=standard_count_ok,
         trinomial_initial_ok=trinomial_initial_ok,
         per_character=tuple(sorted(per_char.items())),
-        plane_quintic_warning=params.plane_quintic,
     )
 
 
@@ -503,11 +501,11 @@ def parse_ideal_json(text: str) -> dict:
             # Recover the relation index from the fiber drop of the third term.
             base = index_sum(terms[0][1])
             down = index_sum(terms[2][1])
-            diffs = [j for j in range(len(base)) if base[j] - down[j] == k]
-            assert len(diffs) == 1 and all(
-                base[j] == down[j] for j in range(len(base)) if j != diffs[0]
-            )
-            index = diffs[0]
+            drop = [b - d for b, d in zip(base, down)]
+            if drop[0] or sorted(drop) != [0] * (len(drop) - 1) + [k]:
+                raise ParameterError(f"trinomial {raw} does not lower exactly one "
+                                     f"a-coordinate by k = {k}")
+            index = drop.index(k)
         return Relation(terms, kind, index=index)
 
     return {

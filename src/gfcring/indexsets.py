@@ -23,22 +23,12 @@ IndexTuple = tuple[int, ...]
 
 @dataclass(frozen=True)
 class IndexSet:
-    """An ordered, duplicate-free family of index tuples with provenance.
+    """An ordered, duplicate-free family of index tuples."""
 
-    tag is one of "I_m", "dI1", "C_i", "J_d", "I2cap"; param carries the
-    defining data (m, d, relation index, or (d, character label)).
-    """
-
-    k: int
-    n: int
-    tag: str
-    param: tuple
     members: tuple[IndexTuple, ...]
 
     def __post_init__(self) -> None:
-        assert list(self.members) == sorted(set(self.members)), (
-            f"IndexSet({self.tag}, {self.param}) not sorted/duplicate-free"
-        )
+        assert list(self.members) == sorted(set(self.members)), "not sorted/duplicate-free"
 
     @cached_property
     def _member_set(self) -> frozenset[IndexTuple]:
@@ -77,7 +67,7 @@ def enumerate_im(k: int, n: int, m: int) -> IndexSet:
         for r in range(sum(a) - 2 * m + 1):
             members.append((r, *a))
     members.sort()
-    return IndexSet(k, n, "I_m", (m,), tuple(members))
+    return IndexSet(tuple(members))
 
 
 def count_im(k: int, n: int, m: int) -> int:
@@ -118,7 +108,7 @@ def minkowski_di1(k: int, n: int, d: int) -> IndexSet:
     else:
         members = sorted({tuple(x + y for x, y in zip(s, t))
                           for s in minkowski_di1(k, n, d - 1) for t in enumerate_im(k, n, 1)})
-    return IndexSet(k, n, "dI1", (d,), tuple(members))
+    return IndexSet(tuple(members))
 
 
 @lru_cache(maxsize=None)
@@ -133,11 +123,10 @@ def enumerate_ci(k: int, n: int, i: int) -> IndexSet:
     """
     if not 1 <= i <= n - 1:
         raise ParameterError(f"relation index must be in 1..{n - 1}, got {i}")
-    members = tuple(
+    return IndexSet(tuple(
         t for t in minkowski_di1(k, n, 2)
         if k <= t[i] and t[0] <= sum(t[1:]) - (k + 4)
-    )
-    return IndexSet(k, n, "C_i", (i,), members)
+    ))
 
 
 def shifted_ci_union(k: int, n: int) -> set[IndexTuple]:
@@ -159,7 +148,7 @@ def standard_set(k: int, n: int) -> IndexSet:
     """Fibers of the 2-fold sumset surviving all relation eliminations; built
     once per curve, like the sets it is made from."""
     keep = sorted(set(minkowski_di1(k, n, 2).members) - shifted_ci_union(k, n))
-    return IndexSet(k, n, "I2cap", (), tuple(keep))
+    return IndexSet(tuple(keep))
 
 
 def standard_set_identity(k: int, n: int) -> bool:
@@ -263,9 +252,8 @@ def enumerate_jd(k: int, n: int, d: int, h: IndexTuple) -> IndexSet:
     if len(h) != n:
         raise ParameterError(f"character label {h} has length {len(h)}, expected {n}")
     hh = tuple(x % k for x in h)
-    members = tuple(
+    return IndexSet(tuple(
         t for t in minkowski_di1(k, n, d)
         if (t[0] + d) % k == hh[0]
         and all((-aj) % k == hj for aj, hj in zip(t[1:], hh[1:]))
-    )
-    return IndexSet(k, n, "J_d", (d, hh), members)
+    ))

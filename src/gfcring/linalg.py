@@ -15,6 +15,12 @@ import numpy as np
 from .params import ParameterError
 
 
+def require_int64_prime(p: int) -> None:
+    """Products of two residues fit in int64 only while p^2 < 2^62."""
+    if p * p >= 2**62:
+        raise ParameterError(f"p = {p} is too large for int64 arithmetic (need p^2 < 2^62)")
+
+
 def rank_mod_p_array(mat: np.ndarray | Sequence[Sequence[int]], p: int) -> int:
     """Rank over F_p of an integer array or list of rows (never clobbered).
 
@@ -22,8 +28,7 @@ def rank_mod_p_array(mat: np.ndarray | Sequence[Sequence[int]], p: int) -> int:
     walks rows, and on a column-strided copy it runs about 3x slower.
     Raises ParameterError when p^2 >= 2^62, where int64 products would wrap.
     """
-    if p * p >= 2**62:
-        raise ParameterError(f"p = {p} is too large for int64 elimination (need p^2 < 2^62)")
+    require_int64_prime(p)
     mat = np.array(mat, dtype=np.int64, order="C")
     return _eliminate(mat, p) if mat.size else 0
 

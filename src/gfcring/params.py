@@ -14,7 +14,7 @@ over a second prime.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ParameterError(ValueError):
@@ -64,23 +64,6 @@ def require_nonhyperelliptic(k: int, n: int) -> None:
             f"(k-1)(n-1) = {(k - 1) * (n - 1)} <= 2: curve ({k}, {n}) is outside "
             "the non-hyperelliptic regime this package handles"
         )
-
-
-@dataclass(frozen=True)
-class HilbertNumbers:
-    k: int
-    n: int
-    genus: int
-    # d[m] for m = 1..m_max; d[1] = genus
-    d: tuple[int, ...]
-
-    def dim(self, m: int) -> int:
-        return self.d[m - 1]
-
-
-def hilbert_numbers(k: int, n: int, m_max: int = 6) -> HilbertNumbers:
-    g = genus(k, n)
-    return HilbertNumbers(k, n, g, tuple(dim_vm(k, n, m) for m in range(1, m_max + 1)))
 
 
 # --- prime field plumbing ---------------------------------------------------
@@ -160,11 +143,14 @@ class CurveParams:
     lam: tuple[int, ...]
     p: int
     zeta: int
-    plane_quintic: bool = field(default=False, compare=False)
 
     @property
     def genus(self) -> int:
         return genus(self.k, self.n)
+
+    @property
+    def plane_quintic(self) -> bool:
+        return (self.k, self.n) == (5, 2)
 
 
 def make_curve_params(
@@ -192,7 +178,7 @@ def make_curve_params(
             raise ParameterError(f"p = {p} is not prime")
         if p % k != 1:
             raise ParameterError(f"p = {p} is not 1 mod k = {k}")
-        zeta = pow(least_primitive_root(p), (p - 1) // k, p)
+        p, zeta = find_prime_and_root(k, p)
 
     n_free = n - 2  # lambda values beyond the fixed leading 1
     if lam is not None and seed is not None:
@@ -211,6 +197,9 @@ def make_curve_params(
         if len(set(lam_t)) != len(lam_t):
             raise ParameterError(f"lambda values must be pairwise distinct, got {lam_t}")
     else:
+        if p - 2 < n_free:
+            raise ParameterError(f"p = {p} is too small to draw {n_free} distinct "
+                                 "lambda values outside {0, 1}")
         rng = random.Random(seed if seed is not None else 0)
         chosen: list[int] = []
         while len(chosen) < n_free:
@@ -219,5 +208,4 @@ def make_curve_params(
                 chosen.append(v)
         lam_t = (1, *chosen)
 
-    return CurveParams(k=k, n=n, lam=lam_t, p=p, zeta=zeta,
-                       plane_quintic=(k, n) == (5, 2))
+    return CurveParams(k=k, n=n, lam=lam_t, p=p, zeta=zeta)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .curve import apply_group, evaluate_theta, sample_points
 from .indexsets import (
@@ -84,24 +83,8 @@ def syzygy_multiplicity(k: int, n: int, d: int, h: IndexTuple) -> int:
     return val
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
-    k: int
-    n: int
-    kind: str  # "nu" | "mu" | "syzygy"
-    degree: int  # m for nu, d for mu/syzygy
-    values: tuple[tuple[IndexTuple, int], ...]  # sorted by label, all k^n labels
-
-    @property
-    def total(self) -> int:
-        return sum(v for _, v in self.values)
-
-    def as_dict(self) -> dict[IndexTuple, int]:
-        return dict(self.values)
-
-
-def nu_table(k: int, n: int, m: int, closed: bool = True) -> MultiplicityTable:
-    """All k^n multiplicities at once.
+def nu_table(k: int, n: int, m: int, closed: bool = True) -> dict[IndexTuple, int]:
+    """All k^n multiplicities at once, keyed by label in all_labels order.
 
     closed=False buckets the window members by character in a single pass
     (the brute-force route); closed=True evaluates the formula per label.
@@ -112,39 +95,36 @@ def nu_table(k: int, n: int, m: int, closed: bool = True) -> MultiplicityTable:
         vals = {h: 0 for h in all_labels(k, n)}
         for t in enumerate_im(k, n, m):
             vals[character_of(k, m, t)] += 1
-    return MultiplicityTable(k, n, "nu", m, tuple(sorted(vals.items())))
+    return vals
 
 
-def mu_table(k: int, n: int, d: int) -> MultiplicityTable:
+def mu_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
     """All k^n symmetric-power multiplicities via the bulk partition table."""
-    vals: dict[IndexTuple, int] = {h: 0 for h in all_labels(k, n)}
+    vals = {h: 0 for h in all_labels(k, n)}
     for t, cnt in partition_count_table(k, n, d).items():
         vals[character_of(k, d, t)] += cnt
-    table = MultiplicityTable(k, n, "mu", d, tuple(sorted(vals.items())))
-    assert table.total == total_degree_d_monomials(k, n, d)
-    return table
+    assert sum(vals.values()) == total_degree_d_monomials(k, n, d)
+    return vals
 
 
-def syzygy_table(k: int, n: int, d: int) -> MultiplicityTable:
-    mu_t = mu_table(k, n, d).as_dict()
-    nu_t = nu_table(k, n, d).as_dict()
+def syzygy_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
+    mu_t = mu_table(k, n, d)
+    nu_t = nu_table(k, n, d)
     vals = {}
     for h in all_labels(k, n):
         v = mu_t[h] - nu_t[h]
         assert v >= 0, f"negative relation multiplicity at (k={k}, n={n}, d={d}, h={h})"
         vals[h] = v
-    return MultiplicityTable(k, n, "syzygy", d, tuple(sorted(vals.items())))
+    return vals
 
 
-def check_equivariance(
-    params: CurveParams, trials: int, seed: int = 0, m_max: int = 3
-) -> bool:
+def check_equivariance(params: CurveParams, trials: int, seed: int = 0) -> bool:
     """Compare the action scalar with the evaluation ratio at random data.
 
     For random (point, group element, window member) the translate's value
     must equal zeta^(action_exponent - m*e_1) times the original value; the
     m*e_1 correction removes the tensor-factor weight, which evaluation
-    omits.
+    omits.  The weight m is drawn from 1..3.
     """
     k, n, p, zeta = params.k, params.n, params.p, params.zeta
     points, _ = sample_points(params, 25)
@@ -152,7 +132,7 @@ def check_equivariance(
         raise RuntimeError(f"no affine points over p = {p}")
     rng = random.Random(seed)
     for _ in range(trials):
-        m = rng.randint(1, m_max)
+        m = rng.randint(1, 3)
         basis = enumerate_im(k, n, m).members
         t = basis[rng.randrange(len(basis))]
         g = tuple(rng.randrange(k) for _ in range(n))

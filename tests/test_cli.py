@@ -310,7 +310,10 @@ UNWRITABLE = os.path.join(os.devnull, "report.json")
     ["multiplicities", "--k", "3", "--n", "3", "--kind", "mu", "--d", "40000"],
     ["verify", "--grid", "--kmax", "3", "--nmax", "2"],
     ["verify", "--grid", "--mmax", "0"],
+    ["export", "--k", "2", "--n", "4", "--prime", "3"],
+    ["verify", "--k", "2", "--n", "6", "--prime", "5"],
 ])
+@pytest.mark.usefixtures("hang_guard")
 def test_bad_input_is_one_json_error_line(capsys, argv):
     assert_one_json_error_line(*run(capsys, *argv))
 

@@ -39,7 +39,7 @@ from gfcring.ideal import (
 )
 from gfcring.indexsets import enumerate_ci, enumerate_im, minkowski_di1
 from gfcring.linalg import rank_mod_p_array
-from gfcring.params import dim_vm, make_curve_params
+from gfcring.params import ParameterError, dim_vm, make_curve_params
 from gfcring.reps import character_of, nu_table, syzygy_table
 
 # relation counts per curve: binomials = #monomials - #fibers,
@@ -269,7 +269,7 @@ def test_phi2_character_blocks_sum_to_dense_rank(curve, min_bound, seed):
     mat = phi2_matrix(pp)
     rows = np.array([character_of(k, 2, s) for s in enumerate_im(k, n, 2).members])
     cols = np.array([character_of(k, 2, index_sum(m)) for m in degree2_monomials(k, n)])
-    nu = nu_table(k, n, 2).as_dict()
+    nu = nu_table(k, n, 2)
     total = 0
     for h in {tuple(c) for c in cols}:
         in_rows, in_cols = (rows == h).all(axis=1), (cols == h).all(axis=1)
@@ -343,7 +343,7 @@ def test_kernel_invariants_are_field_independent(curve, min_bound, seed):
     assert rep.phi2_rank == dim_vm(k, n, 2)
     assert rep.span_rank == SPAN_RANKS[curve]
     dims = dict(rep.per_character)
-    for h, v in syzygy_table(k, n, 2).as_dict().items():
+    for h, v in syzygy_table(k, n, 2).items():
         assert dims.get(h, 0) == v
     assert rep.symbolic_kernel_ok and rep.point_kernel_ok
 
@@ -352,7 +352,7 @@ def test_per_character_dims_match_syzygy_table():
     for (k, n) in [(2, 4), (3, 3), (2, 5)]:
         pp = make_curve_params(k, n)
         dims = span_rank_by_character(pp)
-        expected = syzygy_table(k, n, 2).as_dict()
+        expected = syzygy_table(k, n, 2)
         assert all(v > 0 for v in dims.values())
         for h, v in expected.items():
             assert dims.get(h, 0) == v
@@ -372,14 +372,14 @@ def test_verify_degree2_kernel_report():
     assert rep.span_rank_ok and rep.standard_count_ok and rep.trinomial_initial_ok
     assert rep.passed
     assert sum(d for _, d in rep.per_character) == 28
-    assert not rep.plane_quintic_warning
+    assert not pp.plane_quintic
 
 
 def test_verify_degree2_kernel_plane_quintic_flag():
     # default prime 101 has a single usable fiber; 211 has plenty
     pp = make_curve_params(5, 2, p=211)
     rep = verify_degree2_kernel(pp)
-    assert rep.plane_quintic_warning
+    assert pp.plane_quintic
     assert rep.n_binomials == 6 and rep.n_trinomials == 0
     assert rep.passed  # the degree-2 facts hold; generation does not
 
@@ -406,6 +406,17 @@ def test_export_json_roundtrip():
     assert data["trinomials"] == generate_trinomials(pp)
     # and the round trip is idempotent at the text level
     assert json.loads(text) == json.loads(export_ideal(pp, "json"))
+
+
+def test_parse_ideal_json_rejects_a_corrupt_trinomial():
+    text = export_ideal(make_curve_params(3, 3, p=103), "json")
+    for term, j in ((0, 1), (2, 0)):
+        data = json.loads(text)
+        # moves one fiber coordinate, so the third term no longer sits exactly
+        # k below the first along one a-coordinate
+        data["trinomials"][0][term]["factors"][0][j] += 1
+        with pytest.raises(ParameterError, match="trinomial"):
+            parse_ideal_json(json.dumps(data))
 
 
 def test_export_cas_text():

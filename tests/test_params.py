@@ -9,7 +9,6 @@ from gfcring.params import (
     dim_vm,
     find_prime_and_root,
     genus,
-    hilbert_numbers,
     is_nonhyperelliptic,
     is_prime,
     least_primitive_root,
@@ -60,10 +59,8 @@ def test_dim_vm():
 
 
 def test_hilbert_numbers():
-    hn = hilbert_numbers(3, 3)
-    assert hn.genus == 10
-    assert hn.d == (10, 27, 45, 63, 81, 99)
-    assert hn.dim(1) == 10 and hn.dim(2) == 27
+    assert genus(3, 3) == 10
+    assert tuple(dim_vm(3, 3, m) for m in range(1, 7)) == (10, 27, 45, 63, 81, 99)
 
 
 def test_nonhyperelliptic_predicate():
@@ -168,6 +165,8 @@ def test_make_curve_params_validation_errors():
         make_curve_params(3, 3, p=100)  # not prime
     with pytest.raises(ParameterError):
         make_curve_params(3, 3, p=101)  # 101 != 1 mod 3
+    with pytest.raises(ParameterError):
+        make_curve_params(2, 4, p=3)  # F_3 minus {0, 1} holds one lambda value, not two
 
 
 def test_zeta_has_exact_order_k():
