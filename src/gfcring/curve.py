@@ -104,10 +104,11 @@ def suitable_params(
     least `needed_points` affine points.
 
     The first prime is searched from `min_bound` (default
-    default_prime_bound(k, n)), doubling the bound past every prime that
-    falls short; each later prime is the next one above its predecessor that
-    has enough points.  A pinned `p` is yielded once, or raises
-    InsufficientPointsError when it falls short.
+    default_prime_bound(k, n)), but never below n or k: a seeded lambda draw
+    needs p >= n.  The bound doubles past every prime that falls short; each
+    later prime is the next one above its predecessor that has enough points.
+    A pinned `p` is yielded once, or raises InsufficientPointsError when it
+    falls short.
     """
 
     def found(params: CurveParams) -> int:
@@ -124,7 +125,7 @@ def suitable_params(
             )
         yield params
         return
-    bound = min_bound or default_prime_bound(k, n)
+    bound = max(min_bound or default_prime_bound(k, n), n, k)
     first = True
     while True:
         params = make_curve_params(k, n, lam=lam, seed=seed, min_bound=bound)

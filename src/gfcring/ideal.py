@@ -12,11 +12,13 @@ Two relation families span the degree-2 kernel of the evaluation map:
     for every relation index i and t in the corresponding C_i set,
 the latter vanishing because lam_i + x^k + y_{i+1}^k = 0 on the curve.
 
-verify_degree2_kernel checks the kernel claim without dense matrices: each
-relation's terms are expanded in the weight-2 basis and summed in Python
-ints mod p (exact at any p), and every rank is a sum of (Z/k)^n character
-block ranks.  The independent pointwise check evaluates the degree-1 window
-at sampled points with curve.evaluation_matrix.  phi2_matrix and
+verify_degree2_kernel checks the kernel claim one (Z/k)^n character block
+at a time, with no dense matrix.  Each relation is written in fiber
+coordinates (its coefficients summed per fiber mod p, so a binomial sums to
+nothing), and each character's part must lie in the kernel of that
+character's block of the evaluation map phi2; every rank is a sum of block
+ranks.  The independent pointwise check evaluates the degree-1 window at
+sampled points with curve.evaluation_matrix.  phi2_matrix and
 relation_matrix are the dense forms, kept as oracles for tests.
 """
 
@@ -66,35 +68,37 @@ def index_sum(mono: MonomialKey) -> IndexTuple:
 @lru_cache(maxsize=None)
 def _degree2_data(
     k: int, n: int
-) -> tuple[tuple[MonomialKey, ...], dict[IndexTuple, tuple[MonomialKey, ...]], dict[IndexTuple, MonomialKey]]:
-    """(all degree-2 monomials in term order, fiber -> its monomials in term
-    order, fiber -> tau).  Treat the returned structures as immutable.  The
-    fibers, read off the monomials' index sums, must equal minkowski_di1's
-    closed form: an independent enumeration of the 2-fold sumset."""
+) -> tuple[dict[MonomialKey, IndexTuple], dict[IndexTuple, tuple[MonomialKey, ...]]]:
+    """(monomial -> its fiber, in term order; fiber -> its monomials in term
+    order, tau first).  Both maps share one tuple per fiber; treat them as
+    immutable.  The fibers, read off the monomials' index sums, must equal
+    minkowski_di1's closed form: an independent enumeration of the 2-fold
+    sumset."""
     i1 = enumerate_im(k, n, 1).members
     monos = sorted(
         (tuple(sorted(pair)) for pair in itertools.combinations_with_replacement(i1, 2)),
         key=monomial_sort_key,
     )
-    fibers: dict[IndexTuple, list[MonomialKey]] = {}
-    for mono in monos:
-        fibers.setdefault(index_sum(mono), []).append(mono)
-    fiber_map = {t: tuple(ms) for t, ms in fibers.items()}
-    tau_map = {t: ms[0] for t, ms in fiber_map.items()}
-    assert set(tau_map) == set(minkowski_di1(k, n, 2).members)
-    return tuple(monos), fiber_map, tau_map
+    # The sort key starts with the index sum, so each fiber is one run.
+    fiber_of: dict[MonomialKey, IndexTuple] = {}
+    fiber_map: dict[IndexTuple, tuple[MonomialKey, ...]] = {}
+    for t, run in itertools.groupby(monos, key=index_sum):
+        fiber_map[t] = ms = tuple(run)
+        fiber_of.update(dict.fromkeys(ms, t))
+    assert set(fiber_map) == set(minkowski_di1(k, n, 2).members)
+    return fiber_of, fiber_map
 
 
 def degree2_monomials(k: int, n: int) -> tuple[MonomialKey, ...]:
-    return _degree2_data(k, n)[0]
+    return tuple(_degree2_data(k, n)[0])
 
 
 def tau(k: int, n: int, t: IndexTuple) -> MonomialKey:
     """The order-minimal degree-2 monomial with index-sum t."""
-    tau_map = _degree2_data(k, n)[2]
-    if tuple(t) not in tau_map:
+    fiber_map = _degree2_data(k, n)[1]
+    if tuple(t) not in fiber_map:
         raise ParameterError(f"{t} is not a sum of two degree-1 window members")
-    return tau_map[tuple(t)]
+    return fiber_map[tuple(t)][0]
 
 
 @dataclass(frozen=True)
@@ -107,22 +111,17 @@ class Relation:
     index: int | None = None  # relation index for trinomials
 
 
-def relation_character(k: int, rel: Relation) -> IndexTuple:
-    """Shared label ((sum r) + 2, -(sum a)) mod k of all the relation's terms."""
-    return character_of(k, 2, index_sum(rel.terms[0][1]))
-
-
 def generate_binomials(k: int, n: int) -> list[Relation]:
     """One relation M - tau(t) per monomial M above t other than tau(t).
 
     Spans all pairwise differences within every fiber; the count is
     (number of degree-2 monomials) - (number of fibers).
     """
-    _, fiber_map, tau_map = _degree2_data(k, n)
+    fiber_map = _degree2_data(k, n)[1]
     out = []
     for t in sorted(fiber_map):
-        rep = tau_map[t]
-        for mono in fiber_map[t][1:]:
+        rep, *others = fiber_map[t]
+        for mono in others:
             out.append(Relation(((1, mono), (-1, rep)), "binomial"))
     return out
 
@@ -130,20 +129,15 @@ def generate_binomials(k: int, n: int) -> list[Relation]:
 def generate_trinomials(params: CurveParams) -> list[Relation]:
     """lam_i*tau(t) + tau(t+(k,0,..)) + tau(t-k*e_i) for each i and t in C_i."""
     k, n = params.k, params.n
-    tau_map = _degree2_data(k, n)[2]
+    fiber_map = _degree2_data(k, n)[1]
     out = []
     for i in range(1, n):
         lam_i = params.lam[i - 1] % params.p
         for t in enumerate_ci(k, n, i):
             up = (t[0] + k, *t[1:])
             down = (*t[:i], t[i] - k, *t[i + 1:])
-            out.append(
-                Relation(
-                    ((lam_i, tau_map[t]), (1, tau_map[up]), (1, tau_map[down])),
-                    "trinomial",
-                    index=i,
-                )
-            )
+            taus = (fiber_map[s][0] for s in (t, up, down))
+            out.append(Relation(tuple(zip((lam_i, 1, 1), taus)), "trinomial", index=i))
     return out
 
 
@@ -194,30 +188,13 @@ def phi2_matrix(params: CurveParams) -> np.ndarray:
     index-sum.  Full row rank (= dim V_2) is the surjectivity statement.
     """
     k, n = params.k, params.n
-    monos = degree2_monomials(k, n)
+    fiber_of = _degree2_data(k, n)[0]
     row = {s: i for i, s in enumerate(enumerate_im(k, n, 2).members)}
-    mat = np.zeros((len(row), len(monos)), dtype=np.int64)
-    for col, mono in enumerate(monos):
-        for s, c in _reduce_cached(params, index_sum(mono)):
+    mat = np.zeros((len(row), len(fiber_of)), dtype=np.int64)
+    for col, t in enumerate(fiber_of.values()):
+        for s, c in _reduce_cached(params, t):
             mat[row[s], col] = c
     return mat
-
-
-def _relations_vanish(params: CurveParams, rels: list[Relation]) -> bool:
-    """Whether every relation maps to zero in the weight-2 basis, exactly.
-
-    Accumulates each relation's basis expansion in Python ints mod p and
-    stops at the first relation with a non-zero coefficient.
-    """
-    p = params.p
-    for rel in rels:
-        acc: dict[IndexTuple, int] = {}
-        for c, mono in rel.terms:
-            for s, v in _reduce_cached(params, index_sum(mono)):
-                acc[s] = (acc.get(s, 0) + c * v) % p
-        if any(acc.values()):
-            return False
-    return True
 
 
 def _relations_vanish_at(
@@ -250,31 +227,45 @@ def _relations_vanish_at(
 
 # --- span-rank bookkeeping ----------------------------------------------------
 
-def _character_ranks(
-    params: CurveParams, tris: list[Relation]
-) -> tuple[int, dict[IndexTuple, int]]:
-    """(rank of phi2, nonzero span ranks of the relations by character).
+def _character_blocks(
+    params: CurveParams, rels: list[Relation]
+) -> tuple[bool, int, dict[IndexTuple, int]]:
+    """(whether every relation maps to zero, rank of phi2, nonzero span ranks
+    of the relations by character), in one pass over the character blocks.
 
-    _reduce_cached moves coordinates by multiples of k, so each fiber's phi2
-    column lies in its own character's rows (a miss raises KeyError).  Every
-    non-tau monomial is in exactly one binomial, so a character's binomials
-    add their count sum(|fiber| - 1); trinomials only involve tau monomials,
-    one per fiber, which no binomial pivot touches, so they add the rank of
-    their block in fiber coordinates.
+    A relation's fiber coordinates are its coefficients summed per fiber mod
+    p; a binomial M - tau(t) sums to nothing.  _reduce_cached moves
+    coordinates by multiples of k, so each fiber's phi2 column lies in its
+    own character's rows (a miss raises KeyError), and a relation vanishes
+    iff each character's part of its fiber coordinates is in the kernel of
+    that character's phi2 block.  The product is reduced per term, so it is
+    exact for every p that the ranks accept.  The binomials span every
+    within-fiber difference, sum(|fiber| - 1) per character; the rows with
+    nonzero fiber coordinates add their rank.
     """
     k, n, p = params.k, params.n, params.p
-    fiber_map = _degree2_data(k, n)[1]
+    fiber_of, fiber_map = _degree2_data(k, n)
+    character = {t: character_of(k, 2, t) for t in fiber_map}
     fibers: dict[IndexTuple, list[IndexTuple]] = {}
     for t in sorted(fiber_map):
-        fibers.setdefault(character_of(k, 2, t), []).append(t)
+        fibers.setdefault(character[t], []).append(t)
     rows: dict[IndexTuple, list[IndexTuple]] = {}
     for s in enumerate_im(k, n, 2).members:
         rows.setdefault(character_of(k, 2, s), []).append(s)
-    tri_by_char: dict[IndexTuple, list[Relation]] = {}
-    for rel in tris:
-        tri_by_char.setdefault(relation_character(k, rel), []).append(rel)
+    parts: dict[IndexTuple, list[dict[IndexTuple, int]]] = {}
+    for rel in rels:
+        coords: dict[IndexTuple, int] = {}
+        for c, mono in rel.terms:
+            t = fiber_of[mono]
+            coords[t] = (coords.get(t, 0) + c) % p
+        by_char: dict[IndexTuple, dict[IndexTuple, int]] = {}
+        for t, c in coords.items():
+            if c:
+                by_char.setdefault(character[t], {})[t] = c
+        for h, part in by_char.items():
+            parts.setdefault(h, []).append(part)
 
-    phi2_rank, dims = 0, {}
+    vanish, phi2_rank, dims = True, 0, {}
     for h, ts in sorted(fibers.items()):
         col = {t: i for i, t in enumerate(ts)}
         row = {s: i for i, s in enumerate(rows.get(h, ()))}
@@ -283,21 +274,23 @@ def _character_ranks(
             for s, c in _reduce_cached(params, t):
                 phi2[row[s], col[t]] = c
         phi2_rank += rank_mod_p_array(phi2, p)
-        rels = tri_by_char.get(h, [])
-        tri = np.zeros((len(rels), len(col)), dtype=np.int64)
-        for r, rel in enumerate(rels):
-            for c, mono in rel.terms:
-                tri[r, col[index_sum(mono)]] += c
-        dim = sum(len(fiber_map[t]) - 1 for t in ts) + rank_mod_p_array(tri, p)
+        block = np.zeros((len(parts.get(h, ())), len(col)), dtype=np.int64)
+        for r, part in enumerate(parts.get(h, ())):
+            for t, c in part.items():
+                block[r, col[t]] = c
+        image = (block[:, :, None] * phi2.T % p).sum(axis=1) % p
+        vanish = vanish and not np.any(image)
+        dim = sum(len(fiber_map[t]) - 1 for t in ts) + rank_mod_p_array(block, p)
         if dim:
             dims[h] = dim
-    return phi2_rank, dims
+    return vanish, phi2_rank, dims
 
 
 def span_rank_by_character(params: CurveParams) -> dict[IndexTuple, int]:
     """Rank of each character's block of the degree-2 relation span; labels
     with no relations are omitted (their dimension is 0)."""
-    return _character_ranks(params, generate_trinomials(params))[1]
+    rels = generate_binomials(params.k, params.n) + generate_trinomials(params)
+    return _character_blocks(params, rels)[2]
 
 
 def relation_matrix(params: CurveParams, rels: list[Relation]) -> np.ndarray:
@@ -350,8 +343,8 @@ def verify_degree2_kernel(params: CurveParams) -> Degree2Report:
     """Run every degree-2 check and collect the outcome.
 
     (a) each relation, binomials included, maps to zero in the weight-2
-        basis (its terms' expansions summed exactly mod p) and evaluates to
-        zero at KERNEL_POINTS curve points;
+        basis (its fiber coordinates against each character's phi2 block,
+        exactly mod p) and evaluates to zero at KERNEL_POINTS curve points;
     (b) the relation span has rank dim S_2 - dim V_2 (with the evaluation
         matrix itself of full rank dim V_2), both ranks summed over the
         character blocks;
@@ -369,10 +362,7 @@ def verify_degree2_kernel(params: CurveParams) -> Degree2Report:
     tris = generate_trinomials(params)
     rels = bins + tris
 
-    # (a) symbolic: every relation's basis expansion vanishes mod p.
-    symbolic_kernel_ok = _relations_vanish(params, rels)
-
-    # (a) numeric: evaluate every relation at sampled points.
+    # (a) pointwise: evaluate every relation at sampled points.
     points, shortfall = sample_points(params, KERNEL_POINTS)
     if shortfall:
         raise InsufficientPointsError(
@@ -380,8 +370,9 @@ def verify_degree2_kernel(params: CurveParams) -> Degree2Report:
         )
     point_kernel_ok = _relations_vanish_at(params, rels, points)
 
-    # (b) phi2 rank and span rank via the character decomposition.
-    phi2_rank, per_char = _character_ranks(params, tris)
+    # (a) symbolic and (b) the phi2 and span ranks, one pass over the
+    # character blocks.
+    symbolic_kernel_ok, phi2_rank, per_char = _character_blocks(params, rels)
     span_rank = sum(per_char.values())
     span_rank_ok = phi2_rank == d2 and span_rank == dim_s2 - d2
 
@@ -488,32 +479,41 @@ def export_ideal(params: CurveParams, fmt: str) -> str:
 
 def parse_ideal_json(text: str) -> dict:
     """Inverse of the json export: returns the parsed payload with relations
-    rebuilt as Relation objects under keys "binomials"/"trinomials"."""
+    rebuilt as Relation objects under keys "binomials"/"trinomials".  A
+    missing key or a malformed relation raises ParameterError."""
     data = json.loads(text)
-    k = data["k"]
+    missing = sorted({"k", "n", "p", "lambda", "variables", "binomials", "trinomials"} - set(data))
+    if missing:
+        raise ParameterError(f"ideal payload lacks {', '.join(missing)}")
+    k, n = data["k"], data["n"]
 
-    def rebuild(raw: list[dict], kind: str) -> Relation:
+    def rebuild(raw: list[dict], kind: str, size: int) -> Relation:
         terms = tuple(
             (item["coeff"], tuple(tuple(f) for f in item["factors"])) for item in raw
         )
-        index = None
-        if kind == "trinomial":
-            # Recover the relation index from the fiber drop of the third term.
-            base = index_sum(terms[0][1])
-            down = index_sum(terms[2][1])
-            drop = [b - d for b, d in zip(base, down)]
-            if drop[0] or sorted(drop) != [0] * (len(drop) - 1) + [k]:
-                raise ParameterError(f"trinomial {raw} does not lower exactly one "
-                                     f"a-coordinate by k = {k}")
-            index = drop.index(k)
-        return Relation(terms, kind, index=index)
+        if len(terms) != size or any(
+            len(mono) != 2 or any(len(f) != n for f in mono) for _, mono in terms
+        ):
+            raise ParameterError(f"{kind} {raw} is not {size} products of two "
+                                 f"length-{n} index tuples")
+        fibers = [index_sum(mono) for _, mono in terms]
+        if kind == "binomial":
+            if fibers[0] != fibers[1]:
+                raise ParameterError(f"binomial {raw} has terms over different fibers")
+            return Relation(terms, kind)
+        # Recover the relation index from the fiber drop of the third term.
+        drop = [b - d for b, d in zip(fibers[0], fibers[2])]
+        if drop[0] or sorted(drop) != [0] * (len(drop) - 1) + [k]:
+            raise ParameterError(f"trinomial {raw} does not lower exactly one "
+                                 f"a-coordinate by k = {k}")
+        return Relation(terms, kind, index=drop.index(k))
 
     return {
         "k": k,
-        "n": data["n"],
+        "n": n,
         "p": data["p"],
         "lambda": tuple(data["lambda"]),
         "variables": tuple(tuple(t) for t in data["variables"]),
-        "binomials": [rebuild(r, "binomial") for r in data["binomials"]],
-        "trinomials": [rebuild(r, "trinomial") for r in data["trinomials"]],
+        "binomials": [rebuild(r, "binomial", 2) for r in data["binomials"]],
+        "trinomials": [rebuild(r, "trinomial", 3) for r in data["trinomials"]],
     }

@@ -274,6 +274,16 @@ def test_prime_bound_env_override(capsys, monkeypatch):
     assert json.loads(out)["p"] == 211  # first prime = 1 mod 3 above 200
 
 
+def test_prime_bound_env_below_the_lambda_draw(capsys, monkeypatch):
+    # The bound is a starting point: the search begins at p >= n, where the
+    # seeded draw of n - 2 lambda values fits.  A pinned prime is not moved.
+    monkeypatch.setenv("GFC_DEFAULT_PRIME_BOUND", "3")
+    code, rep, _ = run_json(capsys, "verify", "--k", "2", "--n", "4")
+    assert code == 0 and rep["passed"]
+    code, out, err = run(capsys, "verify", "--k", "2", "--n", "4", "--prime", "3")
+    assert_one_json_error_line(code, out, err)
+
+
 def assert_one_json_error_line(code, out, err):
     assert code == 2
     assert out == ""

@@ -1,5 +1,6 @@
 """Term order, tau, relation generation, kernel verification, and export."""
 
+import itertools
 import json
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gfcring import ideal
 from gfcring.curve import (
     InsufficientPointsError,
     evaluate_theta,
@@ -15,10 +17,10 @@ from gfcring.curve import (
     suitable_params,
 )
 from gfcring.ideal import (
+    KERNEL_POINTS,
     Degree2Report,
     Relation,
-    _character_ranks,
-    _relations_vanish,
+    _character_blocks,
     _relations_vanish_at,
     compare_monomials,
     degree2_monomials,
@@ -30,7 +32,6 @@ from gfcring.ideal import (
     parse_ideal_json,
     phi2_matrix,
     reduce_to_basis,
-    relation_character,
     relation_matrix,
     span_rank_by_character,
     tau,
@@ -194,7 +195,6 @@ def test_relation_character_is_shared():
     for rel in generate_binomials(3, 3) + generate_trinomials(pp):
         labels = {character_of(3, 2, index_sum(m)) for _, m in rel.terms}
         assert len(labels) == 1
-        assert relation_character(3, rel) == labels.pop()
 
 
 def test_relations_vanish_at_points():
@@ -278,7 +278,8 @@ def test_phi2_character_blocks_sum_to_dense_rank(curve, min_bound, seed):
         assert block == nu[h]
         total += block
     dense = rank_mod_p_array(mat, pp.p)
-    assert total == dense == _character_ranks(pp, generate_trinomials(pp))[0] == dim_vm(k, n, 2)
+    rels = generate_binomials(k, n) + generate_trinomials(pp)
+    assert total == dense == _character_blocks(pp, rels)[1] == dim_vm(k, n, 2)
 
 
 def test_span_rank_matches_dense_elimination():
@@ -294,41 +295,88 @@ def test_span_rank_matches_dense_elimination():
         assert structural == dense == SPAN_RANKS[(k, n)]
 
 
+def kernel_cases(pp):
+    """(relations, whether they all vanish): the true generators, then three
+    corruptions that each break exactly one relation."""
+    k, n = pp.k, pp.n
+    bins = generate_binomials(k, n)
+    tris = generate_trinomials(pp)
+    monos = degree2_monomials(k, n)
+
+    def label(mono):
+        return character_of(k, 2, index_sum(mono))
+
+    # a trinomial whose lam_i coefficient is off by one
+    (lam_c, lam_m), *rest = tris[0].terms
+    bad_tri = Relation((((lam_c + 1) % pp.p, lam_m), *rest), "trinomial", tris[0].index)
+    # a binomial whose second term lies over a different fiber than its first
+    first = bins[0].terms[0][1] if bins else monos[0]
+    other = next(m for m in monos if index_sum(m) != index_sum(first))
+    bad_bin = Relation(((1, first), (-1, other)), "binomial")
+    # the same, across two fibers of one character
+    near = next((a, b) for a, b in itertools.combinations(monos, 2)
+                if index_sum(a) != index_sum(b) and label(a) == label(b))
+    bad_near = Relation(((1, near[0]), (-1, near[1])), "binomial")
+    return [
+        (bins + tris, True),
+        (bins + [bad_tri] + tris[1:], False),
+        ([bad_bin] + bins[1:] + tris, False),
+        ([bad_near] + bins[1:] + tris, False),
+    ]
+
+
 @pytest.mark.parametrize("k,n,p", [(2, 4, 101), (3, 3, 103), (3, 4, 127)])
 def test_sparse_kernel_check_matches_dense_oracle(k, n, p):
-    def cases(pp):
-        bins = generate_binomials(k, n)
-        tris = generate_trinomials(pp)
-        # a trinomial whose lam_i coefficient is off by one
-        (lam_c, lam_m), *rest = tris[0].terms
-        bad_tri = Relation((((lam_c + 1) % pp.p, lam_m), *rest), "trinomial", tris[0].index)
-        # a binomial whose second term lies over a different fiber than its first
-        first = bins[0].terms[0][1] if bins else degree2_monomials(k, n)[0]
-        other = next(m for m in degree2_monomials(k, n)
-                     if index_sum(m) != index_sum(first))
-        bad_bin = Relation(((1, first), (-1, other)), "binomial")
-        return [
-            (bins + tris, True),
-            (bins + [bad_tri] + tris[1:], False),
-            ([bad_bin] + bins[1:] + tris, False),
-        ]
-
     def dense(pp, rels):
         return not np.any(phi2_matrix(pp) @ relation_matrix(pp, rels).T % pp.p)
 
+    def symbolic(pp, rels):
+        return _character_blocks(pp, rels)[0]
+
     pp = make_curve_params(k, n, p=p)
-    for rels, expected in cases(pp):
-        assert _relations_vanish(pp, rels) == dense(pp, rels) == expected
+    for rels, expected in kernel_cases(pp):
+        assert symbolic(pp, rels) == dense(pp, rels) == expected
 
     # (3,4) has no affine points over 127, so the pointwise check runs at the
     # first prime from p on with 50 points (p itself for the other curves).
     pp = next(suitable_params(k, n, 50, min_bound=p))
     pts, short = sample_points(pp, 50)
     assert not short
-    for rels, expected in cases(pp):
-        assert _relations_vanish_at(pp, rels, pts) == _relations_vanish(pp, rels) == expected
+    for rels, expected in kernel_cases(pp):
+        assert _relations_vanish_at(pp, rels, pts) == symbolic(pp, rels) == expected
         assert dense(pp, rels) == expected
     assert _relations_vanish_at(pp, [], pts)
+
+
+def test_symbolic_kernel_check_is_exact_at_the_largest_prime():
+    # p = 2^31 - 1 is the largest prime with p^2 < 2^62, which the ranks
+    # accept.  Scaling a trinomial keeps it in the kernel and makes all its
+    # coefficients large; at (3,4) some then meet three large phi2 entries in
+    # one row, about 3p^2 > 2^63, which an int64 product would wrap.
+    for k, n in [(3, 3), (3, 4)]:
+        pp = make_curve_params(k, n, seed=5, p=2147483647)
+        for rels, expected in kernel_cases(pp):
+            assert _character_blocks(pp, rels)[0] == expected
+        scale = pp.p - 2
+        scaled = [Relation(tuple((c * scale % pp.p, m) for c, m in rel.terms), rel.kind,
+                           rel.index) for rel in generate_trinomials(pp)]
+        assert _character_blocks(pp, scaled)[0]
+
+
+def test_verify_reads_each_fiber_once(monkeypatch):
+    # The degree-2 data map each monomial to its fiber once; the symbolic
+    # check and the ranks read that map instead of summing indices again.
+    calls = []
+
+    def spy(mono):
+        calls.append(mono)
+        return index_sum(mono)
+
+    pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
+    ideal._degree2_data.cache_clear()
+    monkeypatch.setattr(ideal, "index_sum", spy)
+    assert verify_degree2_kernel(pp).passed
+    assert 0 < len(calls) <= len(degree2_monomials(3, 4))
 
 
 @given(
@@ -417,6 +465,40 @@ def test_parse_ideal_json_rejects_a_corrupt_trinomial():
         data["trinomials"][0][term]["factors"][0][j] += 1
         with pytest.raises(ParameterError, match="trinomial"):
             parse_ideal_json(json.dumps(data))
+
+
+def _cut_trinomial(data):
+    del data["trinomials"][0][2]
+
+
+def _drop_binomials(data):
+    del data["binomials"]
+
+
+def _one_term_binomial(data):
+    del data["binomials"][0][1]
+
+
+def _binomial_across_fibers(data):
+    data["binomials"][0][1]["factors"][0][1] += 1
+
+
+def _long_factor(data):
+    data["binomials"][0][0]["factors"][0].append(0)
+
+
+@pytest.mark.parametrize("corrupt,named", [
+    (_cut_trinomial, "trinomial"),
+    (_drop_binomials, "binomials"),
+    (_one_term_binomial, "binomial"),
+    (_binomial_across_fibers, "binomial"),
+    (_long_factor, "binomial"),
+])
+def test_parse_ideal_json_rejects_a_malformed_payload(corrupt, named):
+    data = json.loads(export_ideal(make_curve_params(3, 3, p=103), "json"))
+    corrupt(data)
+    with pytest.raises(ParameterError, match=named):
+        parse_ideal_json(json.dumps(data))
 
 
 def test_export_cas_text():
