@@ -49,13 +49,45 @@ def is_on_curve(params: CurveParams, pt: AffinePoint) -> bool:
     )
 
 
+def _rth_root(c: int, r: int, p: int) -> int:
+    """One solution of Y^r = c, for a prime r dividing p - 1 and c a nonzero
+    r-th power residue (Adleman-Manders-Miller).
+
+    With p - 1 = r^s * t and r not dividing t, c^alpha (alpha = r^-1 mod t)
+    is a root up to an error in the order-r^s subgroup, which a non-residue
+    rho generates as rho^t; the error is cancelled one r-adic digit at a time,
+    each digit a discrete log among the r powers of an element of order r.
+    """
+    s, t = 0, p - 1
+    while t % r == 0:
+        s, t = s + 1, t // r
+    rho = next(g for g in range(2, p) if pow(g, (p - 1) // r, p) != 1)
+    alpha = pow(r, -1, t)
+    a = pow(rho, t * r ** (s - 1), p)
+    log_a = {pow(a, j, p): j for j in range(r)}
+    # Invariant: err * h^-r is the error c^(r*alpha - 1), and err has order
+    # dividing r^(s-i) before step i.
+    err, g, h = pow(c, r * alpha - 1, p), pow(rho, t, p), 1
+    for i in range(1, s):
+        j = -log_a[pow(err, r ** (s - 1 - i), p)] % r
+        gr = pow(g, r, p)
+        err, h, g = err * pow(gr, j, p) % p, h * pow(g, j, p) % p, gr
+    return pow(c, alpha, p) * h % p
+
+
 def _kth_roots(c: int, k: int, p: int, zeta: int) -> list[int]:
     """All k solutions of Y^k = c, for c a nonzero k-th power residue.
 
-    One root is located by exhaustive scan (p is small by design); the rest
+    One root is taken as a chain of prime-degree roots, one per prime factor
+    of k with multiplicity; every intermediate value is again a residue of
+    the remaining degree, since F_p holds the k-th roots of unity.  The rest
     are its zeta-multiples.
     """
-    root = next(y for y in range(1, p) if pow(y, k, p) == c)
+    root, rest, r = c, k, 2
+    while rest > 1:  # trial division: each r that divides rest is prime
+        while rest % r == 0:
+            root, rest = _rth_root(root, r, p), rest // r
+        r += 1
     return sorted(root * pow(zeta, t, p) % p for t in range(k))
 
 

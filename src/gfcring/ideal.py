@@ -20,6 +20,12 @@ character's block of the evaluation map phi2; every rank is a sum of block
 ranks.  The independent pointwise check evaluates the degree-1 window at
 sampled points with curve.evaluation_matrix.  phi2_matrix and
 relation_matrix are the dense forms, kept as oracles for tests.
+
+export_ideal writes the JSON text that json.dumps(payload, indent=2) gives,
+byte for byte, without running the encoder: each variable is laid out once
+as an indented fragment, every term fills one template with its coefficient
+and two fragments, and the lists around them are joined with the encoder's
+separators and indents (an empty list is "[]").
 """
 
 from __future__ import annotations
@@ -75,15 +81,18 @@ def _degree2_data(
     minkowski_di1's closed form: an independent enumeration of the 2-fold
     sumset."""
     i1 = enumerate_im(k, n, 1).members
-    monos = sorted(
-        (tuple(sorted(pair)) for pair in itertools.combinations_with_replacement(i1, 2)),
-        key=monomial_sort_key,
+    # One sort key per monomial: the key ends with the monomial itself, and
+    # its coordinate sums (-r, a_2, ..., a_n) name the fiber, so each fiber
+    # is one run of the sorted keys.
+    keys = sorted(
+        monomial_sort_key(tuple(sorted(pair)))
+        for pair in itertools.combinations_with_replacement(i1, 2)
     )
-    # The sort key starts with the index sum, so each fiber is one run.
     fiber_of: dict[MonomialKey, IndexTuple] = {}
     fiber_map: dict[IndexTuple, tuple[MonomialKey, ...]] = {}
-    for t, run in itertools.groupby(monos, key=index_sum):
-        fiber_map[t] = ms = tuple(run)
+    for sums, run in itertools.groupby(keys, key=lambda key: key[1:n + 1]):
+        t = (-sums[0], *sums[1:])
+        fiber_map[t] = ms = tuple(key[-1] for key in run)
         fiber_of.update(dict.fromkeys(ms, t))
     assert set(fiber_map) == set(minkowski_di1(k, n, 2).members)
     return fiber_of, fiber_map
@@ -111,19 +120,24 @@ class Relation:
     index: int | None = None  # relation index for trinomials
 
 
-def generate_binomials(k: int, n: int) -> list[Relation]:
-    """One relation M - tau(t) per monomial M above t other than tau(t).
-
-    Spans all pairwise differences within every fiber; the count is
-    (number of degree-2 monomials) - (number of fibers).
-    """
+@lru_cache(maxsize=None)
+def _binomials(k: int, n: int) -> tuple[Relation, ...]:
     fiber_map = _degree2_data(k, n)[1]
     out = []
     for t in sorted(fiber_map):
         rep, *others = fiber_map[t]
-        for mono in others:
-            out.append(Relation(((1, mono), (-1, rep)), "binomial"))
-    return out
+        out.extend(Relation(((1, mono), (-1, rep)), "binomial") for mono in others)
+    return tuple(out)
+
+
+def generate_binomials(k: int, n: int) -> list[Relation]:
+    """One relation M - tau(t) per monomial M above t other than tau(t).
+
+    Spans all pairwise differences within every fiber; the count is
+    (number of degree-2 monomials) - (number of fibers).  The relations are
+    field-independent and built once per curve; each call returns a new list.
+    """
+    return list(_binomials(k, n))
 
 
 def generate_trinomials(params: CurveParams) -> list[Relation]:
@@ -421,6 +435,15 @@ def _monomial_text(mono: MonomialKey) -> str:
     return f"{variable_name(mono[0])}*{variable_name(mono[1])}"
 
 
+def _json_block(brackets: str, items: list[str], depth: int) -> str:
+    """An array ("[]") or object ("{}") of already-encoded items, laid out
+    as json.dumps(..., indent=2) lays it out at nesting depth `depth`."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return f'{brackets[0]}{pad}{("," + pad).join(items)}\n{"  " * depth}{brackets[1]}'
+
+
 def export_ideal(params: CurveParams, fmt: str) -> str:
     """Serialize the generators: "json" (machine round-trip) or "cas-text"
     (one generator per line, pasteable into a computer algebra system)."""
@@ -430,24 +453,33 @@ def export_ideal(params: CurveParams, fmt: str) -> str:
     tris = generate_trinomials(params)
 
     if fmt == "json":
-        def rel_json(rel: Relation) -> list[dict]:
-            return [
-                {"coeff": c, "factors": [list(f) for f in mono]}
-                for c, mono in rel.terms
-            ]
+        # Assembled from text (see the module docstring): with an indent,
+        # json.dumps runs its pure-Python encoder over every number.
+        factor = {t: _json_block("[]", [str(c) for c in t], 5) for t in variables}
+        term = _json_block("{}", [
+            '"coeff": %d',
+            '"factors": ' + _json_block("[]", ["%s", "%s"], 4),
+        ], 3)
 
-        return json.dumps(
-            {
-                "k": k,
-                "n": n,
-                "p": p,
-                "lambda": list(params.lam),
-                "variables": [list(t) for t in variables],
-                "binomials": [rel_json(r) for r in bins],
-                "trinomials": [rel_json(r) for r in tris],
-            },
-            indent=2,
-        )
+        def relations(rels: list[Relation]) -> str:
+            return _json_block("[]", [
+                _json_block("[]", [
+                    term % (c, factor[a], factor[b]) for c, (a, b) in rel.terms
+                ], 2)
+                for rel in rels
+            ], 1)
+
+        return _json_block("{}", [
+            f'"k": {k}',
+            f'"n": {n}',
+            f'"p": {p}',
+            '"lambda": ' + _json_block("[]", [str(v) for v in params.lam], 1),
+            '"variables": ' + _json_block("[]", [
+                _json_block("[]", [str(c) for c in t], 2) for t in variables
+            ], 1),
+            '"binomials": ' + relations(bins),
+            '"trinomials": ' + relations(tris),
+        ], 0)
 
     if fmt == "cas-text":
         lines = [

@@ -328,6 +328,19 @@ def test_bad_input_is_one_json_error_line(capsys, argv):
     assert_one_json_error_line(*run(capsys, *argv))
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (["verify", "--k", "3", "--n", "3", "--prime", "1000000009"], "primes", [1000000009]),
+    (["export", "--k", "3", "--n", "3", "--prime", "4294967311"], "p", 4294967311),
+])
+@pytest.mark.usefixtures("hang_guard")
+def test_large_prime_exits_zero(capsys, argv, key, value):
+    # Points at a prime near 2^30 are found without scanning the field, and
+    # export runs no int64 code, so it takes primes above the int64 limit.
+    code, report, err = run_json(capsys, *argv)
+    assert code == 0 and err == ""
+    assert report[key] == value
+
+
 # argv grammar for the fuzz test: every command with --k/--n, then any of its
 # own flags and one stray flag, values drawn from small ints, negatives and
 # junk.  Curves and grids stay at k, n <= 3 so that each run is fast, and
@@ -341,7 +354,7 @@ FLAG_VALUES = {
     "--format": st.sampled_from(["json", "pretty", "cas-text", "x"]),
     "--char": LABELS, "--lambda": LABELS,
     "--prime": st.sampled_from(["auto", "7", "13", "101", "103", "109", "-5", "x",
-                                 "4294967311"]),
+                                 "1000000009", "4294967311"]),
     "--grid": None,
 }
 CURVE_SPEC = ["--lambda", "--seed", "--prime"]

@@ -29,7 +29,13 @@ from gfcring.curve import (
 )
 from gfcring.indexsets import enumerate_im
 from gfcring.linalg import rank_mod_p_array
-from gfcring.params import ParameterError, dim_vm, genus, make_curve_params
+from gfcring.params import (
+    ParameterError,
+    dim_vm,
+    find_prime_and_root,
+    genus,
+    make_curve_params,
+)
 
 GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
 
@@ -84,6 +90,30 @@ def test_suitable_params_without_points_never_samples(monkeypatch):
     monkeypatch.setattr("gfcring.curve.sample_points", fail)
     assert [pp.p for pp in islice(suitable_params(3, 3), 3)] == [103, 109, 127]
     assert [pp.p for pp in suitable_params(3, 3, p=7)] == [7]
+
+
+def scan_kth_roots(c, k, p, zeta):
+    """The exhaustive O(p) scan that _kth_roots replaced: a reference."""
+    root = next(y for y in range(1, p) if pow(y, k, p) == c)
+    return sorted(root * pow(zeta, t, p) % p for t in range(k))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@given(min_bound=st.integers(6, 3000), y=st.integers(1, 10**6))
+def test_kth_roots_match_the_scan(k, min_bound, y):
+    p, zeta = find_prime_and_root(k, min_bound)
+    c = pow(y % (p - 1) + 1, k, p)
+    assert curve._kth_roots(c, k, p, zeta) == scan_kth_roots(c, k, p, zeta)
+
+
+def test_kth_roots_at_a_large_prime():
+    # The scan would run through about 10^9 candidates here.
+    p = 1000000009
+    for k in (2, 3, 4, 6, 8):
+        _, zeta = find_prime_and_root(k, p)
+        roots = curve._kth_roots(pow(123456789, k, p), k, p, zeta)
+        assert 123456789 in roots and len(set(roots)) == k
+        assert all(pow(y, k, p) == pow(123456789, k, p) for y in roots)
 
 
 def test_is_on_curve_rejects():

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfcring import ideal
@@ -364,19 +364,34 @@ def test_symbolic_kernel_check_is_exact_at_the_largest_prime():
 
 
 def test_verify_reads_each_fiber_once(monkeypatch):
-    # The degree-2 data map each monomial to its fiber once; the symbolic
-    # check and the ranks read that map instead of summing indices again.
+    # The degree-2 data sum each monomial's coordinates once, in its sort
+    # key, and read the fiber off that key; the symbolic check and the ranks
+    # read the fiber map instead of summing indices again.
     calls = []
 
-    def spy(mono):
-        calls.append(mono)
-        return index_sum(mono)
+    def spy(fn):
+        def counted(mono):
+            calls.append(mono)
+            return fn(mono)
+        return counted
 
     pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
     ideal._degree2_data.cache_clear()
-    monkeypatch.setattr(ideal, "index_sum", spy)
+    monkeypatch.setattr(ideal, "monomial_sort_key", spy(monomial_sort_key))
+    monkeypatch.setattr(ideal, "index_sum", spy(index_sum))
+    ideal._degree2_data(3, 4)
+    assert len(calls) == len(degree2_monomials(3, 4))
+    calls.clear()
+    monkeypatch.setattr(ideal, "monomial_sort_key", monomial_sort_key)
     assert verify_degree2_kernel(pp).passed
-    assert 0 < len(calls) <= len(degree2_monomials(3, 4))
+    assert calls == []
+
+
+def test_binomials_are_built_once_per_curve():
+    first = generate_binomials(3, 4)
+    second = generate_binomials(3, 4)
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
 
 
 @given(
@@ -454,6 +469,33 @@ def test_export_json_roundtrip():
     assert data["trinomials"] == generate_trinomials(pp)
     # and the round trip is idempotent at the text level
     assert json.loads(text) == json.loads(export_ideal(pp, "json"))
+
+
+def encoder_export(pp):
+    """The payload through json.dumps(indent=2): the reference text."""
+    def rel_json(rel):
+        return [{"coeff": c, "factors": [list(f) for f in mono]} for c, mono in rel.terms]
+
+    return json.dumps(
+        {
+            "k": pp.k,
+            "n": pp.n,
+            "p": pp.p,
+            "lambda": list(pp.lam),
+            "variables": [list(t) for t in enumerate_im(pp.k, pp.n, 1).members],
+            "binomials": [rel_json(r) for r in generate_binomials(pp.k, pp.n)],
+            "trinomials": [rel_json(r) for r in generate_trinomials(pp)],
+        },
+        indent=2,
+    )
+
+
+@pytest.mark.parametrize("k, n", [(4, 2), (5, 2), (2, 4), (3, 3), (2, 5), (3, 4), (5, 3)])
+@settings(max_examples=3)
+@given(seed=st.integers(0, 2**31), min_bound=st.integers(100, 5000))
+def test_export_json_is_the_encoder_text(k, n, seed, min_bound):
+    pp = make_curve_params(k, n, seed=seed, min_bound=min_bound)
+    assert export_ideal(pp, "json") == encoder_export(pp)
 
 
 def test_parse_ideal_json_rejects_a_corrupt_trinomial():
