@@ -2,8 +2,9 @@
 
 Exit codes: 0 = all embedded assertions passed, 1 = a verification failed,
 2 = bad input: an argument argparse rejects, a parameter outside the domain,
-a prime too small to sample points, a non-integer GFC_DEFAULT_PRIME_BOUND or
-an unwritable --out.  Exit 2 writes one JSON line {"error": ...} to stderr.
+a prime too small to sample points, a non-integer GFC_DEFAULT_PRIME_BOUND,
+an unwritable --out or an input too large for memory.  Exit 2 writes one
+JSON line {"error": ...} to stderr.
 """
 
 from __future__ import annotations
@@ -389,8 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         report, code = args.run(args)
         _emit(report, args)
-    except (ParameterError, InsufficientPointsError, OSError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
+    except (ParameterError, InsufficientPointsError, OSError, MemoryError) as exc:
+        error = "out of memory; try a smaller input" if isinstance(exc, MemoryError) else str(exc)
+        sys.stderr.write(json.dumps({"error": error}) + "\n")
         return 2
     return code
 

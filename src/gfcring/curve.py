@@ -140,13 +140,17 @@ def suitable_params(
     needs p >= n.  The bound doubles past every prime that falls short; each
     later prime is the next one above its predecessor that has enough points.
     A pinned `p` is yielded once, or raises InsufficientPointsError when it
-    falls short.
+    falls short.  When points are needed, a pinned prime or first bound with
+    p^2 >= 2^62, which sampling rejects, raises ParameterError at once.
     """
 
     def found(params: CurveParams) -> int:
         # sample_points with count 0 would scan the whole field
         return len(sample_points(params, needed_points)[0]) if needed_points else 0
 
+    bound = p if p is not None else max(min_bound or default_prime_bound(k, n), n, k)
+    if needed_points:
+        require_int64_prime(bound)  # before any primality test at this size
     if p is not None:
         params = make_curve_params(k, n, lam=lam, seed=seed, p=p)
         have = found(params)
@@ -157,7 +161,6 @@ def suitable_params(
             )
         yield params
         return
-    bound = max(min_bound or default_prime_bound(k, n), n, k)
     first = True
     while True:
         params = make_curve_params(k, n, lam=lam, seed=seed, min_bound=bound)

@@ -12,14 +12,17 @@ Two relation families span the degree-2 kernel of the evaluation map:
     for every relation index i and t in the corresponding C_i set,
 the latter vanishing because lam_i + x^k + y_{i+1}^k = 0 on the curve.
 
-verify_degree2_kernel checks the kernel claim one (Z/k)^n character block
-at a time, with no dense matrix.  Each relation is written in fiber
-coordinates (its coefficients summed per fiber mod p, so a binomial sums to
-nothing), and each character's part must lie in the kernel of that
-character's block of the evaluation map phi2; every rank is a sum of block
-ranks.  The independent pointwise check evaluates the degree-1 window at
-sampled points with curve.evaluation_matrix.  phi2_matrix and
-relation_matrix are the dense forms, kept as oracles for tests.
+The monomials are one (N, 2) array of window-index pairs in term order, and
+each fiber is one run of its rows, tau first.  The binomials carry nothing
+beyond these runs: verify_degree2_kernel never builds them, and only export
+writes them out as Relation objects.  It checks the kernel claim one
+(Z/k)^n character block at a time, with no dense matrix: each trinomial,
+in fiber coordinates, must lie in the kernel of its character's block of
+the evaluation map phi2 (a binomial's fiber coordinates are zero), and
+every rank is a sum of block ranks.  The independent pointwise check
+evaluates the degree-1 window at sampled points with
+curve.evaluation_matrix.  phi2_matrix is the dense form, kept as an oracle
+for tests.
 
 export_ideal writes the JSON text that json.dumps(payload, indent=2) gives,
 byte for byte, without running the encoder: each variable is laid out once
@@ -30,7 +33,6 @@ separators and indents (an empty list is "[]").
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,7 +42,7 @@ import numpy as np
 from .curve import AffinePoint, InsufficientPointsError, evaluation_matrix, sample_points
 from .indexsets import (
     IndexTuple,
-    enumerate_ci,
+    ci_shifts,
     enumerate_im,
     minkowski_di1,
     standard_set,
@@ -72,42 +74,40 @@ def index_sum(mono: MonomialKey) -> IndexTuple:
 
 
 @lru_cache(maxsize=None)
-def _degree2_data(
-    k: int, n: int
-) -> tuple[dict[MonomialKey, IndexTuple], dict[IndexTuple, tuple[MonomialKey, ...]]]:
-    """(monomial -> its fiber, in term order; fiber -> its monomials in term
-    order, tau first).  Both maps share one tuple per fiber; treat them as
-    immutable.  The fibers, read off the monomials' index sums, must equal
-    minkowski_di1's closed form: an independent enumeration of the 2-fold
-    sumset."""
-    i1 = enumerate_im(k, n, 1).members
-    # One sort key per monomial: the key ends with the monomial itself, and
-    # its coordinate sums (-r, a_2, ..., a_n) name the fiber, so each fiber
-    # is one run of the sorted keys.
-    keys = sorted(
-        monomial_sort_key(tuple(sorted(pair)))
-        for pair in itertools.combinations_with_replacement(i1, 2)
-    )
-    fiber_of: dict[MonomialKey, IndexTuple] = {}
-    fiber_map: dict[IndexTuple, tuple[MonomialKey, ...]] = {}
-    for sums, run in itertools.groupby(keys, key=lambda key: key[1:n + 1]):
-        t = (-sums[0], *sums[1:])
-        fiber_map[t] = ms = tuple(key[-1] for key in run)
-        fiber_of.update(dict.fromkeys(ms, t))
-    assert set(fiber_map) == set(minkowski_di1(k, n, 2).members)
-    return fiber_of, fiber_map
+def _degree2_data(k: int, n: int) -> tuple[np.ndarray, dict[IndexTuple, tuple[int, int]]]:
+    """(the degree-2 monomials in term order, as an (N, 2) int32 array of
+    degree-1 window indices i <= j; fiber -> its run [start, stop) of rows,
+    tau first, in term order).  Treat both as immutable.  The fibers, read
+    off the sorted index sums, must equal minkowski_di1's closed form: an
+    independent enumeration of the 2-fold sumset."""
+    window = np.array(enumerate_im(k, n, 1).members, dtype=np.int32).reshape(-1, n)
+    i, j = np.triu_indices(len(window))
+    sums = window[i] + window[j]
+    # monomial_sort_key without its constant degree: the window is sorted, so
+    # the pair (i, j) orders the monomials (window[i], window[j]), and the
+    # leading coordinate sums name the fiber, so each fiber is one run.
+    order = np.lexsort((j, i, *sums[:, :0:-1].T, -sums[:, 0]))
+    sums = sums[order]
+    starts = np.flatnonzero(np.r_[True, np.any(sums[1:] != sums[:-1], axis=1)])
+    stops = np.r_[starts[1:], len(sums)]
+    fibers = {tuple(t): (int(a), int(b)) for t, a, b in zip(sums[starts].tolist(), starts, stops)}
+    assert set(fibers) == set(minkowski_di1(k, n, 2).members)
+    return np.stack((i[order], j[order]), axis=1).astype(np.int32), fibers
 
 
 def degree2_monomials(k: int, n: int) -> tuple[MonomialKey, ...]:
-    return tuple(_degree2_data(k, n)[0])
+    window = enumerate_im(k, n, 1).members
+    return tuple((window[i], window[j]) for i, j in _degree2_data(k, n)[0].tolist())
 
 
 def tau(k: int, n: int, t: IndexTuple) -> MonomialKey:
     """The order-minimal degree-2 monomial with index-sum t."""
-    fiber_map = _degree2_data(k, n)[1]
-    if tuple(t) not in fiber_map:
+    pairs, fibers = _degree2_data(k, n)
+    if tuple(t) not in fibers:
         raise ParameterError(f"{t} is not a sum of two degree-1 window members")
-    return fiber_map[tuple(t)][0]
+    window = enumerate_im(k, n, 1).members
+    i, j = pairs[fibers[tuple(t)][0]].tolist()
+    return window[i], window[j]
 
 
 @dataclass(frozen=True)
@@ -120,39 +120,31 @@ class Relation:
     index: int | None = None  # relation index for trinomials
 
 
-@lru_cache(maxsize=None)
-def _binomials(k: int, n: int) -> tuple[Relation, ...]:
-    fiber_map = _degree2_data(k, n)[1]
-    out = []
-    for t in sorted(fiber_map):
-        rep, *others = fiber_map[t]
-        out.extend(Relation(((1, mono), (-1, rep)), "binomial") for mono in others)
-    return tuple(out)
-
-
 def generate_binomials(k: int, n: int) -> list[Relation]:
-    """One relation M - tau(t) per monomial M above t other than tau(t).
+    """One relation M - tau(t) per monomial M above t other than tau(t),
+    fibers in sorted order: the fiber runs written out, built anew per call.
 
     Spans all pairwise differences within every fiber; the count is
-    (number of degree-2 monomials) - (number of fibers).  The relations are
-    field-independent and built once per curve; each call returns a new list.
+    (number of degree-2 monomials) - (number of fibers).
     """
-    return list(_binomials(k, n))
+    monos = degree2_monomials(k, n)
+    return [Relation(((1, monos[row]), (-1, monos[start])), "binomial")
+            for _, (start, stop) in sorted(_degree2_data(k, n)[1].items())
+            for row in range(start + 1, stop)]
+
+
+def _trinomial_rows(params: CurveParams) -> list[tuple[int, dict[IndexTuple, int]]]:
+    """The trinomials in fiber coordinates: (i, {t: lam_i, t+(k,0,..): 1,
+    t-k*e_i: 1}) for each relation index i and t in C_i."""
+    return [(i, {t: params.lam[i - 1] % params.p, up: 1, down: 1})
+            for i, t, up, down in ci_shifts(params.k, params.n)]
 
 
 def generate_trinomials(params: CurveParams) -> list[Relation]:
     """lam_i*tau(t) + tau(t+(k,0,..)) + tau(t-k*e_i) for each i and t in C_i."""
-    k, n = params.k, params.n
-    fiber_map = _degree2_data(k, n)[1]
-    out = []
-    for i in range(1, n):
-        lam_i = params.lam[i - 1] % params.p
-        for t in enumerate_ci(k, n, i):
-            up = (t[0] + k, *t[1:])
-            down = (*t[:i], t[i] - k, *t[i + 1:])
-            taus = (fiber_map[s][0] for s in (t, up, down))
-            out.append(Relation(tuple(zip((lam_i, 1, 1), taus)), "trinomial", index=i))
-    return out
+    return [Relation(tuple((c, tau(params.k, params.n, s)) for s, c in row.items()),
+                     "trinomial", index=i)
+            for i, row in _trinomial_rows(params)]
 
 
 # --- rewriting into the weight-2 basis ---------------------------------------
@@ -202,28 +194,35 @@ def phi2_matrix(params: CurveParams) -> np.ndarray:
     index-sum.  Full row rank (= dim V_2) is the surjectivity statement.
     """
     k, n = params.k, params.n
-    fiber_of = _degree2_data(k, n)[0]
+    pairs, fibers = _degree2_data(k, n)
     row = {s: i for i, s in enumerate(enumerate_im(k, n, 2).members)}
-    mat = np.zeros((len(row), len(fiber_of)), dtype=np.int64)
-    for col, t in enumerate(fiber_of.values()):
+    mat = np.zeros((len(row), len(pairs)), dtype=np.int64)
+    for t, (start, stop) in fibers.items():
         for s, c in _reduce_cached(params, t):
-            mat[row[s], col] = c
+            mat[row[s], start:stop] = c
     return mat
 
 
 def _relations_vanish_at(
     params: CurveParams, rels: list[Relation], points: list[AffinePoint]
 ) -> bool:
-    """Whether every relation evaluates to zero at every point.
+    """Whether every binomial and every relation in rels evaluates to zero at
+    every point.
 
     The degree-1 window is evaluated once as a (points x variables) matrix.
-    Relations are padded to a common term count with zero coefficients, and
-    at each point all of them are checked as one int64 expression; the scan
-    stops at the first point where some relation is non-zero.  One point at
-    a time keeps the working set at a few relation-sized arrays.
+    The binomials stay implicit: at each point every monomial's value
+    vals[i]*vals[j] must equal that of its fiber's first row.  The relations
+    are padded to a common term count with zero coefficients and checked as
+    one int64 expression.  The scan stops at the first point where a check
+    fails; one point at a time keeps the working set at a few monomial-sized
+    arrays.
     """
     p = params.p
     window = enumerate_im(params.k, params.n, 1).members
+    pairs, fibers = _degree2_data(params.k, params.n)
+    runs = np.array(sorted(fibers.values()), dtype=np.intp)
+    first = np.repeat(runs[:, 0], runs[:, 1] - runs[:, 0])
+    mono_i, mono_j = pairs.T.astype(np.intp)  # an intp index is not converted per gather
     var = {t: i for i, t in enumerate(window)}
     width = max((len(rel.terms) for rel in rels), default=0)
     coeff = np.zeros((len(rels), width), dtype=np.int64)
@@ -233,8 +232,9 @@ def _relations_vanish_at(
         for j, (c, (s, t)) in enumerate(rel.terms):
             coeff[i, j], left[i, j], right[i, j] = c % p, var[s], var[t]
     for vals in evaluation_matrix(params, points, window):
+        prod = vals[mono_i] * vals[mono_j] % p
         terms = vals[left] * vals[right] % p * coeff % p
-        if np.any(terms.sum(axis=1) % p):
+        if np.any(prod != prod[first]) or np.any(terms.sum(axis=1) % p):
             return False
     return True
 
@@ -242,45 +242,42 @@ def _relations_vanish_at(
 # --- span-rank bookkeeping ----------------------------------------------------
 
 def _character_blocks(
-    params: CurveParams, rels: list[Relation]
+    params: CurveParams, rels: list[dict[IndexTuple, int]]
 ) -> tuple[bool, int, dict[IndexTuple, int]]:
-    """(whether every relation maps to zero, rank of phi2, nonzero span ranks
-    of the relations by character), in one pass over the character blocks.
+    """(whether every relation maps to zero, rank of phi2, span ranks by
+    character of the binomials and the relations, nonzero ones only), in one
+    pass over the character blocks.
 
-    A relation's fiber coordinates are its coefficients summed per fiber mod
-    p; a binomial M - tau(t) sums to nothing.  _reduce_cached moves
+    Each relation comes in fiber coordinates, {fiber: coefficient mod p},
+    where every binomial M - tau(t) is zero.  _reduce_cached moves
     coordinates by multiples of k, so each fiber's phi2 column lies in its
     own character's rows (a miss raises KeyError), and a relation vanishes
-    iff each character's part of its fiber coordinates is in the kernel of
-    that character's phi2 block.  The product is reduced per term, so it is
-    exact for every p that the ranks accept.  The binomials span every
-    within-fiber difference, sum(|fiber| - 1) per character; the rows with
-    nonzero fiber coordinates add their rank.
+    iff each character's part of it is in the kernel of that character's
+    phi2 block.  The product is reduced per term, so it is exact for every p
+    that the ranks accept.  The binomials span every within-fiber
+    difference, sum(|fiber| - 1) per character; the relations add the rank
+    of their parts.
     """
     k, n, p = params.k, params.n, params.p
-    fiber_of, fiber_map = _degree2_data(k, n)
-    character = {t: character_of(k, 2, t) for t in fiber_map}
-    fibers: dict[IndexTuple, list[IndexTuple]] = {}
-    for t in sorted(fiber_map):
-        fibers.setdefault(character[t], []).append(t)
+    fibers = _degree2_data(k, n)[1]
+    character = {t: character_of(k, 2, t) for t in fibers}
+    columns: dict[IndexTuple, list[IndexTuple]] = {}
+    for t in sorted(fibers):
+        columns.setdefault(character[t], []).append(t)
     rows: dict[IndexTuple, list[IndexTuple]] = {}
     for s in enumerate_im(k, n, 2).members:
         rows.setdefault(character_of(k, 2, s), []).append(s)
     parts: dict[IndexTuple, list[dict[IndexTuple, int]]] = {}
     for rel in rels:
-        coords: dict[IndexTuple, int] = {}
-        for c, mono in rel.terms:
-            t = fiber_of[mono]
-            coords[t] = (coords.get(t, 0) + c) % p
         by_char: dict[IndexTuple, dict[IndexTuple, int]] = {}
-        for t, c in coords.items():
-            if c:
-                by_char.setdefault(character[t], {})[t] = c
+        for t, c in rel.items():
+            if c % p:
+                by_char.setdefault(character[t], {})[t] = c % p
         for h, part in by_char.items():
             parts.setdefault(h, []).append(part)
 
     vanish, phi2_rank, dims = True, 0, {}
-    for h, ts in sorted(fibers.items()):
+    for h, ts in sorted(columns.items()):
         col = {t: i for i, t in enumerate(ts)}
         row = {s: i for i, s in enumerate(rows.get(h, ()))}
         phi2 = np.zeros((len(row), len(col)), dtype=np.int64)
@@ -294,7 +291,7 @@ def _character_blocks(
                 block[r, col[t]] = c
         image = (block[:, :, None] * phi2.T % p).sum(axis=1) % p
         vanish = vanish and not np.any(image)
-        dim = sum(len(fiber_map[t]) - 1 for t in ts) + rank_mod_p_array(block, p)
+        dim = sum(fibers[t][1] - fibers[t][0] - 1 for t in ts) + rank_mod_p_array(block, p)
         if dim:
             dims[h] = dim
     return vanish, phi2_rank, dims
@@ -303,19 +300,7 @@ def _character_blocks(
 def span_rank_by_character(params: CurveParams) -> dict[IndexTuple, int]:
     """Rank of each character's block of the degree-2 relation span; labels
     with no relations are omitted (their dimension is 0)."""
-    rels = generate_binomials(params.k, params.n) + generate_trinomials(params)
-    return _character_blocks(params, rels)[2]
-
-
-def relation_matrix(params: CurveParams, rels: list[Relation]) -> np.ndarray:
-    """Dense relation-by-monomial coefficient matrix (a test oracle)."""
-    monos = degree2_monomials(params.k, params.n)
-    col = {mono: i for i, mono in enumerate(monos)}
-    mat = np.zeros((len(rels), len(monos)), dtype=np.int64)
-    for r, rel in enumerate(rels):
-        for c, mono in rel.terms:
-            mat[r, col[mono]] += c
-    return mat % params.p
+    return _character_blocks(params, [row for _, row in _trinomial_rows(params)])[2]
 
 
 # --- the verification report ---------------------------------------------------
@@ -356,9 +341,10 @@ KERNEL_POINTS = 50
 def verify_degree2_kernel(params: CurveParams) -> Degree2Report:
     """Run every degree-2 check and collect the outcome.
 
-    (a) each relation, binomials included, maps to zero in the weight-2
-        basis (its fiber coordinates against each character's phi2 block,
-        exactly mod p) and evaluates to zero at KERNEL_POINTS curve points;
+    (a) each trinomial maps to zero in the weight-2 basis (its fiber
+        coordinates against each character's phi2 block, exactly mod p; a
+        binomial has none), and every binomial and trinomial evaluates to
+        zero at KERNEL_POINTS curve points;
     (b) the relation span has rank dim S_2 - dim V_2 (with the evaluation
         matrix itself of full rank dim V_2), both ranks summed over the
         character blocks;
@@ -369,12 +355,10 @@ def verify_degree2_kernel(params: CurveParams) -> Degree2Report:
     """
     k, n, p = params.k, params.n, params.p
     d2 = dim_vm(k, n, 2)
-    dim_s2 = len(degree2_monomials(k, n))
+    pairs, fibers = _degree2_data(k, n)
+    dim_s2 = len(pairs)
     assert dim_s2 == total_degree_d_monomials(k, n, 2)
-
-    bins = generate_binomials(k, n)
     tris = generate_trinomials(params)
-    rels = bins + tris
 
     # (a) pointwise: evaluate every relation at sampled points.
     points, shortfall = sample_points(params, KERNEL_POINTS)
@@ -382,11 +366,12 @@ def verify_degree2_kernel(params: CurveParams) -> Degree2Report:
         raise InsufficientPointsError(
             f"only {len(points)} points over p = {p}, wanted {KERNEL_POINTS}"
         )
-    point_kernel_ok = _relations_vanish_at(params, rels, points)
+    point_kernel_ok = _relations_vanish_at(params, tris, points)
 
     # (a) symbolic and (b) the phi2 and span ranks, one pass over the
     # character blocks.
-    symbolic_kernel_ok, phi2_rank, per_char = _character_blocks(params, rels)
+    symbolic_kernel_ok, phi2_rank, per_char = _character_blocks(
+        params, [row for _, row in _trinomial_rows(params)])
     span_rank = sum(per_char.values())
     span_rank_ok = phi2_rank == d2 and span_rank == dim_s2 - d2
 
@@ -407,7 +392,7 @@ def verify_degree2_kernel(params: CurveParams) -> Degree2Report:
     return Degree2Report(
         p=p,
         dim_s2=dim_s2,
-        n_binomials=len(bins),
+        n_binomials=dim_s2 - len(fibers),
         n_trinomials=len(tris),
         phi2_rank=phi2_rank,
         ker_dim=dim_s2 - phi2_rank,

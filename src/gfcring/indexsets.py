@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterator
 from math import comb
 
 from .params import ParameterError, dim_vm
@@ -118,8 +119,8 @@ def enumerate_ci(k: int, n: int, i: int) -> IndexSet:
 
     These are exactly the sumset points t for which t + (k, 0, ..., 0) and
     t - k*e_i also lie in the sumset (e_i = unit vector at flat position i,
-    the a-coordinate tied to relation index i); generate_trinomials looks up
-    tau at both shifts of every member.
+    the a-coordinate tied to relation index i); ci_shifts yields both shifts
+    of every member.
     """
     if not 1 <= i <= n - 1:
         raise ParameterError(f"relation index must be in 1..{n - 1}, got {i}")
@@ -129,6 +130,14 @@ def enumerate_ci(k: int, n: int, i: int) -> IndexSet:
     ))
 
 
+def ci_shifts(k: int, n: int) -> Iterator[tuple[int, IndexTuple, IndexTuple, IndexTuple]]:
+    """(i, t, t + (k, 0, ..., 0), t - k*e_i) for each relation index i and
+    each t in C_i, in that order: the three fibers of every trinomial."""
+    for i in range(1, n):
+        for t in enumerate_ci(k, n, i):
+            yield i, t, (t[0] + k, *t[1:]), (*t[:i], t[i] - k, *t[i + 1:])
+
+
 def shifted_ci_union(k: int, n: int) -> set[IndexTuple]:
     """Union over relation indices of the down-shift of each C_i by k*e_i.
 
@@ -136,11 +145,7 @@ def shifted_ci_union(k: int, n: int) -> set[IndexTuple]:
     below the degree-2 window (a_i <= k-2): exactly the fibers that relation
     family i eliminates from the standard monomials.
     """
-    out: set[IndexTuple] = set()
-    for i in range(1, n):
-        for t in enumerate_ci(k, n, i):
-            out.add((*t[:i], t[i] - k, *t[i + 1:]))
-    return out
+    return {down for _, _, _, down in ci_shifts(k, n)}
 
 
 @lru_cache(maxsize=None)

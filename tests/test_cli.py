@@ -3,6 +3,9 @@
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gfcring
 from gfcring import curve, ideal, indexsets
 from gfcring.cli import main
 from gfcring.ideal import export_ideal, parse_ideal_json
@@ -326,6 +330,40 @@ UNWRITABLE = os.path.join(os.devnull, "report.json")
 @pytest.mark.usefixtures("hang_guard")
 def test_bad_input_is_one_json_error_line(capsys, argv):
     assert_one_json_error_line(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["verify", "--k", "3", "--n", "3", "--prime", "1000000000000000003"], None),
+    (["verify", "--k", "3", "--n", "3"], "100000000000000000000"),
+])
+@pytest.mark.usefixtures("hang_guard")
+def test_verify_rejects_a_huge_prime_before_testing_it(capsys, monkeypatch, argv, bound):
+    # Trial division would take hours at these sizes; verify samples points,
+    # and no prime this large passes the int64 guard, so it is refused first.
+    if bound:
+        monkeypatch.setenv("GFC_DEFAULT_PRIME_BOUND", bound)
+    code, out, err = run(capsys, *argv)
+    assert_one_json_error_line(code, out, err)
+    assert "int64" in err
+
+
+# A child process under an address-space limit that this interpreter, numpy
+# (with one BLAS thread, whose buffers count against the limit) and the
+# gfcring imports fit in, but the command's enumeration does not.
+MEMORY_LIMIT = 600 * 2**20
+
+
+def test_out_of_memory_is_one_json_error_line():
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+    src = os.path.dirname(os.path.dirname(gfcring.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    argv = ["multiplicities", "--k", "30", "--n", "6", "--kind", "nu", "--m", "2"]
+    proc = subprocess.run([sys.executable, "-m", "gfcring", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=limit, timeout=60)
+    assert_one_json_error_line(proc.returncode, proc.stdout, proc.stderr)
+    assert "memory" in json.loads(proc.stderr)["error"]
 
 
 @pytest.mark.parametrize("argv, key, value", [

@@ -32,7 +32,6 @@ from gfcring.ideal import (
     parse_ideal_json,
     phi2_matrix,
     reduce_to_basis,
-    relation_matrix,
     span_rank_by_character,
     tau,
     variable_name,
@@ -279,7 +278,17 @@ def test_phi2_character_blocks_sum_to_dense_rank(curve, min_bound, seed):
         total += block
     dense = rank_mod_p_array(mat, pp.p)
     rels = generate_binomials(k, n) + generate_trinomials(pp)
-    assert total == dense == _character_blocks(pp, rels)[1] == dim_vm(k, n, 2)
+    assert total == dense == _character_blocks(pp, fiber_rows(rels))[1] == dim_vm(k, n, 2)
+
+
+def relation_matrix(pp, rels):
+    """Dense relation-by-monomial coefficient matrix, columns in term order."""
+    col = {mono: i for i, mono in enumerate(degree2_monomials(pp.k, pp.n))}
+    mat = np.zeros((len(rels), len(col)), dtype=np.int64)
+    for r, rel in enumerate(rels):
+        for c, mono in rel.terms:
+            mat[r, col[mono]] += c
+    return mat % pp.p
 
 
 def test_span_rank_matches_dense_elimination():
@@ -293,6 +302,20 @@ def test_span_rank_matches_dense_elimination():
         else:
             dense = 0
         assert structural == dense == SPAN_RANKS[(k, n)]
+
+
+def fiber_rows(rels):
+    """Each relation in fiber coordinates, {fiber: summed coefficient}: the
+    relation -> fiber route, summing every monomial's indices, as an oracle
+    for the fiber runs that verify reads."""
+    rows = []
+    for rel in rels:
+        row = {}
+        for c, mono in rel.terms:
+            t = index_sum(mono)
+            row[t] = row.get(t, 0) + c
+        rows.append(row)
+    return rows
 
 
 def kernel_cases(pp):
@@ -331,7 +354,7 @@ def test_sparse_kernel_check_matches_dense_oracle(k, n, p):
         return not np.any(phi2_matrix(pp) @ relation_matrix(pp, rels).T % pp.p)
 
     def symbolic(pp, rels):
-        return _character_blocks(pp, rels)[0]
+        return _character_blocks(pp, fiber_rows(rels))[0]
 
     pp = make_curve_params(k, n, p=p)
     for rels, expected in kernel_cases(pp):
@@ -356,42 +379,89 @@ def test_symbolic_kernel_check_is_exact_at_the_largest_prime():
     for k, n in [(3, 3), (3, 4)]:
         pp = make_curve_params(k, n, seed=5, p=2147483647)
         for rels, expected in kernel_cases(pp):
-            assert _character_blocks(pp, rels)[0] == expected
+            assert _character_blocks(pp, fiber_rows(rels))[0] == expected
         scale = pp.p - 2
         scaled = [Relation(tuple((c * scale % pp.p, m) for c, m in rel.terms), rel.kind,
                            rel.index) for rel in generate_trinomials(pp)]
-        assert _character_blocks(pp, scaled)[0]
+        assert _character_blocks(pp, fiber_rows(scaled))[0]
 
 
 def test_verify_reads_each_fiber_once(monkeypatch):
-    # The degree-2 data sum each monomial's coordinates once, in its sort
-    # key, and read the fiber off that key; the symbolic check and the ranks
-    # read the fiber map instead of summing indices again.
+    # The degree-2 data are one lexsort over window-index pairs: no sort key
+    # or index sum per monomial.  verify reads the fiber runs instead of
+    # summing indices again, and never writes the binomials out.
     calls = []
 
     def spy(fn):
-        def counted(mono):
-            calls.append(mono)
-            return fn(mono)
+        def counted(*args):
+            calls.append((fn.__name__, args))
+            return fn(*args)
         return counted
 
     pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
     ideal._degree2_data.cache_clear()
-    monkeypatch.setattr(ideal, "monomial_sort_key", spy(monomial_sort_key))
-    monkeypatch.setattr(ideal, "index_sum", spy(index_sum))
+    for fn in (monomial_sort_key, index_sum, generate_binomials):
+        monkeypatch.setattr(ideal, fn.__name__, spy(fn))
     ideal._degree2_data(3, 4)
-    assert len(calls) == len(degree2_monomials(3, 4))
-    calls.clear()
+    assert calls == []
     monkeypatch.setattr(ideal, "monomial_sort_key", monomial_sort_key)
     assert verify_degree2_kernel(pp).passed
     assert calls == []
 
 
-def test_binomials_are_built_once_per_curve():
-    first = generate_binomials(3, 4)
-    second = generate_binomials(3, 4)
-    assert first == second and first is not second
-    assert all(a is b for a, b in zip(first, second))
+def test_verify_builds_no_binomial_relation(monkeypatch):
+    # Relation objects on the verify path are the trinomials only; the
+    # binomials stay the fiber runs of the degree-2 data.
+    kinds = []
+
+    class Spy(Relation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            kinds.append(self.kind)
+
+    monkeypatch.setattr(ideal, "Relation", Spy)
+    rep = verify_degree2_kernel(next(suitable_params(3, 4, KERNEL_POINTS, seed=1)))
+    assert rep.passed and rep.n_binomials == 1150
+    assert kinds == ["trinomial"] * rep.n_trinomials
+
+
+def sorted_key_route(k, n):
+    """fiber -> its monomials in term order, by one monomial_sort_key per
+    monomial and itertools.groupby over the sorted keys."""
+    window = enumerate_im(k, n, 1).members
+    keys = sorted(monomial_sort_key(pair)
+                  for pair in itertools.combinations_with_replacement(window, 2))
+    return {
+        (-sums[0], *sums[1:]): tuple(key[-1] for key in run)
+        for sums, run in itertools.groupby(keys, key=lambda key: key[1:n + 1])
+    }
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (4, 2), (5, 2), (3, 4), (4, 4), (2, 7)])
+def test_fiber_runs_match_the_sorted_key_route(k, n):
+    expected = sorted_key_route(k, n)
+    monos = degree2_monomials(k, n)
+    fibers = ideal._degree2_data(k, n)[1]
+    assert monos == tuple(itertools.chain.from_iterable(expected.values()))
+    assert list(fibers) == list(expected)
+    assert {t: monos[start:stop] for t, (start, stop) in fibers.items()} == expected
+
+
+def test_point_check_finds_a_monomial_filed_under_a_neighbouring_fiber(monkeypatch):
+    pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
+    pts, _ = sample_points(pp, KERNEL_POINTS)
+    pairs, fibers = ideal._degree2_data(3, 4)
+    assert _relations_vanish_at(pp, [], pts)
+    # Move the first row of some fiber with two or more monomials into the
+    # run of the fiber before it in term order.
+    order = list(fibers)
+    at = next(pos for pos, t in enumerate(order[1:], 1) if fibers[t][1] - fibers[t][0] > 1)
+    moved = dict(fibers)
+    before, after = order[at - 1], order[at]
+    moved[before] = (fibers[before][0], fibers[before][1] + 1)
+    moved[after] = (fibers[after][0] + 1, fibers[after][1])
+    monkeypatch.setattr(ideal, "_degree2_data", lambda k, n: (pairs, moved))
+    assert not _relations_vanish_at(pp, [], pts)
 
 
 @given(
