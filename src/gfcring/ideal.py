@@ -14,15 +14,15 @@ the latter vanishing because lam_i + x^k + y_{i+1}^k = 0 on the curve.
 
 The monomials are one (N, 2) array of window-index pairs in term order, and
 each fiber is one run of its rows, tau first.  The binomials carry nothing
-beyond these runs: verify_degree2_kernel never builds them, and only export
-writes them out as Relation objects.  It checks the kernel claim one
-(Z/k)^n character block at a time, with no dense matrix: each trinomial,
-in fiber coordinates, must lie in the kernel of its character's block of
-the evaluation map phi2 (a binomial's fiber coordinates are zero), and
-every rank is a sum of block ranks.  The independent pointwise check
-evaluates the degree-1 window at sampled points with
-curve.evaluation_matrix.  phi2_matrix is the dense form, kept as an oracle
-for tests.
+beyond these runs.  verify_degree2_kernel writes each trinomial only as a
+fiber row {fiber: coefficient}, and both kernel checks take these rows;
+Relation objects, tau and the sort key serve export, parse_ideal_json and
+the tests.  The symbolic check works one (Z/k)^n character block at a time,
+with no dense matrix: each row must lie in the kernel of its character's
+block of the evaluation map phi2 (a binomial's fiber coordinates are zero),
+and every rank is a sum of block ranks.  The independent pointwise check
+evaluates the degree-1 window at sampled points with curve.evaluation_matrix.
+phi2_matrix is the dense form, kept as an oracle for tests.
 
 export_ideal writes the JSON text that json.dumps(payload, indent=2) gives,
 byte for byte, without running the encoder: each variable is laid out once
@@ -149,8 +149,7 @@ def generate_trinomials(params: CurveParams) -> list[Relation]:
 
 # --- rewriting into the weight-2 basis ---------------------------------------
 
-@lru_cache(maxsize=None)
-def _reduce_cached(params: CurveParams, t: IndexTuple) -> tuple[tuple[IndexTuple, int], ...]:
+def _reduce(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]:
     k, p = params.k, params.p
     terms: dict[IndexTuple, int] = {t: 1}
     for j in range(1, params.n):
@@ -167,7 +166,7 @@ def _reduce_cached(params: CurveParams, t: IndexTuple) -> tuple[tuple[IndexTuple
                 new[up] = (new.get(up, 0) - c * lam_j) % p
                 new[up_r] = (new.get(up_r, 0) - c) % p
         terms = new
-    return tuple(sorted((s, c % p) for s, c in terms.items() if c % p))
+    return {s: c for s, c in terms.items() if c}
 
 
 def reduce_to_basis(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]:
@@ -181,7 +180,7 @@ def reduce_to_basis(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]
     t = tuple(t)
     if t not in minkowski_di1(params.k, params.n, 2):
         raise ParameterError(f"{t} is not a 2-fold sumset point")
-    out = dict(_reduce_cached(params, t))
+    out = _reduce(params, t)
     assert all(s in enumerate_im(params.k, params.n, 2) for s in out)
     return out
 
@@ -198,24 +197,24 @@ def phi2_matrix(params: CurveParams) -> np.ndarray:
     row = {s: i for i, s in enumerate(enumerate_im(k, n, 2).members)}
     mat = np.zeros((len(row), len(pairs)), dtype=np.int64)
     for t, (start, stop) in fibers.items():
-        for s, c in _reduce_cached(params, t):
+        for s, c in _reduce(params, t).items():
             mat[row[s], start:stop] = c
     return mat
 
 
 def _relations_vanish_at(
-    params: CurveParams, rels: list[Relation], points: list[AffinePoint]
+    params: CurveParams, rows: list[dict[IndexTuple, int]], points: list[AffinePoint]
 ) -> bool:
-    """Whether every binomial and every relation in rels evaluates to zero at
-    every point.
+    """Whether every binomial and every fiber row {fiber: coefficient} in
+    rows evaluates to zero at every point.
 
     The degree-1 window is evaluated once as a (points x variables) matrix.
     The binomials stay implicit: at each point every monomial's value
-    vals[i]*vals[j] must equal that of its fiber's first row.  The relations
-    are padded to a common term count with zero coefficients and checked as
-    one int64 expression.  The scan stops at the first point where a check
-    fails; one point at a time keeps the working set at a few monomial-sized
-    arrays.
+    vals[i]*vals[j] must equal that of its fiber's first row, so a row reads
+    fiber t at prod[fibers[t][0]].  The rows are padded to a common length
+    with zero coefficients and checked as one int64 expression.  The scan
+    stops at the first point where a check fails; one point at a time keeps
+    the working set at a few monomial-sized arrays.
     """
     p = params.p
     window = enumerate_im(params.k, params.n, 1).members
@@ -223,18 +222,15 @@ def _relations_vanish_at(
     runs = np.array(sorted(fibers.values()), dtype=np.intp)
     first = np.repeat(runs[:, 0], runs[:, 1] - runs[:, 0])
     mono_i, mono_j = pairs.T.astype(np.intp)  # an intp index is not converted per gather
-    var = {t: i for i, t in enumerate(window)}
-    width = max((len(rel.terms) for rel in rels), default=0)
-    coeff = np.zeros((len(rels), width), dtype=np.int64)
-    left = np.zeros((len(rels), width), dtype=np.intp)
-    right = np.zeros((len(rels), width), dtype=np.intp)
-    for i, rel in enumerate(rels):
-        for j, (c, (s, t)) in enumerate(rel.terms):
-            coeff[i, j], left[i, j], right[i, j] = c % p, var[s], var[t]
+    width = max(map(len, rows), default=0)
+    coeff = np.zeros((len(rows), width), dtype=np.int64)
+    at = np.zeros((len(rows), width), dtype=np.intp)
+    for r, row in enumerate(rows):
+        for j, (t, c) in enumerate(row.items()):
+            coeff[r, j], at[r, j] = c % p, fibers[t][0]
     for vals in evaluation_matrix(params, points, window):
         prod = vals[mono_i] * vals[mono_j] % p
-        terms = vals[left] * vals[right] % p * coeff % p
-        if np.any(prod != prod[first]) or np.any(terms.sum(axis=1) % p):
+        if np.any(prod != prod[first]) or np.any((prod[at] * coeff % p).sum(axis=1) % p):
             return False
     return True
 
@@ -249,9 +245,9 @@ def _character_blocks(
     pass over the character blocks.
 
     Each relation comes in fiber coordinates, {fiber: coefficient mod p},
-    where every binomial M - tau(t) is zero.  _reduce_cached moves
-    coordinates by multiples of k, so each fiber's phi2 column lies in its
-    own character's rows (a miss raises KeyError), and a relation vanishes
+    where every binomial M - tau(t) is zero.  _reduce moves coordinates
+    by multiples of k, so each fiber's phi2 column lies in its own
+    character's rows (a miss raises KeyError), and a relation vanishes
     iff each character's part of it is in the kernel of that character's
     phi2 block.  The product is reduced per term, so it is exact for every p
     that the ranks accept.  The binomials span every within-fiber
@@ -282,7 +278,7 @@ def _character_blocks(
         row = {s: i for i, s in enumerate(rows.get(h, ()))}
         phi2 = np.zeros((len(row), len(col)), dtype=np.int64)
         for t in ts:
-            for s, c in _reduce_cached(params, t):
+            for s, c in _reduce(params, t).items():
                 phi2[row[s], col[t]] = c
         phi2_rank += rank_mod_p_array(phi2, p)
         block = np.zeros((len(parts.get(h, ())), len(col)), dtype=np.int64)
@@ -341,16 +337,17 @@ KERNEL_POINTS = 50
 def verify_degree2_kernel(params: CurveParams) -> Degree2Report:
     """Run every degree-2 check and collect the outcome.
 
-    (a) each trinomial maps to zero in the weight-2 basis (its fiber
-        coordinates against each character's phi2 block, exactly mod p; a
-        binomial has none), and every binomial and trinomial evaluates to
-        zero at KERNEL_POINTS curve points;
+    (a) each trinomial's fiber row, built once, maps to zero in the weight-2
+        basis (against each character's phi2 block, exactly mod p; a
+        binomial's row is zero), and every binomial and trinomial row
+        evaluates to zero at KERNEL_POINTS curve points;
     (b) the relation span has rank dim S_2 - dim V_2 (with the evaluation
         matrix itself of full rank dim V_2), both ranks summed over the
         character blocks;
     (c) the surviving-fiber count from the shifted C_i sets equals both the
         weight-2 window size and dim S_2 - span rank;
-    (d) each trinomial's order-maximal term is its lam_i-term.
+    (d) each trinomial's order-maximal term is its lam_i-term, the first of
+        its three distinct fibers, which monomial_sort_key compares first.
     Raises InsufficientPointsError when the prime is too small for (a).
     """
     k, n, p = params.k, params.n, params.p
@@ -358,7 +355,7 @@ def verify_degree2_kernel(params: CurveParams) -> Degree2Report:
     pairs, fibers = _degree2_data(k, n)
     dim_s2 = len(pairs)
     assert dim_s2 == total_degree_d_monomials(k, n, 2)
-    tris = generate_trinomials(params)
+    rows = [row for _, row in _trinomial_rows(params)]
 
     # (a) pointwise: evaluate every relation at sampled points.
     points, shortfall = sample_points(params, KERNEL_POINTS)
@@ -366,12 +363,11 @@ def verify_degree2_kernel(params: CurveParams) -> Degree2Report:
         raise InsufficientPointsError(
             f"only {len(points)} points over p = {p}, wanted {KERNEL_POINTS}"
         )
-    point_kernel_ok = _relations_vanish_at(params, tris, points)
+    point_kernel_ok = _relations_vanish_at(params, rows, points)
 
     # (a) symbolic and (b) the phi2 and span ranks, one pass over the
     # character blocks.
-    symbolic_kernel_ok, phi2_rank, per_char = _character_blocks(
-        params, [row for _, row in _trinomial_rows(params)])
+    symbolic_kernel_ok, phi2_rank, per_char = _character_blocks(params, rows)
     span_rank = sum(per_char.values())
     span_rank_ok = phi2_rank == d2 and span_rank == dim_s2 - d2
 
@@ -383,17 +379,16 @@ def verify_degree2_kernel(params: CurveParams) -> Degree2Report:
         and standard_count == dim_s2 - span_rank
     )
 
-    # (d) initial terms of trinomials.
+    # (d) initial terms of trinomials, read off the fibers.
     trinomial_initial_ok = all(
-        max((mono for _, mono in rel.terms), key=monomial_sort_key) == rel.terms[0][1]
-        for rel in tris
+        max(row, key=lambda s: (-s[0], *s[1:])) == next(iter(row)) for row in rows
     )
 
     return Degree2Report(
         p=p,
         dim_s2=dim_s2,
         n_binomials=dim_s2 - len(fibers),
-        n_trinomials=len(tris),
+        n_trinomials=len(rows),
         phi2_rank=phi2_rank,
         ker_dim=dim_s2 - phi2_rank,
         span_rank=span_rank,
@@ -499,15 +494,18 @@ def parse_ideal_json(text: str) -> dict:
     rebuilt as Relation objects under keys "binomials"/"trinomials".  A
     missing key or a malformed relation raises ParameterError."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ParameterError("ideal payload is not a JSON object")
     missing = sorted({"k", "n", "p", "lambda", "variables", "binomials", "trinomials"} - set(data))
     if missing:
         raise ParameterError(f"ideal payload lacks {', '.join(missing)}")
     k, n = data["k"], data["n"]
 
     def rebuild(raw: list[dict], kind: str, size: int) -> Relation:
-        terms = tuple(
-            (item["coeff"], tuple(tuple(f) for f in item["factors"])) for item in raw
-        )
+        try:  # a term that is not {"coeff": ..., "factors": ...} leaves no terms
+            terms = tuple((item["coeff"], tuple(map(tuple, item["factors"]))) for item in raw)
+        except (KeyError, TypeError):
+            terms = ()
         if len(terms) != size or any(
             len(mono) != 2 or any(len(f) != n for f in mono) for _, mono in terms
         ):

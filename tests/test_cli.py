@@ -261,6 +261,23 @@ def test_export_cas_text_to_file(tmp_path, capsys):
     assert text.count("\n") >= 33
 
 
+REFERENCE = os.path.join(os.path.dirname(__file__), "reference")
+
+
+# stdout and exit codes of a few cheap commands, recorded once: any change in
+# what a command prints shows here.
+@pytest.mark.parametrize("argv, code, name", [
+    ("verify --k 3 --n 3 --seed 1", 0, "verify_k_3_n_3_seed_1"),
+    ("verify --k 5 --n 2 --seed 1", 0, "verify_k_5_n_2_seed_1"),
+    ("verify --k 2 --n 5 --seed 1", 0, "verify_k_2_n_5_seed_1"),
+    ("export --k 3 --n 3 --format cas-text", 0, "export_k_3_n_3_cas-text"),
+])
+def test_reference_output(capsys, argv, code, name):
+    with open(os.path.join(REFERENCE, name + ".txt")) as fh:
+        expected = fh.read()
+    assert run(capsys, *argv.split())[:2] == (code, expected)
+
+
 def test_export_rejects_pretty(capsys):
     code, _, err = run(
         capsys, "export", "--k", "3", "--n", "3", "--format", "pretty"

@@ -182,11 +182,36 @@ def test_trinomial_counts_frozen():
 
 
 def test_trinomial_initial_term_is_lambda_term():
+    # monomial_sort_key is the reference for the term order; verify reads the
+    # maximal term off the three fibers alone, by (-t[0], *t[1:]).
     for (k, n) in [(3, 3), (2, 5), (3, 4)]:
         pp = make_curve_params(k, n)
         for rel in generate_trinomials(pp):
-            top = max((m for _, m in rel.terms), key=monomial_sort_key)
-            assert top == rel.terms[0][1]
+            monos = [m for _, m in rel.terms]
+            top = max(monos, key=monomial_sort_key)
+            assert top == monos[0]
+            by_fiber = max(map(index_sum, monos), key=lambda t: (-t[0], *t[1:]))
+            assert by_fiber == index_sum(top)
+
+
+def test_trinomial_initial_check_can_fail(monkeypatch):
+    # One row that lists its down fiber first: the same relation, so only
+    # check (d) sees it.
+    trinomial_rows = ideal._trinomial_rows
+
+    def down_first(params):
+        rows = trinomial_rows(params)
+        i, row = rows[0]
+        (t, lam), (up, _), (down, _) = row.items()
+        rows[0] = (i, {down: 1, t: lam, up: 1})
+        return rows
+
+    pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
+    monkeypatch.setattr(ideal, "_trinomial_rows", down_first)
+    rep = verify_degree2_kernel(pp)
+    assert rep.symbolic_kernel_ok and rep.point_kernel_ok and rep.span_rank_ok
+    assert not rep.trinomial_initial_ok
+    assert not rep.passed
 
 
 def test_relation_character_is_shared():
@@ -366,7 +391,7 @@ def test_sparse_kernel_check_matches_dense_oracle(k, n, p):
     pts, short = sample_points(pp, 50)
     assert not short
     for rels, expected in kernel_cases(pp):
-        assert _relations_vanish_at(pp, rels, pts) == symbolic(pp, rels) == expected
+        assert _relations_vanish_at(pp, fiber_rows(rels), pts) == symbolic(pp, rels) == expected
         assert dense(pp, rels) == expected
     assert _relations_vanish_at(pp, [], pts)
 
@@ -389,7 +414,8 @@ def test_symbolic_kernel_check_is_exact_at_the_largest_prime():
 def test_verify_reads_each_fiber_once(monkeypatch):
     # The degree-2 data are one lexsort over window-index pairs: no sort key
     # or index sum per monomial.  verify reads the fiber runs instead of
-    # summing indices again, and never writes the binomials out.
+    # summing indices again, writes no relation out as monomials, and builds
+    # the trinomial rows once.
     calls = []
 
     def spy(fn):
@@ -400,18 +426,18 @@ def test_verify_reads_each_fiber_once(monkeypatch):
 
     pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
     ideal._degree2_data.cache_clear()
-    for fn in (monomial_sort_key, index_sum, generate_binomials):
+    for fn in (monomial_sort_key, index_sum, generate_binomials, tau, generate_trinomials,
+               ideal._trinomial_rows):
         monkeypatch.setattr(ideal, fn.__name__, spy(fn))
     ideal._degree2_data(3, 4)
     assert calls == []
-    monkeypatch.setattr(ideal, "monomial_sort_key", monomial_sort_key)
     assert verify_degree2_kernel(pp).passed
-    assert calls == []
+    assert calls == [("_trinomial_rows", (pp,))]
 
 
 def test_verify_builds_no_binomial_relation(monkeypatch):
-    # Relation objects on the verify path are the trinomials only; the
-    # binomials stay the fiber runs of the degree-2 data.
+    # verify builds no Relation object at all: the binomials stay the fiber
+    # runs of the degree-2 data, the trinomials fiber rows.
     kinds = []
 
     class Spy(Relation):
@@ -422,7 +448,8 @@ def test_verify_builds_no_binomial_relation(monkeypatch):
     monkeypatch.setattr(ideal, "Relation", Spy)
     rep = verify_degree2_kernel(next(suitable_params(3, 4, KERNEL_POINTS, seed=1)))
     assert rep.passed and rep.n_binomials == 1150
-    assert kinds == ["trinomial"] * rep.n_trinomials
+    assert rep.n_trinomials == 267
+    assert kinds == []
 
 
 def sorted_key_route(k, n):
@@ -599,18 +626,35 @@ def _long_factor(data):
     data["binomials"][0][0]["factors"][0].append(0)
 
 
+def _term_without_coeff(data):
+    del data["binomials"][0][0]["coeff"]
+
+
+def _term_as_list(data):
+    term = data["trinomials"][0][1]
+    data["trinomials"][0][1] = [term["coeff"], term["factors"]]
+
+
 @pytest.mark.parametrize("corrupt,named", [
     (_cut_trinomial, "trinomial"),
     (_drop_binomials, "binomials"),
     (_one_term_binomial, "binomial"),
     (_binomial_across_fibers, "binomial"),
     (_long_factor, "binomial"),
+    (_term_without_coeff, "binomial"),
+    (_term_as_list, "trinomial"),
 ])
 def test_parse_ideal_json_rejects_a_malformed_payload(corrupt, named):
     data = json.loads(export_ideal(make_curve_params(3, 3, p=103), "json"))
     corrupt(data)
     with pytest.raises(ParameterError, match=named):
         parse_ideal_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("text", ["5", "[]", '"ideal"', "null"])
+def test_parse_ideal_json_rejects_a_payload_that_is_not_an_object(text):
+    with pytest.raises(ParameterError, match="payload"):
+        parse_ideal_json(text)
 
 
 def test_export_cas_text():
