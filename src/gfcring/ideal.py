@@ -507,10 +507,11 @@ def parse_ideal_json(text: str) -> dict:
         except (KeyError, TypeError):
             terms = ()
         if len(terms) != size or any(
-            len(mono) != 2 or any(len(f) != n for f in mono) for _, mono in terms
+            len(mono) != 2 or any(len(f) != n or not all(isinstance(c, int) for c in f)
+                                  for f in mono) for _, mono in terms
         ):
             raise ParameterError(f"{kind} {raw} is not {size} products of two "
-                                 f"length-{n} index tuples")
+                                 f"length-{n} integer index tuples")
         fibers = [index_sum(mono) for _, mono in terms]
         if kind == "binomial":
             if fibers[0] != fibers[1]:
@@ -523,6 +524,9 @@ def parse_ideal_json(text: str) -> dict:
                                  f"a-coordinate by k = {k}")
         return Relation(terms, kind, index=drop.index(k))
 
+    for kind in ("binomials", "trinomials"):
+        if not isinstance(data[kind], list):
+            raise ParameterError(f"{kind} is not a list of relations")
     return {
         "k": k,
         "n": n,

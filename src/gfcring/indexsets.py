@@ -199,49 +199,6 @@ def count_partitions(k: int, n: int, d: int, t: IndexTuple) -> int:
     return go(d, tuple(t), 0)
 
 
-def partition_count_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
-    """count_partitions for every target at once, as a dict.
-
-    Classic coin-change dynamic program over the sorted window (ascending
-    multiset sizes per item count repeats exactly once).  Tuples are packed
-    into single integers of 16 bits per coordinate; a d-fold sum has
-    coordinates at most d * max((n-1)(k-1) - 2, k - 1), and when that reaches
-    2^16, packed addition would carry, so ParameterError is raised instead.
-    """
-    if d < 1:
-        raise ParameterError(f"need d >= 1, got {d}")
-    shift = 16
-    top = d * max((n - 1) * (k - 1) - 2, k - 1)
-    if top >= 1 << shift:
-        raise ParameterError(f"a {d}-fold sum for (k, n) = ({k}, {n}) has coordinates "
-                             f"up to {top}, beyond the 2^{shift} packing limit")
-    items = enumerate_im(k, n, 1).members
-
-    def pack(t: IndexTuple) -> int:
-        code = 0
-        for c in t:
-            code = (code << shift) | c
-        return code
-
-    def unpack(code: int) -> IndexTuple:
-        out = []
-        for _ in range(n):
-            out.append(code & ((1 << shift) - 1))
-            code >>= shift
-        return tuple(reversed(out))
-
-    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(d)]
-    for v in items:
-        code = pack(v)
-        for j in range(1, d + 1):
-            lower = layers[j - 1]
-            layer = layers[j]
-            for s, c in lower.items():
-                key = s + code
-                layer[key] = layer.get(key, 0) + c
-    return {unpack(s): c for s, c in layers[d].items()}
-
-
 def total_degree_d_monomials(k: int, n: int, d: int) -> int:
     """dim of the degree-d symmetric power of a g-dimensional space."""
     g = dim_vm(k, n, 1)

@@ -8,8 +8,9 @@ the basis element at (r, a) in weight m is ((r + m) mod k, (-a) mod k).
 Multiplicities:
   - nu(m, h): copies of the character h in the weight-m differentials;
     counted brute-force on the index window, or by the closed formula.
-  - mu(d, h): copies of h in the degree-d part of the polynomial ring,
-    summed over the congruence stratum J_h of the d-fold sumset.
+  - mu(d, h): copies of h in Sym^d of the degree-1 characters (characters
+    add under multiplication); mu_table works in the group ring of (Z/k)^n,
+    mu counts partitions over the stratum J_h of the d-fold sumset.
   - syzygy(d, h) = mu - nu: copies of h among degree-d relations.
 """
 
@@ -18,16 +19,17 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from .curve import apply_group, evaluate_theta, sample_points
 from .indexsets import (
     IndexTuple,
     count_partitions,
     enumerate_im,
     enumerate_jd,
-    partition_count_table,
     total_degree_d_monomials,
 )
-from .params import CurveParams, ParameterError
+from .params import CurveParams, ParameterError, dim_vm
 
 
 def action_exponent(k: int, m: int, t: IndexTuple, g: IndexTuple) -> int:
@@ -98,11 +100,58 @@ def nu_table(k: int, n: int, m: int, closed: bool = True) -> dict[IndexTuple, in
     return vals
 
 
+def _cayley_difference(k: int, n: int) -> np.ndarray:
+    """diff[y, x] = position of x - y in all_labels(k, n)."""
+    z = (np.arange(k)[None, :] - np.arange(k)[:, None]) % k
+    diff = np.zeros((1, 1), dtype=np.intp)
+    for _ in range(n):
+        diff = (diff[:, None, :, None] * k + z[None, :, None, :]).reshape(k * len(diff), -1)
+    return diff
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """(a * b)[h] = sum over chi of a[chi] b[h - chi] on (Z/k)^n, with both
+    shaped (k, k^(n-1)): per leading coordinate x0, one gather of a[x0]
+    through the Cayley table `diff` of (Z/k)^(n-1) and one roll by x0."""
+    out = np.zeros_like(b)
+    for x0, row in enumerate(a):
+        out += np.roll(b @ row[diff], x0, axis=0)
+    return out
+
+
 def mu_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
-    """All k^n symmetric-power multiplicities via the bulk partition table."""
-    vals = {h: 0 for h in all_labels(k, n)}
-    for t, cnt in partition_count_table(k, n, d).items():
-        vals[character_of(k, d, t)] += cnt
+    """All k^n multiplicities of Sym^d(V_1), V_1 being the degree-1 window
+    members bucketed by character.
+
+    In the group ring of (Z/k)^n, Newton's identity d h_d = sum over
+    i = 1..d of psi^i * h_{d-i} gives h_d exactly; psi^i buckets the members
+    by i times their character, so it depends on i mod k only, and the terms
+    i = i0, i0 + k, ... are one convolution with the running sum of h_m over
+    m = d - i0 (mod k).  Every partial sum is nonnegative and at most
+    d * comb(g + d - 1, d): ParameterError before any allocation when that
+    reaches 2^63.
+    """
+    if d < 1:
+        raise ParameterError(f"need d >= 1, got {d}")
+    g = dim_vm(k, n, 1)
+    bound = d  # times comb(g - 1 + d, min(d, g - 1)): exact factors, each >= 2
+    for j in range(1, min(d, g - 1, 63) + 1):
+        bound = bound * (max(d, g - 1) + j) // j
+    if bound >= 1 << 63:
+        raise ParameterError(f"degree-{d} multiplicities at (k, n) = ({k}, {n}) need sums up to "
+                             f"{d} * comb({g + d - 1}, {d}), beyond the int64 limit 2^63")
+    chars = np.array([character_of(k, 1, t) for t in enumerate_im(k, n, 1)],
+                     dtype=np.int64).reshape(-1, n)
+    psi = [np.bincount(np.ravel_multi_index((i * chars % k).T, (k,) * n),
+                       minlength=k ** n).reshape(k, -1) for i in range(k)]
+    diff = _cayley_difference(k, n - 1)
+    h = np.eye(1, k ** n, dtype=np.int64).reshape(k, -1)  # the identity, h_0
+    sums = [np.zeros_like(h) for _ in range(k)]  # sums[s]: h_m over m < j, m = s mod k
+    for j in range(1, d + 1):
+        sums[(j - 1) % k] += h
+        h = sum(_convolve(psi[i % k], sums[(j - i) % k], diff)
+                for i in range(1, min(j, k) + 1)) // j
+    vals = dict(zip(all_labels(k, n), h.ravel().tolist()))
     assert sum(vals.values()) == total_degree_d_monomials(k, n, d)
     return vals
 

@@ -400,10 +400,14 @@ def test_large_prime_exits_zero(capsys, argv, key, value):
 # own flags and one stray flag, values drawn from small ints, negatives and
 # junk.  Curves and grids stay at k, n <= 3 so that each run is fast, and
 # --out is left out so that nothing is written.
-INTS = st.sampled_from(["3", "3", "2", "1", "0", "-1", "x", "", "1.5"])
+INT_VALUES = ["3", "3", "2", "1", "0", "-1", "x", "", "1.5"]
+INTS = st.sampled_from(INT_VALUES)
+# A degree also runs a long multiplicity recurrence (80) or meets its int64
+# guard (40000, for mu and syzygy).
+DEGREES = st.sampled_from(INT_VALUES + ["80", "40000"])
 LABELS = st.sampled_from(["1,51", "1,2", "0,0,0", "4,5,6", "1,1", "1,-2", "", "x"])
 FLAG_VALUES = {
-    "--k": INTS, "--n": INTS, "--m": INTS, "--d": INTS, "--seed": INTS,
+    "--k": INTS, "--n": INTS, "--m": INTS, "--d": DEGREES, "--seed": INTS,
     "--kmax": INTS, "--nmax": INTS, "--mmax": INTS,
     "--kind": st.sampled_from(["nu", "mu", "syzygy", "x"]),
     "--format": st.sampled_from(["json", "pretty", "cas-text", "x"]),

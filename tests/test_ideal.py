@@ -635,6 +635,14 @@ def _term_as_list(data):
     data["trinomials"][0][1] = [term["coeff"], term["factors"]]
 
 
+def _binomials_not_a_list(data):
+    data["binomials"] = 5
+
+
+def _factor_entry_not_an_int(data):
+    data["trinomials"][0][1]["factors"][0][0] = "x"
+
+
 @pytest.mark.parametrize("corrupt,named", [
     (_cut_trinomial, "trinomial"),
     (_drop_binomials, "binomials"),
@@ -643,6 +651,8 @@ def _term_as_list(data):
     (_long_factor, "binomial"),
     (_term_without_coeff, "binomial"),
     (_term_as_list, "trinomial"),
+    (_binomials_not_a_list, "binomials"),
+    (_factor_entry_not_an_int, "trinomial"),
 ])
 def test_parse_ideal_json_rejects_a_malformed_payload(corrupt, named):
     data = json.loads(export_ideal(make_curve_params(3, 3, p=103), "json"))

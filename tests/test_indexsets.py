@@ -1,4 +1,7 @@
-"""Window enumeration, sumsets, relation sets, and partition counting."""
+"""Window enumeration, sumsets, relation sets, and partition counting.
+
+partition_count_table, the lattice dynamic program, lives here as the oracle
+for reps.mu_table, which counts in the group ring of (Z/k)^n instead."""
 
 import random
 from math import comb
@@ -6,6 +9,7 @@ from math import comb
 import pytest
 
 from gfcring.indexsets import (
+    IndexTuple,
     count_im,
     count_partitions,
     enumerate_ci,
@@ -13,13 +17,13 @@ from gfcring.indexsets import (
     enumerate_jd,
     member_im,
     minkowski_di1,
-    partition_count_table,
     shifted_ci_union,
     standard_set,
     standard_set_identity,
     total_degree_d_monomials,
 )
 from gfcring.params import ParameterError, dim_vm, genus
+from gfcring.reps import all_labels, character_of, mu_table, nu_table, syzygy_table
 
 GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
 DIRECT_SUM_CURVES = GRID + [(5, 3), (2, 7)]
@@ -187,6 +191,80 @@ def test_partition_totals():
             total = sum(count_partitions(k, n, d, t) for t in minkowski_di1(k, n, d))
             assert total == comb(g + d - 1, d)
             assert total_degree_d_monomials(k, n, d) == comb(g + d - 1, d)
+
+
+def partition_count_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
+    """count_partitions for every target at once, as a dict.
+
+    Classic coin-change dynamic program over the sorted window (ascending
+    multiset sizes per item count repeats exactly once).  Tuples are packed
+    into single integers of 16 bits per coordinate; a d-fold sum has
+    coordinates at most d * max((n-1)(k-1) - 2, k - 1), and when that reaches
+    2^16, packed addition would carry, so ParameterError is raised instead.
+    """
+    if d < 1:
+        raise ParameterError(f"need d >= 1, got {d}")
+    shift = 16
+    top = d * max((n - 1) * (k - 1) - 2, k - 1)
+    if top >= 1 << shift:
+        raise ParameterError(f"a {d}-fold sum for (k, n) = ({k}, {n}) has coordinates "
+                             f"up to {top}, beyond the 2^{shift} packing limit")
+    items = enumerate_im(k, n, 1).members
+
+    def pack(t: IndexTuple) -> int:
+        code = 0
+        for c in t:
+            code = (code << shift) | c
+        return code
+
+    def unpack(code: int) -> IndexTuple:
+        out = []
+        for _ in range(n):
+            out.append(code & ((1 << shift) - 1))
+            code >>= shift
+        return tuple(reversed(out))
+
+    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(d)]
+    for v in items:
+        code = pack(v)
+        for j in range(1, d + 1):
+            lower = layers[j - 1]
+            layer = layers[j]
+            for s, c in lower.items():
+                key = s + code
+                layer[key] = layer.get(key, 0) + c
+    return {unpack(s): c for s, c in layers[d].items()}
+
+
+def lattice_mu_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
+    """mu_table over the d-fold sumset: every point's partition count, added
+    to the character of that point."""
+    vals = {h: 0 for h in all_labels(k, n)}
+    for t, cnt in partition_count_table(k, n, d).items():
+        vals[character_of(k, d, t)] += cnt
+    return vals
+
+
+@pytest.mark.parametrize("k, n, d", [
+    *((k, n, d) for k, n in [(2, 4), (3, 3), (4, 2), (3, 4), (4, 3), (2, 5)] for d in (1, 2, 3)),
+    (4, 4, 2), (3, 5, 2),
+])
+def test_mu_table_matches_lattice_dp(k, n, d):
+    assert mu_table(k, n, d) == lattice_mu_table(k, n, d)
+
+
+def test_dim_i3_frozen_by_two_routes():
+    # dim I_3 = sum of syzygy_table(k, n, 3), the count of cubic relations;
+    # the group-ring and the lattice routes agree label by label.  (4,2) is
+    # the plane quartic, whose ideal starts in degree 4; (5,2) is the plane
+    # quintic, whose cubics are not all products of quadrics.
+    frozen = {(2, 4): 15, (3, 3): 175, (2, 5): 889, (4, 3): 6385, (3, 4): 28990,
+              (2, 6): 20585, (5, 3): 75701, (5, 2): 31, (4, 2): 0}
+    for (k, n), dim_i3 in frozen.items():
+        table = syzygy_table(k, n, 3)
+        nu = nu_table(k, n, 3)
+        assert table == {h: v - nu[h] for h, v in lattice_mu_table(k, n, 3).items()}, (k, n)
+        assert sum(table.values()) == dim_i3, (k, n)
 
 
 def test_partition_table_matches_per_point_counts():

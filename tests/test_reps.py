@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from gfcring.params import dim_vm, make_curve_params
+from gfcring.params import ParameterError, dim_vm, make_curve_params
 from gfcring.reps import (
     action_exponent,
     all_labels,
@@ -85,6 +85,33 @@ def test_mu_equals_nu_in_degree_one():
         brute = nu_table(k, n, 1, closed=False)
         for h in all_labels(k, n):
             assert mu(k, n, 1, h) == brute[h]
+    for (k, n) in GRID + [(5, 2), (2, 5)]:
+        assert mu_table(k, n, 1) == nu_table(k, n, 1, closed=False), (k, n)
+
+
+def test_mu_table_matches_dfs_mu():
+    # the group-ring table against the per-label depth-first partition count
+    for (k, n, d) in [(3, 3, 2), (3, 3, 3), (2, 4, 3), (4, 2, 3), (3, 4, 2)]:
+        table = mu_table(k, n, d)
+        for h in all_labels(k, n)[::5]:
+            assert table[h] == mu(k, n, d, h), (k, n, d, h)
+
+
+@pytest.mark.usefixtures("hang_guard")
+def test_mu_table_high_degree():
+    # far past the degrees the lattice dynamic program reaches in seconds
+    assert sum(mu_table(3, 3, 80).values()) == 635627275767 == comb(89, 80)
+
+
+def test_mu_table_int64_guard():
+    # every partial sum of the recurrence is at most d * comb(g + d - 1, d):
+    # at (3,3), g = 10, that fits int64 up to d = 278 and no further
+    assert sum(mu_table(3, 3, 278).values()) == comb(287, 278)
+    for d in (279, 40000, 10**30):
+        with pytest.raises(ParameterError, match="2\\^63"):
+            mu_table(3, 3, d)
+    with pytest.raises(ParameterError):
+        mu_table(3, 3, 0)
 
 
 def test_mu_totals():
