@@ -2,9 +2,10 @@
 
 A point is (x, y_2, ..., y_n) with lam[j-1] + x^k + y_{j+1}^k = 0 for every
 j; points with any y coordinate equal to 0 are branch points and are never
-sampled, since evaluation inverts the y's.  evaluate_theta is the scalar
-reference; evaluation_matrix is the vectorized kernel that the basis rank
-check and the degree-2 point check both use.
+sampled, since evaluation inverts the y's.  evaluation_matrix is the one
+evaluation kernel: the basis rank checks, the degree-2 point check and the
+equivariance check all use it.  evaluate_theta is the scalar reference that
+the tests compare it against.
 
 Divisors are integer vectors (c_0, c_1, ..., c_n) of coefficients on the
 n+1 branch-point classes D_0 (over x = infinity), D_1 (over x = 0) and D_j

@@ -12,16 +12,18 @@ Multiplicities:
     add under multiplication); mu_table works in the group ring of (Z/k)^n,
     mu counts partitions over the stratum J_h of the d-fold sumset.
   - syzygy(d, h) = mu - nu: copies of h among degree-d relations.
+
+check_equivariance tests character_of on the generators' action through
+curve.evaluation_matrix; action_exponent is the tests' scalar reference.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
 import numpy as np
 
-from .curve import apply_group, evaluate_theta, sample_points
+from .curve import InsufficientPointsError, apply_group, evaluation_matrix, sample_points
 from .indexsets import (
     IndexTuple,
     count_partitions,
@@ -157,38 +159,31 @@ def mu_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
 
 
 def syzygy_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
-    mu_t = mu_table(k, n, d)
-    nu_t = nu_table(k, n, d)
-    vals = {}
-    for h in all_labels(k, n):
-        v = mu_t[h] - nu_t[h]
-        assert v >= 0, f"negative relation multiplicity at (k={k}, n={n}, d={d}, h={h})"
-        vals[h] = v
-    return vals
+    """mu - nu for every label, unchecked: a negative count is left for the
+    callers to report (syzygy_multiplicity asserts it per label)."""
+    mu_t, nu_t = mu_table(k, n, d), nu_table(k, n, d)
+    return {h: mu_t[h] - nu_t[h] for h in all_labels(k, n)}
 
 
-def check_equivariance(params: CurveParams, trials: int, seed: int = 0) -> bool:
-    """Compare the action scalar with the evaluation ratio at random data.
-
-    For random (point, group element, window member) the translate's value
-    must equal zeta^(action_exponent - m*e_1) times the original value; the
-    m*e_1 correction removes the tensor-factor weight, which evaluation
-    omits.  The weight m is drawn from 1..3.
+def check_equivariance(params: CurveParams) -> bool:
+    """True iff character_of gives the geometric action on every window member
+    t of weights m = 1..3: at 25 points, translating by the generator e_j
+    scales the value by zeta^(h_j - m [j = 0]), h = character_of(k, m, t);
+    the m [j = 0] removes the tensor weight, which evaluation omits.  The
+    generators suffice, as apply_group scales each coordinate by a power of
+    zeta and the exponent is linear in g.  Raises InsufficientPointsError
+    when the prime has no points.
     """
     k, n, p, zeta = params.k, params.n, params.p, params.zeta
     points, _ = sample_points(params, 25)
     if not points:
-        raise RuntimeError(f"no affine points over p = {p}")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        m = rng.randint(1, 3)
-        basis = enumerate_im(k, n, m).members
-        t = basis[rng.randrange(len(basis))]
-        g = tuple(rng.randrange(k) for _ in range(n))
-        pt = points[rng.randrange(len(points))]
-        lhs = evaluate_theta(params, apply_group(params, pt, g), t)
-        e = (action_exponent(k, m, t, g) - m * g[0]) % k
-        rhs = pow(zeta, e, p) * evaluate_theta(params, pt, t) % p
-        if lhs != rhs:
-            return False
-    return True
+        raise InsufficientPointsError(f"no affine points over p = {p}")
+    moved = [apply_group(params, pt, g) for g in np.eye(n, dtype=int).tolist()
+             for pt in points]
+    basis = [(m, t) for m in (1, 2, 3) for t in enumerate_im(k, n, m)]
+    vals = evaluation_matrix(params, points + moved, [t for _, t in basis])
+    vals = vals.reshape(n + 1, len(points), len(basis))
+    exps = np.array([character_of(k, m, t) for m, t in basis]).reshape(-1, n)
+    exps[:, 0] -= [m for m, _ in basis]
+    scale = np.array([pow(zeta, e, p) for e in range(k)], dtype=np.int64)[exps % k]
+    return all(np.array_equal(vals[j + 1], vals[0] * scale[:, j] % p) for j in range(n))

@@ -164,9 +164,9 @@ def test_criterion_7_evaluation_representation_consistency():
     ok = True
     for (k, n) in KERNEL_CURVES:
         pp = next(suitable_params(k, n, 25))
-        ok = ok and check_equivariance(pp, 100, seed=2026)
+        ok = ok and check_equivariance(pp)
     elapsed = time.perf_counter() - t0
-    _report(7, ok, elapsed, 30.0, "100 random action/evaluation ratios per curve")
+    _report(7, ok, elapsed, 30.0, "character_of = generator action at 25 points, m <= 3")
     assert ok and elapsed < 30.0
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfcring
-from gfcring import curve, ideal, indexsets
+from gfcring import curve, ideal, indexsets, reps
 from gfcring.cli import main
 from gfcring.ideal import export_ideal, parse_ideal_json
 from gfcring.indexsets import shifted_ci_union
@@ -150,6 +150,33 @@ def test_verify_builds_standard_set_once(capsys, monkeypatch):
     code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
     assert code == 0 and rep["passed"]
     assert calls == [(4, 4)]
+
+
+def test_verify_evaluates_through_the_matrix_kernel_only(capsys, monkeypatch):
+    # The equivariance check reads character_of through evaluation_matrix;
+    # the scalar references stay for the tests alone.
+    def refuse(*args):
+        raise AssertionError("scalar reference called")
+
+    monkeypatch.setattr(curve, "evaluate_theta", refuse)
+    monkeypatch.setattr(reps, "action_exponent", refuse)
+    code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
+    assert code == 0 and rep["passed"] and rep["equivariance_ok"]
+
+
+def test_verify_reports_a_negative_syzygy_count(capsys, monkeypatch):
+    # nu inflated at the trivial character drives mu - nu below zero there:
+    # verify and the grid report it as a failed check, not a traceback.
+    nu_closed = reps.nu_closed
+    monkeypatch.setattr(reps, "nu_closed",
+                        lambda k, n, m, h: nu_closed(k, n, m, h) + 10 * (not any(h)))
+    code, rep, err = run_json(capsys, "verify", "--k", "3", "--n", "3")
+    assert code == 1 and rep["per_character_ok"] is False and not err
+    code, rep, err = run_json(capsys, "verify", "--grid", "--kmax", "3", "--nmax", "4",
+                              "--mmax", "2")
+    assert code == 1 and not err
+    negative = {(row["k"], row["n"]) for row in rep["rows"] if not row["syzygy_nonneg_ok"]}
+    assert negative == {(2, 4), (3, 3)}
 
 
 def test_verify_pinned_prime(capsys):

@@ -5,6 +5,8 @@ from math import comb
 
 import pytest
 
+from gfcring import reps
+from gfcring.curve import sample_points, suitable_params
 from gfcring.params import ParameterError, dim_vm, make_curve_params
 from gfcring.reps import (
     action_exponent,
@@ -142,13 +144,26 @@ def test_syzygy_frozen_totals():
 
 
 def test_check_equivariance():
-    for (k, n) in [(3, 3), (2, 4), (4, 2)]:
-        pp = make_curve_params(k, n)
-        assert check_equivariance(pp, 100, seed=0)
-        assert check_equivariance(pp, 50, seed=99)
+    for (k, n) in [(3, 3), (2, 4), (4, 2), (5, 3)]:
+        for seed in (None, 1):
+            assert check_equivariance(next(suitable_params(k, n, 25, seed=seed)))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda k, m, t: ((t[0] + m + 1) % k, *((-aj) % k for aj in t[1:])),  # x-part off by one
+    lambda k, m, t: ((t[0] + m) % k, *(aj % k for aj in t[1:])),  # y-part sign flipped
+])
+def test_check_equivariance_catches_a_wrong_character(monkeypatch, corrupt):
+    # The check tests character_of itself, on every window member, so either
+    # corruption fails it; at (5,3) all 25 sampled points lie in one x-fiber.
+    curves = {(k, n): next(suitable_params(k, n, 25)) for k, n in [(3, 3), (4, 2), (5, 3)]}
+    assert len({pt.x for pt in sample_points(curves[5, 3], 25)[0]}) == 1
+    monkeypatch.setattr(reps, "character_of", corrupt)
+    for pp in curves.values():
+        assert not check_equivariance(pp)
 
 
 def test_check_equivariance_needs_points():
     pp = make_curve_params(3, 4, p=127)  # no usable points at this prime
     with pytest.raises(RuntimeError):
-        check_equivariance(pp, 5)
+        check_equivariance(pp)
