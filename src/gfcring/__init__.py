@@ -16,7 +16,6 @@ from .curve import (
     suitable_params,
 )
 from .ideal import (
-    Degree2Report,
     Relation,
     compare_monomials,
     export_ideal,

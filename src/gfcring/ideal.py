@@ -22,7 +22,9 @@ with no dense matrix: each row must lie in the kernel of its character's
 block of the evaluation map phi2 (a binomial's fiber coordinates are zero),
 and every rank is a sum of block ranks.  The independent pointwise check
 evaluates the degree-1 window at sampled points with curve.evaluation_matrix.
-phi2_matrix is the dense form, kept as an oracle for tests.
+phi2_matrix is the dense form, kept as an oracle for tests.  The verdict
+is a plain dict, which the verify command prints per prime as it is, with
+only the character labels joined into strings.
 
 export_ideal writes the JSON text that json.dumps(payload, indent=2) gives,
 byte for byte, without running the encoder: each variable is laid out once
@@ -301,41 +303,17 @@ def span_rank_by_character(params: CurveParams) -> dict[IndexTuple, int]:
 
 # --- the verification report ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Degree2Report:
-    p: int
-    dim_s2: int
-    n_binomials: int
-    n_trinomials: int
-    phi2_rank: int
-    ker_dim: int
-    span_rank: int
-    standard_count: int
-    points_used: int
-    symbolic_kernel_ok: bool
-    point_kernel_ok: bool
-    span_rank_ok: bool
-    standard_count_ok: bool
-    trinomial_initial_ok: bool
-    per_character: tuple[tuple[IndexTuple, int], ...]
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.symbolic_kernel_ok
-            and self.point_kernel_ok
-            and self.span_rank_ok
-            and self.standard_count_ok
-            and self.trinomial_initial_ok
-        )
-
-
 # Curve points at which every relation is evaluated in check (a).
 KERNEL_POINTS = 50
 
 
-def verify_degree2_kernel(params: CurveParams) -> Degree2Report:
-    """Run every degree-2 check and collect the outcome.
+def verify_degree2_kernel(params: CurveParams) -> dict:
+    """Run every degree-2 check.  Returns one dict, keys in this order: the
+    counts p, dim_s2, n_binomials, n_trinomials, phi2_rank, ker_dim,
+    span_rank, standard_count, points_used; the flags symbolic_kernel_ok and
+    point_kernel_ok (a), span_rank_ok (b), standard_count_ok (c),
+    trinomial_initial_ok (d); per_character, {label: span rank} over the
+    sorted labels whose rank is nonzero; passed, the five flags' conjunction.
 
     (a) each trinomial's fiber row, built once, maps to zero in the weight-2
         basis (against each character's phi2 block, exactly mod p; a
@@ -384,23 +362,25 @@ def verify_degree2_kernel(params: CurveParams) -> Degree2Report:
         max(row, key=lambda s: (-s[0], *s[1:])) == next(iter(row)) for row in rows
     )
 
-    return Degree2Report(
-        p=p,
-        dim_s2=dim_s2,
-        n_binomials=dim_s2 - len(fibers),
-        n_trinomials=len(rows),
-        phi2_rank=phi2_rank,
-        ker_dim=dim_s2 - phi2_rank,
-        span_rank=span_rank,
-        standard_count=standard_count,
-        points_used=len(points),
-        symbolic_kernel_ok=symbolic_kernel_ok,
-        point_kernel_ok=point_kernel_ok,
-        span_rank_ok=span_rank_ok,
-        standard_count_ok=standard_count_ok,
-        trinomial_initial_ok=trinomial_initial_ok,
-        per_character=tuple(sorted(per_char.items())),
-    )
+    report = {
+        "p": p,
+        "dim_s2": dim_s2,
+        "n_binomials": dim_s2 - len(fibers),
+        "n_trinomials": len(rows),
+        "phi2_rank": phi2_rank,
+        "ker_dim": dim_s2 - phi2_rank,
+        "span_rank": span_rank,
+        "standard_count": standard_count,
+        "points_used": len(points),
+        "symbolic_kernel_ok": symbolic_kernel_ok,
+        "point_kernel_ok": point_kernel_ok,
+        "span_rank_ok": span_rank_ok,
+        "standard_count_ok": standard_count_ok,
+        "trinomial_initial_ok": trinomial_initial_ok,
+        "per_character": per_char,
+    }
+    report["passed"] = all(ok for key, ok in report.items() if key.endswith("_ok"))
+    return report
 
 
 # --- export -------------------------------------------------------------------

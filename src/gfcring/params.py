@@ -13,6 +13,8 @@ over a second prime.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -68,33 +70,61 @@ def require_nonhyperelliptic(k: int, n: int) -> None:
 
 # --- prime field plumbing ---------------------------------------------------
 
+# Miller-Rabin with the first twelve primes as bases decides primality
+# exactly below MILLER_RABIN_BOUND, the least strong pseudoprime to all of them.
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MILLER_RABIN_BOUND = 318665857834031151167461
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic Miller-Rabin test; a p at or above MILLER_RABIN_BOUND,
+    where these bases no longer decide, raises ParameterError."""
+    if p >= MILLER_RABIN_BOUND:
+        raise ParameterError(f"p = {p} is not below {MILLER_RABIN_BOUND}, the bound "
+                             "up to which primality is decided exactly")
+    if p < 2 or any(p % q == 0 for q in MILLER_RABIN_BASES):
+        return p in MILLER_RABIN_BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # p is a strong probable prime to base a: a^d = 1, or a^(d 2^r) = -1 for an r < s
+    return all(pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s))
+               for a in MILLER_RABIN_BASES)
+
+
+def _pollard_rho(x: int) -> int:
+    """A nontrivial factor of the odd composite x (Floyd's cycle search)."""
+    for c in itertools.count(1):
+        a = b = 2
+        d = 1
+        while d == 1:
+            a = (a * a + c) % x
+            b = (b * b + c) % x
+            b = (b * b + c) % x
+            d = math.gcd(a - b, x)
+        if d != x:
+            return d
 
 
 def _prime_factors(x: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= x:
+    """The distinct prime factors of x >= 1, in increasing order: trial
+    division by the integers below 1000, then Pollard's rho on the cofactor,
+    split until every part passes is_prime."""
+    out = set()
+    for f in range(2, 1000):
         if x % f == 0:
-            out.append(f)
+            out.add(f)
             while x % f == 0:
                 x //= f
-        f += 1 if f == 2 else 2
-    if x > 1:
-        out.append(x)
-    return out
+    parts = [x] if x > 1 else []
+    while parts:
+        y = parts.pop()
+        if is_prime(y):
+            out.add(y)
+        else:
+            d = _pollard_rho(y)
+            parts += [d, y // d]
+    return sorted(out)
 
 
 def least_primitive_root(p: int) -> int:
@@ -171,14 +201,11 @@ def make_curve_params(
     """
     require_nonhyperelliptic(k, n)
 
-    if p is None:
-        p, zeta = find_prime_and_root(k, min_bound or default_prime_bound(k, n))
-    else:
-        if not is_prime(p):
-            raise ParameterError(f"p = {p} is not prime")
-        if p % k != 1:
-            raise ParameterError(f"p = {p} is not 1 mod k = {k}")
-        p, zeta = find_prime_and_root(k, p)
+    if p is not None and not is_prime(p):
+        raise ParameterError(f"p = {p} is not prime")
+    if p is not None and p % k != 1:
+        raise ParameterError(f"p = {p} is not 1 mod k = {k}")
+    p, zeta = find_prime_and_root(k, p or min_bound or default_prime_bound(k, n))
 
     n_free = n - 2  # lambda values beyond the fixed leading 1
     if lam is not None and seed is not None:

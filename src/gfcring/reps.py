@@ -121,6 +121,11 @@ def _convolve(a: np.ndarray, b: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return out
 
 
+# The most degrees mu_table's loop runs: at small genus the int64 guard alone
+# admits millions, at a fraction of a millisecond each.
+MAX_MU_DEGREE = 10**4
+
+
 def mu_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
     """All k^n multiplicities of Sym^d(V_1), V_1 being the degree-1 window
     members bucketed by character.
@@ -131,7 +136,7 @@ def mu_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
     i = i0, i0 + k, ... are one convolution with the running sum of h_m over
     m = d - i0 (mod k).  Every partial sum is nonnegative and at most
     d * comb(g + d - 1, d): ParameterError before any allocation when that
-    reaches 2^63.
+    reaches 2^63, or when d exceeds MAX_MU_DEGREE.
     """
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
@@ -142,6 +147,9 @@ def mu_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
     if bound >= 1 << 63:
         raise ParameterError(f"degree-{d} multiplicities at (k, n) = ({k}, {n}) need sums up to "
                              f"{d} * comb({g + d - 1}, {d}), beyond the int64 limit 2^63")
+    if d > MAX_MU_DEGREE:
+        raise ParameterError(f"degree d = {d} is above the limit {MAX_MU_DEGREE} "
+                             "of the multiplicity recurrence")
     chars = np.array([character_of(k, 1, t) for t in enumerate_im(k, n, 1)],
                      dtype=np.int64).reshape(-1, n)
     psi = [np.bincount(np.ravel_multi_index((i * chars % k).T, (k,) * n),

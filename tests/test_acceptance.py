@@ -132,11 +132,11 @@ def test_criterion_5_degree2_kernel_two_primes():
         d2 = dim_vm(k, n, 2)
         for pp in (first, second):
             rep = verify_degree2_kernel(pp)
-            ok = ok and rep.passed
-            ok = ok and rep.phi2_rank == d2
-            ok = ok and rep.symbolic_kernel_ok and rep.point_kernel_ok
-            ok = ok and rep.points_used >= 50
-            ok = ok and rep.span_rank == rep.dim_s2 - d2 == SPAN_RANKS[(k, n)]
+            ok = ok and rep["passed"]
+            ok = ok and rep["phi2_rank"] == d2
+            ok = ok and rep["symbolic_kernel_ok"] and rep["point_kernel_ok"]
+            ok = ok and rep["points_used"] >= 50
+            ok = ok and rep["span_rank"] == rep["dim_s2"] - d2 == SPAN_RANKS[(k, n)]
         details.append(f"({k},{n}):span={SPAN_RANKS[(k, n)]}@p{first.p},{second.p}")
     elapsed = time.perf_counter() - t0
     _report(5, ok, elapsed, 60.0, " ".join(details))

@@ -297,6 +297,9 @@ REFERENCE = os.path.join(os.path.dirname(__file__), "reference")
     ("verify --k 3 --n 3 --seed 1", 0, "verify_k_3_n_3_seed_1"),
     ("verify --k 5 --n 2 --seed 1", 0, "verify_k_5_n_2_seed_1"),
     ("verify --k 2 --n 5 --seed 1", 0, "verify_k_2_n_5_seed_1"),
+    ("verify --grid --kmax 3 --nmax 4 --mmax 2 --seed 1", 0,
+     "verify_grid_kmax_3_nmax_4_mmax_2_seed_1"),
+    ("verify --k 3 --n 3 --seed 1 --format pretty", 0, "verify_k_3_n_3_seed_1_pretty"),
     ("export --k 3 --n 3 --format cas-text", 0, "export_k_3_n_3_cas-text"),
 ])
 def test_reference_output(capsys, argv, code, name):
@@ -421,6 +424,33 @@ def test_large_prime_exits_zero(capsys, argv, key, value):
     code, report, err = run_json(capsys, *argv)
     assert code == 0 and err == ""
     assert report[key] == value
+
+
+@pytest.mark.parametrize("prime, code", [
+    ("4611686018427387847", 0),  # the largest prime below 2^62
+    ("6000001968000013483", 0),  # p - 1 = 6 * 1000000007 * 1000000321
+    ("1000000016000000063", 2),  # 1000000007 * 1000000009
+])
+@pytest.mark.usefixtures("hang_guard")
+def test_export_decides_a_large_pinned_prime(capsys, prime, code):
+    # export samples no points, so no int64 guard stands before the
+    # primality test and the factoring of p - 1 for the root of unity.
+    got, out, err = run(capsys, "export", "--k", "3", "--n", "3", "--prime", prime)
+    if code:
+        assert_one_json_error_line(got, out, err)
+        assert "not prime" in err
+    else:
+        assert got == 0 and err == "" and json.loads(out)["p"] == int(prime)
+
+
+@pytest.mark.parametrize("kind", ["mu", "syzygy"])
+@pytest.mark.usefixtures("hang_guard")
+def test_multiplicities_refuse_a_degree_past_the_loop_limit(capsys, kind):
+    # at (4,2), g = 3, the int64 guard admits degrees up to 2,642,244
+    code, out, err = run(capsys, "multiplicities", "--k", "4", "--n", "2",
+                         "--kind", kind, "--d", "2000000")
+    assert_one_json_error_line(code, out, err)
+    assert "2000000" in err and str(reps.MAX_MU_DEGREE) in err
 
 
 # argv grammar for the fuzz test: every command with --k/--n, then any of its

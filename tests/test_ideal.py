@@ -18,7 +18,6 @@ from gfcring.curve import (
 )
 from gfcring.ideal import (
     KERNEL_POINTS,
-    Degree2Report,
     Relation,
     _character_blocks,
     _relations_vanish_at,
@@ -209,9 +208,9 @@ def test_trinomial_initial_check_can_fail(monkeypatch):
     pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
     monkeypatch.setattr(ideal, "_trinomial_rows", down_first)
     rep = verify_degree2_kernel(pp)
-    assert rep.symbolic_kernel_ok and rep.point_kernel_ok and rep.span_rank_ok
-    assert not rep.trinomial_initial_ok
-    assert not rep.passed
+    assert rep["symbolic_kernel_ok"] and rep["point_kernel_ok"] and rep["span_rank_ok"]
+    assert not rep["trinomial_initial_ok"]
+    assert not rep["passed"]
 
 
 def test_relation_character_is_shared():
@@ -431,7 +430,7 @@ def test_verify_reads_each_fiber_once(monkeypatch):
         monkeypatch.setattr(ideal, fn.__name__, spy(fn))
     ideal._degree2_data(3, 4)
     assert calls == []
-    assert verify_degree2_kernel(pp).passed
+    assert verify_degree2_kernel(pp)["passed"]
     assert calls == [("_trinomial_rows", (pp,))]
 
 
@@ -447,8 +446,8 @@ def test_verify_builds_no_binomial_relation(monkeypatch):
 
     monkeypatch.setattr(ideal, "Relation", Spy)
     rep = verify_degree2_kernel(next(suitable_params(3, 4, KERNEL_POINTS, seed=1)))
-    assert rep.passed and rep.n_binomials == 1150
-    assert rep.n_trinomials == 267
+    assert rep["passed"] and rep["n_binomials"] == 1150
+    assert rep["n_trinomials"] == 267
     assert kinds == []
 
 
@@ -500,12 +499,12 @@ def test_kernel_invariants_are_field_independent(curve, min_bound, seed):
     k, n = curve
     pp = next(suitable_params(k, n, 60, seed=seed, min_bound=min_bound))
     rep = verify_degree2_kernel(pp)
-    assert rep.phi2_rank == dim_vm(k, n, 2)
-    assert rep.span_rank == SPAN_RANKS[curve]
-    dims = dict(rep.per_character)
+    assert rep["phi2_rank"] == dim_vm(k, n, 2)
+    assert rep["span_rank"] == SPAN_RANKS[curve]
+    dims = rep["per_character"]
     for h, v in syzygy_table(k, n, 2).items():
         assert dims.get(h, 0) == v
-    assert rep.symbolic_kernel_ok and rep.point_kernel_ok
+    assert rep["symbolic_kernel_ok"] and rep["point_kernel_ok"]
 
 
 def test_per_character_dims_match_syzygy_table():
@@ -521,17 +520,21 @@ def test_per_character_dims_match_syzygy_table():
 def test_verify_degree2_kernel_report():
     pp = make_curve_params(3, 3, p=103)
     rep = verify_degree2_kernel(pp)
-    assert isinstance(rep, Degree2Report)
-    assert rep.dim_s2 == 55
-    assert rep.n_binomials == 20 and rep.n_trinomials == 8
-    assert rep.phi2_rank == 27 and rep.ker_dim == 28
-    assert rep.span_rank == 28 and rep.standard_count == 27
-    assert rep.span_rank <= rep.ker_dim
-    assert rep.points_used >= 50
-    assert rep.symbolic_kernel_ok and rep.point_kernel_ok
-    assert rep.span_rank_ok and rep.standard_count_ok and rep.trinomial_initial_ok
-    assert rep.passed
-    assert sum(d for _, d in rep.per_character) == 28
+    assert list(rep) == [
+        "p", "dim_s2", "n_binomials", "n_trinomials", "phi2_rank", "ker_dim", "span_rank",
+        "standard_count", "points_used", "symbolic_kernel_ok", "point_kernel_ok",
+        "span_rank_ok", "standard_count_ok", "trinomial_initial_ok", "per_character", "passed",
+    ]
+    assert rep["dim_s2"] == 55
+    assert rep["n_binomials"] == 20 and rep["n_trinomials"] == 8
+    assert rep["phi2_rank"] == 27 and rep["ker_dim"] == 28
+    assert rep["span_rank"] == 28 and rep["standard_count"] == 27
+    assert rep["span_rank"] <= rep["ker_dim"]
+    assert rep["points_used"] >= 50
+    assert rep["symbolic_kernel_ok"] and rep["point_kernel_ok"]
+    assert rep["span_rank_ok"] and rep["standard_count_ok"] and rep["trinomial_initial_ok"]
+    assert rep["passed"]
+    assert sum(rep["per_character"].values()) == 28
     assert not pp.plane_quintic
 
 
@@ -540,8 +543,8 @@ def test_verify_degree2_kernel_plane_quintic_flag():
     pp = make_curve_params(5, 2, p=211)
     rep = verify_degree2_kernel(pp)
     assert pp.plane_quintic
-    assert rep.n_binomials == 6 and rep.n_trinomials == 0
-    assert rep.passed  # the degree-2 facts hold; generation does not
+    assert rep["n_binomials"] == 6 and rep["n_trinomials"] == 0
+    assert rep["passed"]  # the degree-2 facts hold; generation does not
 
 
 def test_verify_degree2_kernel_insufficient_points():

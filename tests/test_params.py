@@ -3,6 +3,7 @@
 import pytest
 
 from gfcring.params import (
+    MILLER_RABIN_BOUND,
     CurveParams,
     ParameterError,
     default_prime_bound,
@@ -14,6 +15,7 @@ from gfcring.params import (
     least_primitive_root,
     make_curve_params,
     require_nonhyperelliptic,
+    _prime_factors,
 )
 
 # (k, n) -> genus for every desk-scale curve exercised in this suite.
@@ -77,6 +79,48 @@ def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert is_prime(101) and is_prime(103) and not is_prime(1)
+
+
+def trial_division_factors(x):
+    out, f = [], 2
+    while f * f <= x:
+        if x % f == 0:
+            out.append(f)
+            while x % f == 0:
+                x //= f
+        f += 1
+    return out + [x] * (x > 1)
+
+
+@pytest.mark.usefixtures("hang_guard")
+def test_is_prime_agrees_with_trial_division():
+    # a sieve of Eratosthenes marks every n below the size that trial division calls prime
+    size = 2 * 10**5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (size - 2)
+    for f in range(2, int(size**0.5) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytes(len(range(f * f, size, f)))
+    assert [n for n in range(size) if is_prime(n)] == [n for n in range(size) if sieve[n]]
+
+
+@pytest.mark.usefixtures("hang_guard")
+def test_is_prime_decides_large_numbers_quickly():
+    assert is_prime(4611686018427387847)  # the largest prime below 2^62
+    assert is_prime(6000001968000013483)
+    assert not is_prime(1000000016000000063)  # 1000000007 * 1000000009
+    assert not is_prime(3825123056546413051)  # strong pseudoprime to the bases up to 23
+    with pytest.raises(ParameterError, match=str(MILLER_RABIN_BOUND)):
+        is_prime(MILLER_RABIN_BOUND)
+
+
+@pytest.mark.usefixtures("hang_guard")
+def test_prime_factors_split_large_cofactors():
+    for x in [*range(1, 3000), 2 * 1000003**2, 999983 * 1000003, 2**61 - 2]:
+        assert _prime_factors(x) == trial_division_factors(x), x
+    # two large prime factors: stopping at a prime cofactor alone would not help
+    assert _prime_factors(6000001968000013482) == [2, 3, 1000000007, 1000000321]
+    assert least_primitive_root(6000001968000013483) == 2
+    assert least_primitive_root(4611686018427387847) == 6
 
 
 def test_least_primitive_root():

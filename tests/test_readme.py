@@ -12,4 +12,4 @@ def test_readme_python_snippet_runs():
     namespace: dict = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert namespace["pp"].p == 103
-    assert namespace["rep"].span_rank == 28
+    assert namespace["rep"]["span_rank"] == 28

@@ -116,6 +116,12 @@ def test_mu_table_int64_guard():
         mu_table(3, 3, 0)
 
 
+def test_mu_table_degree_limit():
+    # past the int64 guard, a degree above the loop limit is refused
+    with pytest.raises(ParameterError, match=f"above the limit {reps.MAX_MU_DEGREE}"):
+        mu_table(4, 2, reps.MAX_MU_DEGREE + 1)
+
+
 def test_mu_totals():
     for (k, n) in [(2, 4), (3, 3), (4, 2), (3, 4)]:
         g = dim_vm(k, n, 1)
