@@ -23,7 +23,7 @@ from .curve import (
     full_rank_oversample,
     suitable_params,
 )
-from .ideal import export_ideal, verify_degree2_kernel
+from .ideal import MIN_VERIFY_POINTS, export_ideal, verify_degree2_kernel
 from .indexsets import count_im, enumerate_im, standard_set_identity, total_degree_d_monomials
 from .params import (
     CurveParams,
@@ -135,10 +135,10 @@ def cmd_multiplicities(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _verify_one(args: argparse.Namespace) -> tuple[dict, int]:
     k, n = args.k, args.n
-    # Enough points for the degree-2 point checks and for complete-fiber
-    # coverage of both evaluation-rank checks (points arrive in x-fibers;
-    # m = 2 needs more than m = 1 on every curve here).
-    needed = max(full_rank_oversample(k, n, 2), 60)
+    # Enough points for the degree-2 point check, the equivariance check and
+    # complete-fiber coverage of both evaluation-rank checks (points arrive in
+    # x-fibers; m = 2 needs more than m = 1 on every curve here).
+    needed = max(full_rank_oversample(k, n, 2), MIN_VERIFY_POINTS)
     # Two primes, or the one pinned prime.
     params_list = list(itertools.islice(_curve_params(args, needed), 2))
     params1 = params_list[0]
@@ -186,6 +186,9 @@ def _verify_one(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _verify_grid(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.lam is not None:
+        raise ParameterError("--lambda gives one curve's n - 1 values; "
+                             "it cannot apply across a grid")
     if args.mmax < 1:
         raise ParameterError(f"need --mmax >= 1, got {args.mmax}")
     curves = [(k, n) for k in range(2, args.kmax + 1) for n in range(2, args.nmax + 1)

@@ -4,8 +4,7 @@ A point is (x, y_2, ..., y_n) with lam[j-1] + x^k + y_{j+1}^k = 0 for every
 j; points with any y coordinate equal to 0 are branch points and are never
 sampled, since evaluation inverts the y's.  evaluation_matrix is the one
 evaluation kernel: the basis rank checks, the degree-2 point check and the
-equivariance check all use it.  evaluate_theta is the scalar reference that
-the tests compare it against.
+equivariance check all use it.
 
 Divisors are integer vectors (c_0, c_1, ..., c_n) of coefficients on the
 n+1 branch-point classes D_0 (over x = infinity), D_1 (over x = 0) and D_j
@@ -171,20 +170,11 @@ def suitable_params(
         bound = 2 * params.p if first else params.p + 1
 
 
-def evaluate_theta(params: CurveParams, pt: AffinePoint, t: IndexTuple) -> int:
-    """Value of x^r * prod y_j^(-a_j) at the point (tensor factor omitted)."""
-    p = params.p
-    val = pow(pt.x, t[0], p)
-    for yj, aj in zip(pt.y, t[1:]):
-        if aj:
-            val = val * pow(pow(yj, aj, p), p - 2, p) % p
-    return val
-
-
 def evaluation_matrix(
     params: CurveParams, points: list[AffinePoint], basis: Sequence[IndexTuple]
 ) -> np.ndarray:
-    """C-ordered int64 (points x basis) matrix of evaluate_theta values mod p.
+    """C-ordered int64 (points x basis) matrix of the values
+    x^r * prod y_j^(-a_j) mod p (tensor factor omitted).
 
     Builds power tables of x^r and of y_j^(-a), with one Fermat inverse per
     point and coordinate, and gathers one table column per basis element,
@@ -236,28 +226,6 @@ def divisor_of_theta(k: int, n: int, m: int, t: IndexTuple) -> tuple[int, ...]:
         raise ParameterError(f"need m >= 1, got {m}")
     r, a = t[0], t[1:]
     return (sum(a) - 2 * m - r, r, *(m * (k - 1) - aj for aj in a))
-
-
-def divisor_of_x(n: int) -> tuple[int, ...]:
-    return (-1, 1) + (0,) * (n - 1)
-
-
-def divisor_of_y(n: int, j: int) -> tuple[int, ...]:
-    """Divisor of y_j for j in 2..n: a pole on D_0, a zero on D_j."""
-    if not 2 <= j <= n:
-        raise ParameterError(f"y index must be in 2..{n}, got {j}")
-    c = [0] * (n + 1)
-    c[0], c[j] = -1, 1
-    return tuple(c)
-
-
-def divisor_of_dx(k: int, n: int) -> tuple[int, ...]:
-    return (-2, 0) + (k - 1,) * (n - 1)
-
-
-def divisor_degree(k: int, n: int, c: tuple[int, ...]) -> int:
-    """Total degree: every class D_j consists of k^(n-1) points."""
-    return sum(c) * k ** (n - 1)
 
 
 # --- rank verification --------------------------------------------------------

@@ -16,13 +16,12 @@ The monomials are one (N, 2) array of window-index pairs in term order, and
 each fiber is one run of its rows, tau first.  The binomials carry nothing
 beyond these runs.  verify_degree2_kernel writes each trinomial only as a
 fiber row {fiber: coefficient}, and both kernel checks take these rows;
-Relation objects, tau and the sort key serve export, parse_ideal_json and
-the tests.  The symbolic check works one (Z/k)^n character block at a time,
-with no dense matrix: each row must lie in the kernel of its character's
-block of the evaluation map phi2 (a binomial's fiber coordinates are zero),
-and every rank is a sum of block ranks.  The independent pointwise check
-evaluates the degree-1 window at sampled points with curve.evaluation_matrix.
-phi2_matrix is the dense form, kept as an oracle for tests.  The verdict
+Relation objects and tau serve export, parse_ideal_json and the tests.  The
+symbolic check works one (Z/k)^n character block at a time, with no dense
+matrix: each row must lie in the kernel of its character's block of the
+evaluation map phi2 (a binomial's fiber coordinates are zero), and every
+rank is a sum of block ranks.  The independent pointwise check evaluates the
+degree-1 window at sampled points with curve.evaluation_matrix.  The verdict
 is a plain dict, which the verify command prints per prime as it is, with
 only the character labels joined into strings.
 
@@ -58,19 +57,6 @@ from .reps import character_of
 MonomialKey = tuple[IndexTuple, ...]
 
 
-def monomial_sort_key(mono: MonomialKey):
-    """Total-order key: degree, then larger exponent-sum of x first, then
-    smaller coordinate sums of a, then the factor sequence."""
-    sums = tuple(sum(c) for c in zip(*mono))
-    return (len(mono), -sums[0], *sums[1:], mono)
-
-
-def compare_monomials(m1: MonomialKey, m2: MonomialKey) -> int:
-    """-1, 0, or 1 as m1 precedes, equals, or follows m2 in the term order."""
-    k1, k2 = monomial_sort_key(m1), monomial_sort_key(m2)
-    return (k1 > k2) - (k1 < k2)
-
-
 def index_sum(mono: MonomialKey) -> IndexTuple:
     return tuple(sum(c) for c in zip(*mono))
 
@@ -85,7 +71,7 @@ def _degree2_data(k: int, n: int) -> tuple[np.ndarray, dict[IndexTuple, tuple[in
     window = np.array(enumerate_im(k, n, 1).members, dtype=np.int32).reshape(-1, n)
     i, j = np.triu_indices(len(window))
     sums = window[i] + window[j]
-    # monomial_sort_key without its constant degree: the window is sorted, so
+    # The term order without its constant degree: the window is sorted, so
     # the pair (i, j) orders the monomials (window[i], window[j]), and the
     # leading coordinate sums name the fiber, so each fiber is one run.
     order = np.lexsort((j, i, *sums[:, :0:-1].T, -sums[:, 0]))
@@ -169,39 +155,6 @@ def _reduce(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]:
                 new[up_r] = (new.get(up_r, 0) - c) % p
         terms = new
     return {s: c for s, c in terms.items() if c}
-
-
-def reduce_to_basis(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]:
-    """Express the weight-2 element at t (any 2-fold sumset point) as a
-    combination of weight-2 window members, as a dict index -> coefficient.
-
-    Each coordinate below the window is raised once by k, so the expansion
-    has at most 2^(number of low coordinates) terms and every output index
-    lies in the weight-2 window.
-    """
-    t = tuple(t)
-    if t not in minkowski_di1(params.k, params.n, 2):
-        raise ParameterError(f"{t} is not a 2-fold sumset point")
-    out = _reduce(params, t)
-    assert all(s in enumerate_im(params.k, params.n, 2) for s in out)
-    return out
-
-
-def phi2_matrix(params: CurveParams) -> np.ndarray:
-    """Evaluation matrix of degree-2 monomials in the weight-2 basis.
-
-    Rows follow the sorted weight-2 window, columns follow the term order on
-    monomials; column M holds the basis expansion of the element at M's
-    index-sum.  Full row rank (= dim V_2) is the surjectivity statement.
-    """
-    k, n = params.k, params.n
-    pairs, fibers = _degree2_data(k, n)
-    row = {s: i for i, s in enumerate(enumerate_im(k, n, 2).members)}
-    mat = np.zeros((len(row), len(pairs)), dtype=np.int64)
-    for t, (start, stop) in fibers.items():
-        for s, c in _reduce(params, t).items():
-            mat[row[s], start:stop] = c
-    return mat
 
 
 def _relations_vanish_at(
@@ -295,16 +248,14 @@ def _character_blocks(
     return vanish, phi2_rank, dims
 
 
-def span_rank_by_character(params: CurveParams) -> dict[IndexTuple, int]:
-    """Rank of each character's block of the degree-2 relation span; labels
-    with no relations are omitted (their dimension is 0)."""
-    return _character_blocks(params, [row for _, row in _trinomial_rows(params)])[2]
-
-
 # --- the verification report ---------------------------------------------------
 
 # Curve points at which every relation is evaluated in check (a).
 KERNEL_POINTS = 50
+
+# The fewest points verify asks of each prime: at least KERNEL_POINTS and
+# reps.EQUIVARIANCE_POINTS.  It picks the primes of small curves.
+MIN_VERIFY_POINTS = 60
 
 
 def verify_degree2_kernel(params: CurveParams) -> dict:
@@ -325,7 +276,7 @@ def verify_degree2_kernel(params: CurveParams) -> dict:
     (c) the surviving-fiber count from the shifted C_i sets equals both the
         weight-2 window size and dim S_2 - span rank;
     (d) each trinomial's order-maximal term is its lam_i-term, the first of
-        its three distinct fibers, which monomial_sort_key compares first.
+        its three distinct fibers, which the term order compares first.
     Raises InsufficientPointsError when the prime is too small for (a).
     """
     k, n, p = params.k, params.n, params.p

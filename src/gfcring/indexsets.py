@@ -45,18 +45,6 @@ class IndexSet:
         return t in self._member_set
 
 
-def member_im(k: int, n: int, m: int, t: IndexTuple) -> bool:
-    """Whether t lies in the m-th basis window: (m-1)(k-1) <= a_j <= m(k-1)
-    for every coordinate and 0 <= r <= |a| - 2m."""
-    if m < 1:
-        raise ParameterError(f"need m >= 1, got {m}")
-    if len(t) != n:
-        raise ParameterError(f"index tuple {t} has length {len(t)}, expected n = {n}")
-    r, a = t[0], t[1:]
-    lo, hi = (m - 1) * (k - 1), m * (k - 1)
-    return all(lo <= aj <= hi for aj in a) and 0 <= r <= sum(a) - 2 * m
-
-
 @lru_cache(maxsize=None)
 def enumerate_im(k: int, n: int, m: int) -> IndexSet:
     """All members of the m-th window, sorted; cardinality is dim_vm(k,n,m)."""

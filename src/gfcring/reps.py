@@ -14,7 +14,7 @@ Multiplicities:
   - syzygy(d, h) = mu - nu: copies of h among degree-d relations.
 
 check_equivariance tests character_of on the generators' action through
-curve.evaluation_matrix; action_exponent is the tests' scalar reference.
+curve.evaluation_matrix.
 """
 
 from __future__ import annotations
@@ -34,16 +34,9 @@ from .indexsets import (
 from .params import CurveParams, ParameterError, dim_vm
 
 
-def action_exponent(k: int, m: int, t: IndexTuple, g: IndexTuple) -> int:
-    """Exponent of zeta by which the automorphism g scales the weight-m
-    element at t: e_1 (r + m) - a . e, reduced mod k."""
-    if len(g) != len(t):
-        raise ParameterError(f"length mismatch: t={t}, g={g}")
-    return (g[0] * (t[0] + m) - sum(aj * ej for aj, ej in zip(t[1:], g[1:]))) % k
-
-
 def character_of(k: int, m: int, t: IndexTuple) -> IndexTuple:
-    """Label h with action_exponent(k, m, t, g) = h . g for all g."""
+    """Label h such that every automorphism g scales the weight-m element at
+    t by zeta^(h . g): e_1 (r + m) - a . e = h . g (mod k)."""
     return ((t[0] + m) % k, *((-aj) % k for aj in t[1:]))
 
 
@@ -77,14 +70,6 @@ def mu(k: int, n: int, d: int, h: IndexTuple) -> int:
     """Multiplicity of h in the degree-d part of the polynomial ring:
     total number of degree-d monomials whose index-sum lies in J_h."""
     return sum(count_partitions(k, n, d, t) for t in enumerate_jd(k, n, d, h))
-
-
-def syzygy_multiplicity(k: int, n: int, d: int, h: IndexTuple) -> int:
-    """mu - nu in degree d; the number of independent degree-d relations
-    transforming by h.  Always nonnegative."""
-    val = mu(k, n, d, h) - nu_closed(k, n, d, h)
-    assert val >= 0, f"negative relation multiplicity at (k={k}, n={n}, d={d}, h={h})"
-    return val
 
 
 def nu_table(k: int, n: int, m: int, closed: bool = True) -> dict[IndexTuple, int]:
@@ -168,22 +153,26 @@ def mu_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
 
 def syzygy_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
     """mu - nu for every label, unchecked: a negative count is left for the
-    callers to report (syzygy_multiplicity asserts it per label)."""
+    callers to report."""
     mu_t, nu_t = mu_table(k, n, d), nu_table(k, n, d)
     return {h: mu_t[h] - nu_t[h] for h in all_labels(k, n)}
 
 
+# Curve points at which check_equivariance compares the action.
+EQUIVARIANCE_POINTS = 25
+
+
 def check_equivariance(params: CurveParams) -> bool:
     """True iff character_of gives the geometric action on every window member
-    t of weights m = 1..3: at 25 points, translating by the generator e_j
-    scales the value by zeta^(h_j - m [j = 0]), h = character_of(k, m, t);
-    the m [j = 0] removes the tensor weight, which evaluation omits.  The
-    generators suffice, as apply_group scales each coordinate by a power of
-    zeta and the exponent is linear in g.  Raises InsufficientPointsError
-    when the prime has no points.
+    t of weights m = 1..3: at EQUIVARIANCE_POINTS points, translating by the
+    generator e_j scales the value by zeta^(h_j - m [j = 0]),
+    h = character_of(k, m, t); the m [j = 0] removes the tensor weight, which
+    evaluation omits.  The generators suffice, as apply_group scales each
+    coordinate by a power of zeta and the exponent is linear in g.  Raises
+    InsufficientPointsError when the prime has no points.
     """
     k, n, p, zeta = params.k, params.n, params.p, params.zeta
-    points, _ = sample_points(params, 25)
+    points, _ = sample_points(params, EQUIVARIANCE_POINTS)
     if not points:
         raise InsufficientPointsError(f"no affine points over p = {p}")
     moved = [apply_group(params, pt, g) for g in np.eye(n, dtype=int).tolist()

@@ -13,13 +13,11 @@ from math import comb
 
 from gfcring.curve import divisor_of_theta, suitable_params
 from gfcring.ideal import (
-    compare_monomials,
     export_ideal,
     generate_binomials,
     generate_trinomials,
     index_sum,
     parse_ideal_json,
-    span_rank_by_character,
     tau,
     verify_degree2_kernel,
 )
@@ -38,6 +36,7 @@ from gfcring.reps import (
     nu_table,
     syzygy_table,
 )
+from references import compare_monomials, span_rank_by_character
 
 GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4), (5, 3), (2, 7)]
 KERNEL_CURVES = [(2, 4), (2, 5), (3, 3), (4, 2), (3, 4), (4, 3), (5, 3), (2, 7), (4, 4)]

@@ -1,8 +1,10 @@
 """Command-line surface: reports, exit codes, formats, and file output."""
 
+import importlib
 import io
 import json
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from gfcring.ideal import export_ideal, parse_ideal_json
 from gfcring.indexsets import shifted_ci_union
 from gfcring.linalg import rank_mod_p_array
 from gfcring.params import make_curve_params
+import references
 
 
 def run(capsys, *argv):
@@ -152,16 +155,40 @@ def test_verify_builds_standard_set_once(capsys, monkeypatch):
     assert calls == [(4, 4)]
 
 
-def test_verify_evaluates_through_the_matrix_kernel_only(capsys, monkeypatch):
+def test_verify_evaluates_through_the_matrix_kernel_only(capsys):
     # The equivariance check reads character_of through evaluation_matrix;
-    # the scalar references stay for the tests alone.
-    def refuse(*args):
-        raise AssertionError("scalar reference called")
-
-    monkeypatch.setattr(curve, "evaluate_theta", refuse)
-    monkeypatch.setattr(reps, "action_exponent", refuse)
+    # the scalar references live in the tests alone.
+    assert not hasattr(curve, "evaluate_theta")
+    assert not hasattr(reps, "action_exponent")
     code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
     assert code == 0 and rep["passed"] and rep["equivariance_ok"]
+
+
+# The second routes that only the tests run, kept in tests/references.py.
+TEST_ONLY = [
+    "evaluate_theta", "divisor_of_x", "divisor_of_y", "divisor_of_dx", "divisor_degree",
+    "monomial_sort_key", "compare_monomials", "reduce_to_basis", "phi2_matrix",
+    "span_rank_by_character", "member_im", "action_exponent", "syzygy_multiplicity",
+]
+
+
+def test_test_only_references_stay_out_of_the_package():
+    # __main__ runs the command line on import, and defines nothing.
+    modules = [gfcring] + [importlib.import_module(f"gfcring.{info.name}")
+                           for info in pkgutil.iter_modules(gfcring.__path__)
+                           if info.name != "__main__"]
+    assert {"cli", "curve", "ideal", "indexsets", "linalg", "params", "reps"} <= {
+        module.__name__.rsplit(".", 1)[-1] for module in modules}
+    for name in TEST_ONLY:
+        assert callable(getattr(references, name))
+        assert [module.__name__ for module in modules if hasattr(module, name)] == []
+
+
+def test_verify_point_floor_covers_every_sampled_check():
+    # verify asks each prime for at least MIN_VERIFY_POINTS points, which the
+    # degree-2 point check and the equivariance check both draw from.
+    assert ideal.MIN_VERIFY_POINTS >= ideal.KERNEL_POINTS
+    assert ideal.MIN_VERIFY_POINTS >= reps.EQUIVARIANCE_POINTS
 
 
 def test_verify_reports_a_negative_syzygy_count(capsys, monkeypatch):
@@ -301,6 +328,9 @@ REFERENCE = os.path.join(os.path.dirname(__file__), "reference")
      "verify_grid_kmax_3_nmax_4_mmax_2_seed_1"),
     ("verify --k 3 --n 3 --seed 1 --format pretty", 0, "verify_k_3_n_3_seed_1_pretty"),
     ("export --k 3 --n 3 --format cas-text", 0, "export_k_3_n_3_cas-text"),
+    ("basis --k 3 --n 3 --m 2", 0, "basis_k_3_n_3_m_2"),
+    ("multiplicities --k 3 --n 3 --kind syzygy --d 3", 0,
+     "multiplicities_k_3_n_3_syzygy_d_3"),
 ])
 def test_reference_output(capsys, argv, code, name):
     with open(os.path.join(REFERENCE, name + ".txt")) as fh:
@@ -371,6 +401,7 @@ UNWRITABLE = os.path.join(os.devnull, "report.json")
     ["multiplicities", "--k", "3", "--n", "3", "--kind", "mu", "--d", "40000"],
     ["verify", "--grid", "--kmax", "3", "--nmax", "2"],
     ["verify", "--grid", "--mmax", "0"],
+    ["verify", "--grid", "--kmax", "3", "--nmax", "3", "--lambda", "1,5"],
     ["export", "--k", "2", "--n", "4", "--prime", "3"],
     ["verify", "--k", "2", "--n", "6", "--prime", "5"],
 ])

@@ -14,12 +14,7 @@ from gfcring.curve import (
     AffinePoint,
     InsufficientPointsError,
     basis_rank_check,
-    divisor_degree,
-    divisor_of_dx,
     divisor_of_theta,
-    divisor_of_x,
-    divisor_of_y,
-    evaluate_theta,
     evaluation_matrix,
     full_rank_oversample,
     apply_group,
@@ -35,6 +30,13 @@ from gfcring.params import (
     find_prime_and_root,
     genus,
     make_curve_params,
+)
+from references import (
+    divisor_degree,
+    divisor_of_dx,
+    divisor_of_x,
+    divisor_of_y,
+    evaluate_theta,
 )
 
 GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]

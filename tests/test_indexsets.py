@@ -15,7 +15,6 @@ from gfcring.indexsets import (
     enumerate_ci,
     enumerate_im,
     enumerate_jd,
-    member_im,
     minkowski_di1,
     shifted_ci_union,
     standard_set,
@@ -24,6 +23,7 @@ from gfcring.indexsets import (
 )
 from gfcring.params import ParameterError, dim_vm, genus
 from gfcring.reps import all_labels, character_of, mu_table, nu_table, syzygy_table
+from references import member_im
 
 GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
 DIRECT_SUM_CURVES = GRID + [(5, 3), (2, 7)]

@@ -9,7 +9,6 @@ from gfcring import reps
 from gfcring.curve import sample_points, suitable_params
 from gfcring.params import ParameterError, dim_vm, make_curve_params
 from gfcring.reps import (
-    action_exponent,
     all_labels,
     character_of,
     check_equivariance,
@@ -17,9 +16,9 @@ from gfcring.reps import (
     mu_table,
     nu_closed,
     nu_table,
-    syzygy_multiplicity,
     syzygy_table,
 )
+from references import action_exponent, syzygy_multiplicity
 
 GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
 
