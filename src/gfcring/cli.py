@@ -208,7 +208,10 @@ def _verify_grid(args: argparse.Namespace) -> tuple[dict, int]:
             "syzygy_nonneg_ok": all(v >= 0 for v in syzygy_table(k, n, 2).values()),
         }
         sub = argparse.Namespace(**{**vars(args), "k": k, "n": n, "lam": None})
-        row["degree2_ok"] = _verify_one(sub)[0]["passed"] if (k, n) in KERNEL_GRID else None
+        try:
+            row["degree2_ok"] = _verify_one(sub)[0]["passed"] if (k, n) in KERNEL_GRID else None
+        except (InsufficientPointsError, ParameterError) as exc:  # name the curve that failed
+            raise type(exc)(f"(k, n) = ({k}, {n}): {exc}") from exc
         row["passed"] = all(v for v in row.values() if isinstance(v, bool))
         rows.append(row)
     passed = all(row["passed"] for row in rows)

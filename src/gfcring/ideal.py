@@ -20,10 +20,10 @@ Relation objects and tau serve export, parse_ideal_json and the tests.  The
 symbolic check works one (Z/k)^n character block at a time, with no dense
 matrix: each row must lie in the kernel of its character's block of the
 evaluation map phi2 (a binomial's fiber coordinates are zero), and every
-rank is a sum of block ranks.  The independent pointwise check evaluates the
-degree-1 window at sampled points with curve.evaluation_matrix.  The verdict
-is a plain dict, which the verify command prints per prime as it is, with
-only the character labels joined into strings.
+rank is a sum of block ranks.  The independent pointwise check matches each
+binomial run's index sums to its fiber and evaluates the trinomials at
+sampled points with curve.evaluation_matrix.  The verdict is a plain dict,
+which verify prints per prime as it is, character labels joined to strings.
 
 export_ideal writes the JSON text that json.dumps(payload, indent=2) gives,
 byte for byte, without running the encoder: each variable is laid out once
@@ -65,7 +65,7 @@ def index_sum(mono: MonomialKey) -> IndexTuple:
 def _degree2_data(k: int, n: int) -> tuple[np.ndarray, dict[IndexTuple, tuple[int, int]]]:
     """(the degree-2 monomials in term order, as an (N, 2) int32 array of
     degree-1 window indices i <= j; fiber -> its run [start, stop) of rows,
-    tau first, in term order).  Treat both as immutable.  The fibers, read
+    tau first, fibers in run order).  Treat both as immutable.  The fibers, read
     off the sorted index sums, must equal minkowski_di1's closed form: an
     independent enumeration of the 2-fold sumset."""
     window = np.array(enumerate_im(k, n, 1).members, dtype=np.int32).reshape(-1, n)
@@ -160,32 +160,29 @@ def _reduce(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]:
 def _relations_vanish_at(
     params: CurveParams, rows: list[dict[IndexTuple, int]], points: list[AffinePoint]
 ) -> bool:
-    """Whether every binomial and every fiber row {fiber: coefficient} in
-    rows evaluates to zero at every point.
+    """Whether every binomial, and every fiber row at every point, vanishes.
 
-    The degree-1 window is evaluated once as a (points x variables) matrix.
-    The binomials stay implicit: at each point every monomial's value
-    vals[i]*vals[j] must equal that of its fiber's first row, so a row reads
-    fiber t at prod[fibers[t][0]].  The rows are padded to a common length
-    with zero coefficients and checked as one int64 expression.  The scan
-    stops at the first point where a check fails; one point at a time keeps
-    the working set at a few monomial-sized arrays.
+    x^r * prod y_j^(-a_j) is multiplicative in the index, so M - tau(t)
+    vanishes exactly when M has index sum t, checked with no points.  The
+    rows {fiber: coefficient}, padded with zero coefficients, are read off
+    one (points x fibers) evaluation matrix.
     """
     p = params.p
-    window = enumerate_im(params.k, params.n, 1).members
+    window = np.array(enumerate_im(params.k, params.n, 1).members, dtype=np.int32)
     pairs, fibers = _degree2_data(params.k, params.n)
-    runs = np.array(sorted(fibers.values()), dtype=np.intp)
-    first = np.repeat(runs[:, 0], runs[:, 1] - runs[:, 0])
-    mono_i, mono_j = pairs.T.astype(np.intp)  # an intp index is not converted per gather
+    sizes = [stop - start for start, stop in fibers.values()]
+    for w, key in zip(window.T, zip(*fibers)):  # one int32 coordinate at a time
+        if np.any(w[pairs[:, 0]] + w[pairs[:, 1]] != np.repeat(np.array(key, np.int32), sizes)):
+            return False
+    col = {t: c for c, t in enumerate(fibers)}
     width = max(map(len, rows), default=0)
     coeff = np.zeros((len(rows), width), dtype=np.int64)
     at = np.zeros((len(rows), width), dtype=np.intp)
     for r, row in enumerate(rows):
         for j, (t, c) in enumerate(row.items()):
-            coeff[r, j], at[r, j] = c % p, fibers[t][0]
-    for vals in evaluation_matrix(params, points, window):
-        prod = vals[mono_i] * vals[mono_j] % p
-        if np.any(prod != prod[first]) or np.any((prod[at] * coeff % p).sum(axis=1) % p):
+            coeff[r, j], at[r, j] = c % p, col[t]
+    for vals in evaluation_matrix(params, points, list(fibers)):
+        if np.any((vals[at] * coeff % p).sum(axis=1) % p):
             return False
     return True
 
@@ -250,7 +247,7 @@ def _character_blocks(
 
 # --- the verification report ---------------------------------------------------
 
-# Curve points at which every relation is evaluated in check (a).
+# Curve points at which every trinomial is evaluated in check (a).
 KERNEL_POINTS = 50
 
 # The fewest points verify asks of each prime: at least KERNEL_POINTS and
@@ -268,8 +265,8 @@ def verify_degree2_kernel(params: CurveParams) -> dict:
 
     (a) each trinomial's fiber row, built once, maps to zero in the weight-2
         basis (against each character's phi2 block, exactly mod p; a
-        binomial's row is zero), and every binomial and trinomial row
-        evaluates to zero at KERNEL_POINTS curve points;
+        binomial's row is zero), every binomial's monomials share an index
+        sum, and every trinomial row vanishes at KERNEL_POINTS curve points;
     (b) the relation span has rank dim S_2 - dim V_2 (with the evaluation
         matrix itself of full rank dim V_2), both ranks summed over the
         character blocks;
@@ -286,7 +283,7 @@ def verify_degree2_kernel(params: CurveParams) -> dict:
     assert dim_s2 == total_degree_d_monomials(k, n, 2)
     rows = [row for _, row in _trinomial_rows(params)]
 
-    # (a) pointwise: evaluate every relation at sampled points.
+    # (a) pointwise: binomials by their index sums, trinomials at points.
     points, shortfall = sample_points(params, KERNEL_POINTS)
     if shortfall:
         raise InsufficientPointsError(

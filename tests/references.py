@@ -9,6 +9,8 @@ gfcring computes on one production path, kept here as oracles.
   - reduce_to_basis and phi2_matrix, the weight-2 rewriting and the dense
     evaluation map whose character blocks verify_degree2_kernel ranks;
   - span_rank_by_character, the per-character ranks without the checks;
+  - relations_vanish_at_by_monomials, the degree-2 point check that
+    multiplies every monomial's window values at every point;
   - member_im, the window test behind enumerate_im;
   - action_exponent, the scalar form of reps.character_of's action;
   - syzygy_multiplicity, mu - nu per label through the DFS mu.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from gfcring.curve import AffinePoint
+from gfcring.curve import AffinePoint, evaluation_matrix
 from gfcring.ideal import (
     MonomialKey,
     _character_blocks,
@@ -117,6 +119,39 @@ def span_rank_by_character(params: CurveParams) -> dict[IndexTuple, int]:
     """Rank of each character's block of the degree-2 relation span; labels
     with no relations are omitted (their dimension is 0)."""
     return _character_blocks(params, [row for _, row in _trinomial_rows(params)])[2]
+
+
+def relations_vanish_at_by_monomials(
+    params: CurveParams, rows: list[dict[IndexTuple, int]], points: list[AffinePoint]
+) -> bool:
+    """Whether every binomial and every fiber row {fiber: coefficient} in
+    rows evaluates to zero at every point.
+
+    The degree-1 window is evaluated once as a (points x variables) matrix.
+    The binomials stay implicit: at each point every monomial's value
+    vals[i]*vals[j] must equal that of its fiber's first row, so a row reads
+    fiber t at prod[fibers[t][0]].  The rows are padded to a common length
+    with zero coefficients and checked as one int64 expression.  The scan
+    stops at the first point where a check fails; one point at a time keeps
+    the working set at a few monomial-sized arrays.
+    """
+    p = params.p
+    window = enumerate_im(params.k, params.n, 1).members
+    pairs, fibers = _degree2_data(params.k, params.n)
+    runs = np.array(sorted(fibers.values()), dtype=np.intp)
+    first = np.repeat(runs[:, 0], runs[:, 1] - runs[:, 0])
+    mono_i, mono_j = pairs.T.astype(np.intp)  # an intp index is not converted per gather
+    width = max(map(len, rows), default=0)
+    coeff = np.zeros((len(rows), width), dtype=np.int64)
+    at = np.zeros((len(rows), width), dtype=np.intp)
+    for r, row in enumerate(rows):
+        for j, (t, c) in enumerate(row.items()):
+            coeff[r, j], at[r, j] = c % p, fibers[t][0]
+    for vals in evaluation_matrix(params, points, window):
+        prod = vals[mono_i] * vals[mono_j] % p
+        if np.any(prod != prod[first]) or np.any((prod[at] * coeff % p).sum(axis=1) % p):
+            return False
+    return True
 
 
 # --- indexsets ----------------------------------------------------------------

@@ -169,6 +169,7 @@ TEST_ONLY = [
     "evaluate_theta", "divisor_of_x", "divisor_of_y", "divisor_of_dx", "divisor_degree",
     "monomial_sort_key", "compare_monomials", "reduce_to_basis", "phi2_matrix",
     "span_rank_by_character", "member_im", "action_exponent", "syzygy_multiplicity",
+    "relations_vanish_at_by_monomials",
 ]
 
 
@@ -324,6 +325,7 @@ REFERENCE = os.path.join(os.path.dirname(__file__), "reference")
     ("verify --k 3 --n 3 --seed 1", 0, "verify_k_3_n_3_seed_1"),
     ("verify --k 5 --n 2 --seed 1", 0, "verify_k_5_n_2_seed_1"),
     ("verify --k 2 --n 5 --seed 1", 0, "verify_k_2_n_5_seed_1"),
+    ("verify --k 4 --n 4 --seed 1", 0, "verify_k_4_n_4_seed_1"),
     ("verify --grid --kmax 3 --nmax 4 --mmax 2 --seed 1", 0,
      "verify_grid_kmax_3_nmax_4_mmax_2_seed_1"),
     ("verify --k 3 --n 3 --seed 1 --format pretty", 0, "verify_k_3_n_3_seed_1_pretty"),
@@ -408,6 +410,15 @@ UNWRITABLE = os.path.join(os.devnull, "report.json")
 @pytest.mark.usefixtures("hang_guard")
 def test_bad_input_is_one_json_error_line(capsys, argv):
     assert_one_json_error_line(*run(capsys, *argv))
+
+
+def test_grid_error_names_the_curve(capsys):
+    # A pinned prime serves every curve of the grid; the error line names the
+    # first curve it yields too few points for.
+    code, out, err = run(capsys, "verify", "--grid", "--kmax", "4", "--nmax", "4",
+                         "--mmax", "2", "--prime", "109")
+    assert_one_json_error_line(code, out, err)
+    assert json.loads(err)["error"].startswith("(k, n) = (3, 4): p = 109 yields only 81 points")
 
 
 @pytest.mark.parametrize("argv, bound", [

@@ -40,6 +40,7 @@ from references import (
     monomial_sort_key,
     phi2_matrix,
     reduce_to_basis,
+    relations_vanish_at_by_monomials,
     span_rank_by_character,
 )
 
@@ -392,7 +393,10 @@ def test_sparse_kernel_check_matches_dense_oracle(k, n, p):
     pts, short = sample_points(pp, 50)
     assert not short
     for rels, expected in kernel_cases(pp):
-        assert _relations_vanish_at(pp, fiber_rows(rels), pts) == symbolic(pp, rels) == expected
+        rows = fiber_rows(rels)
+        assert (_relations_vanish_at(pp, rows, pts)
+                == relations_vanish_at_by_monomials(pp, rows, pts)
+                == symbolic(pp, rels) == expected)
         assert dense(pp, rels) == expected
     assert _relations_vanish_at(pp, [], pts)
 
@@ -489,6 +493,8 @@ def test_point_check_finds_a_monomial_filed_under_a_neighbouring_fiber(monkeypat
     moved[after] = (fibers[after][0] + 1, fibers[after][1])
     monkeypatch.setattr(ideal, "_degree2_data", lambda k, n: (pairs, moved))
     assert not _relations_vanish_at(pp, [], pts)
+    # The index sums show the misfiled monomial with no point at all.
+    assert not _relations_vanish_at(pp, [], [])
 
 
 @given(
