@@ -57,19 +57,17 @@ def _curve_params(
 
 # --- commands -----------------------------------------------------------------
 
-def cmd_info(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_info(args: argparse.Namespace) -> dict:
     require_nonhyperelliptic(args.k, args.n)
-    g = genus(args.k, args.n)
-    report = {
+    return {
         "k": args.k,
         "n": args.n,
-        "genus": g,
+        "genus": genus(args.k, args.n),
         "dims": {str(m): dim_vm(args.k, args.n, m) for m in range(1, 7)},
     }
-    return report, 0
 
 
-def cmd_basis(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_basis(args: argparse.Namespace) -> dict:
     require_nonhyperelliptic(args.k, args.n)
     m = args.m
     members = enumerate_im(args.k, args.n, m).members
@@ -79,15 +77,14 @@ def cmd_basis(args: argparse.Namespace) -> tuple[dict, int]:
         for t in members
     ]
     ok = len(rows) == expected and all(min(r["divisor"]) >= 0 for r in rows)
-    report = {
+    return {
         "k": args.k, "n": args.n, "m": m,
         "count": len(rows), "expected": expected, "passed": ok,
         "rows": rows,
     }
-    return report, 0 if ok else 1
 
 
-def cmd_multiplicities(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_multiplicities(args: argparse.Namespace) -> dict:
     k, n, kind = args.k, args.n, args.kind
     # nu is graded by the weight --m, mu and syzygy by the degree --d; either
     # flag stands in for the other.
@@ -124,16 +121,15 @@ def cmd_multiplicities(args: argparse.Namespace) -> tuple[dict, int]:
         for h in all_labels(k, n) if wanted in (None, h)
     ]
     total = sum(counted.values())
-    report = {
+    return {
         "k": k, "n": n, "kind": kind, "degree": degree,
         "total": total, "expected_total": expected_total,
         "passed": ok and total == expected_total,
         "rows": rows,
     }
-    return report, 0 if report["passed"] else 1
 
 
-def _verify_one(args: argparse.Namespace) -> tuple[dict, int]:
+def _verify_one(args: argparse.Namespace) -> dict:
     k, n = args.k, args.n
     # Enough points for the degree-2 point check, the equivariance check and
     # complete-fiber coverage of both evaluation-rank checks (points arrive in
@@ -175,17 +171,16 @@ def _verify_one(args: argparse.Namespace) -> tuple[dict, int]:
         dims = reps[0]["per_character"]
         report["per_character_ok"] = all(dims.get(h, 0) == syz[h] for h in all_labels(k, n))
 
-    passed = (
+    report["passed"] = (
         all(ok for per_prime in report["basis_rank"].values() for ok in per_prime.values())
         and report["equivariance_ok"]
         and all(rep["passed"] for rep in (report["degree2"] or {}).values())
         and report["per_character_ok"] is not False  # None on the plane quintic
     )
-    report["passed"] = passed
-    return report, 0 if passed else 1
+    return report
 
 
-def _verify_grid(args: argparse.Namespace) -> tuple[dict, int]:
+def _verify_grid(args: argparse.Namespace) -> dict:
     if args.lam is not None:
         raise ParameterError("--lambda gives one curve's n - 1 values; "
                              "it cannot apply across a grid")
@@ -209,30 +204,28 @@ def _verify_grid(args: argparse.Namespace) -> tuple[dict, int]:
         }
         sub = argparse.Namespace(**{**vars(args), "k": k, "n": n, "lam": None})
         try:
-            row["degree2_ok"] = _verify_one(sub)[0]["passed"] if (k, n) in KERNEL_GRID else None
+            row["degree2_ok"] = _verify_one(sub)["passed"] if (k, n) in KERNEL_GRID else None
         except (InsufficientPointsError, ParameterError) as exc:  # name the curve that failed
             raise type(exc)(f"(k, n) = ({k}, {n}): {exc}") from exc
         row["passed"] = all(v for v in row.values() if isinstance(v, bool))
         rows.append(row)
-    passed = all(row["passed"] for row in rows)
-    report = {
+    return {
         "grid": {"kmax": args.kmax, "nmax": args.nmax, "mmax": args.mmax},
         "rows": rows,
-        "passed": passed,
+        "passed": all(row["passed"] for row in rows),
     }
-    return report, 0 if passed else 1
 
 
-def cmd_export(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_export(args: argparse.Namespace) -> dict:
     params = next(_curve_params(args))
     text = export_ideal(params, args.fmt)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        return {"written": args.out, "bytes": len(text), "p": params.p}, 0
+        return {"written": args.out, "bytes": len(text), "p": params.p}
     # raw payload straight to stdout
     sys.stdout.write(text)
-    return {}, 0
+    return {}
 
 
 # --- rendering / entry ----------------------------------------------------------
@@ -366,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        report, code = args.run(args)
+        report = args.run(args)
         _emit(report, args)
     except (ParameterError, InsufficientPointsError, OSError, MemoryError) as exc:
         error = "out of memory; try a smaller input" if isinstance(exc, MemoryError) else str(exc)
         sys.stderr.write(json.dumps({"error": error}) + "\n")
         return 2
-    return code
+    return 1 if report.get("passed") is False else 0
 
 
 def entry() -> None:

@@ -12,18 +12,18 @@ Two relation families span the degree-2 kernel of the evaluation map:
     for every relation index i and t in the corresponding C_i set,
 the latter vanishing because lam_i + x^k + y_{i+1}^k = 0 on the curve.
 
-The monomials are one (N, 2) array of window-index pairs in term order, and
-each fiber is one run of its rows, tau first.  The binomials carry nothing
-beyond these runs.  verify_degree2_kernel writes each trinomial only as a
-fiber row {fiber: coefficient}, and both kernel checks take these rows;
-Relation objects and tau serve export, parse_ideal_json and the tests.  The
-symbolic check works one (Z/k)^n character block at a time, with no dense
-matrix: each row must lie in the kernel of its character's block of the
-evaluation map phi2 (a binomial's fiber coordinates are zero), and every
-rank is a sum of block ranks.  The independent pointwise check matches each
-binomial run's index sums to its fiber and evaluates the trinomials at
-sampled points with curve.evaluation_matrix.  The verdict is a plain dict,
-which verify prints per prime as it is, character labels joined to strings.
+The monomials are one (N, 2) array of window-index pairs in term order, sorted
+by one integer key per index sum, and each fiber is one run of its rows, tau
+first: the binomials are these runs.  verify_degree2_kernel writes each
+trinomial only as a fiber row {fiber: coefficient}, and both kernel checks
+take these rows; Relation objects and tau serve export, parse_ideal_json and
+the tests.  The symbolic check works one (Z/k)^n character block and one phi2
+row at a time, with no dense matrix: each row must lie in the kernel of its
+character's block of the evaluation map phi2 (a binomial's fiber coordinates
+are zero), and every rank is a sum of block ranks.  The independent pointwise
+check matches each binomial run's index sums to its fiber and evaluates the
+trinomials at sampled points with curve.evaluation_matrix.  The verdict is a
+plain dict, which verify prints per prime, character labels joined to strings.
 
 export_ideal writes the JSON text that json.dumps(payload, indent=2) gives,
 byte for byte, without running the encoder: each variable is laid out once
@@ -66,21 +66,29 @@ def _degree2_data(k: int, n: int) -> tuple[np.ndarray, dict[IndexTuple, tuple[in
     """(the degree-2 monomials in term order, as an (N, 2) int32 array of
     degree-1 window indices i <= j; fiber -> its run [start, stop) of rows,
     tau first, fibers in run order).  Treat both as immutable.  The fibers, read
-    off the sorted index sums, must equal minkowski_di1's closed form: an
-    independent enumeration of the 2-fold sumset."""
+    off one sorted integer key per index sum, must equal minkowski_di1's
+    closed form: an independent enumeration of the 2-fold sumset."""
     window = np.array(enumerate_im(k, n, 1).members, dtype=np.int32).reshape(-1, n)
-    i, j = np.triu_indices(len(window))
-    sums = window[i] + window[j]
-    # The term order without its constant degree: the window is sorted, so
-    # the pair (i, j) orders the monomials (window[i], window[j]), and the
-    # leading coordinate sums name the fiber, so each fiber is one run.
-    order = np.lexsort((j, i, *sums[:, :0:-1].T, -sums[:, 0]))
-    sums = sums[order]
-    starts = np.flatnonzero(np.r_[True, np.any(sums[1:] != sums[:-1], axis=1)])
-    stops = np.r_[starts[1:], len(sums)]
-    fibers = {tuple(t): (int(a), int(b)) for t, a, b in zip(sums[starts].tolist(), starts, stops)}
+    # The term order without its constant degree: a sum's key has base-(2k-1)
+    # digits -r, a_2, ..., a_n (an a-coordinate of a sum is at most 2(k-1)), and
+    # a pair's key is the sum of its members' keys.  A stable sort keeps each
+    # fiber's pairs in (i, j) order, the last clause, as the window is sorted.
+    # |key| < (2k-1)^(n-1) * (r_max + 1): far below 2^63 for any window in memory.
+    w = (2 * k - 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    w[0] = -w[0]
+    wkey = window @ w
+    i, j = (a.astype(np.int32) for a in np.triu_indices(len(window)))
+    key = wkey[i] + wkey[j]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    stops = np.r_[starts[1:], len(key)]
+    i, j = i[order], j[order]
+    del key, order
+    sums = window[i[starts]] + window[j[starts]]
+    fibers = {tuple(t): (int(a), int(b)) for t, a, b in zip(sums.tolist(), starts, stops)}
     assert set(fibers) == set(minkowski_di1(k, n, 2).members)
-    return np.stack((i[order], j[order]), axis=1).astype(np.int32), fibers
+    return np.stack((i, j), axis=1), fibers
 
 
 def degree2_monomials(k: int, n: int) -> tuple[MonomialKey, ...]:
@@ -237,8 +245,7 @@ def _character_blocks(
         for r, part in enumerate(parts.get(h, ())):
             for t, c in part.items():
                 block[r, col[t]] = c
-        image = (block[:, :, None] * phi2.T % p).sum(axis=1) % p
-        vanish = vanish and not np.any(image)
+        vanish = vanish and not any(np.any((block * row % p).sum(axis=1) % p) for row in phi2)
         dim = sum(fibers[t][1] - fibers[t][0] - 1 for t in ts) + rank_mod_p_array(block, p)
         if dim:
             dims[h] = dim

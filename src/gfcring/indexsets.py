@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator
 from math import comb
 
@@ -31,18 +31,11 @@ class IndexSet:
     def __post_init__(self) -> None:
         assert list(self.members) == sorted(set(self.members)), "not sorted/duplicate-free"
 
-    @cached_property
-    def _member_set(self) -> frozenset[IndexTuple]:
-        return frozenset(self.members)
-
     def __len__(self) -> int:
         return len(self.members)
 
     def __iter__(self):
         return iter(self.members)
-
-    def __contains__(self, t: IndexTuple) -> bool:
-        return t in self._member_set
 
 
 @lru_cache(maxsize=None)

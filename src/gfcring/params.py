@@ -211,18 +211,25 @@ def make_curve_params(
     if lam is not None and seed is not None:
         raise ParameterError("pass an explicit lambda vector or a seed, not both")
     if lam is not None:
-        lam_t = tuple(int(v) % p for v in lam)
+        given = tuple(int(v) for v in lam)
+        lam_t = tuple(v % p for v in given)
+
+        def named(v, residue) -> str:  # a value as given, and its residue if that differs
+            return str(v) if v == residue else f"{v} (= {residue} mod p = {p})"
+
         if len(lam_t) != n - 1:
             raise ParameterError(
                 f"lambda vector must have length n-1 = {n - 1}, got {len(lam_t)}"
             )
         if lam_t[0] != 1:
-            raise ParameterError(f"leading lambda must be 1, got {lam_t[0]}")
-        for v in lam_t[1:]:
-            if v in (0, 1):
-                raise ParameterError(f"lambda value {v} lies in the forbidden set {{0, 1}}")
+            raise ParameterError(f"leading lambda must be 1, got {named(given[0], lam_t[0])}")
+        for v, residue in zip(given[1:], lam_t[1:]):
+            if residue in (0, 1):
+                raise ParameterError(
+                    f"lambda value {named(v, residue)} lies in the forbidden set {{0, 1}}")
         if len(set(lam_t)) != len(lam_t):
-            raise ParameterError(f"lambda values must be pairwise distinct, got {lam_t}")
+            raise ParameterError(
+                f"lambda values must be pairwise distinct, got {named(given, lam_t)}")
     else:
         if p - 2 < n_free:
             raise ParameterError(f"p = {p} is too small to draw {n_free} distinct "

@@ -91,10 +91,10 @@ def reduce_to_basis(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]
     lies in the weight-2 window.
     """
     t = tuple(t)
-    if t not in minkowski_di1(params.k, params.n, 2):
+    if t not in set(minkowski_di1(params.k, params.n, 2).members):
         raise ParameterError(f"{t} is not a 2-fold sumset point")
     out = _reduce(params, t)
-    assert all(s in enumerate_im(params.k, params.n, 2) for s in out)
+    assert set(out) <= set(enumerate_im(params.k, params.n, 2).members)
     return out
 
 

@@ -325,6 +325,7 @@ REFERENCE = os.path.join(os.path.dirname(__file__), "reference")
     ("verify --k 3 --n 3 --seed 1", 0, "verify_k_3_n_3_seed_1"),
     ("verify --k 5 --n 2 --seed 1", 0, "verify_k_5_n_2_seed_1"),
     ("verify --k 2 --n 5 --seed 1", 0, "verify_k_2_n_5_seed_1"),
+    ("verify --k 2 --n 7 --seed 1", 0, "verify_k_2_n_7_seed_1"),
     ("verify --k 4 --n 4 --seed 1", 0, "verify_k_4_n_4_seed_1"),
     ("verify --grid --kmax 3 --nmax 4 --mmax 2 --seed 1", 0,
      "verify_grid_kmax_3_nmax_4_mmax_2_seed_1"),
@@ -410,6 +411,13 @@ UNWRITABLE = os.path.join(os.devnull, "report.json")
 @pytest.mark.usefixtures("hang_guard")
 def test_bad_input_is_one_json_error_line(capsys, argv):
     assert_one_json_error_line(*run(capsys, *argv))
+
+
+def test_lambda_error_names_the_value_as_given(capsys):
+    # The default prime of (3,3) is 103, where 104 is the forbidden value 1.
+    code, out, err = run(capsys, "verify", "--k", "3", "--n", "3", "--lambda", "1,104")
+    assert_one_json_error_line(code, out, err)
+    assert "104" in err and "103" in err
 
 
 def test_grid_error_names_the_curve(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,7 +244,7 @@ def test_reduce_to_basis_identity_on_window():
 
 def test_reduce_to_basis_output_in_window():
     pp = make_curve_params(3, 4, p=547)
-    window = enumerate_im(3, 4, 2)
+    window = set(enumerate_im(3, 4, 2).members)
     for t in minkowski_di1(3, 4, 2):
         combo = reduce_to_basis(pp, t)
         assert combo
@@ -416,11 +417,26 @@ def test_symbolic_kernel_check_is_exact_at_the_largest_prime():
         assert _character_blocks(pp, fiber_rows(scaled))[0]
 
 
+def test_symbolic_check_keeps_no_three_dimensional_product():
+    # The image is taken one phi2 row at a time: a (relations x fibers x
+    # phi2 rows) product at (2,7) would peak above 4 MiB here.
+    pp = make_curve_params(2, 7, seed=1)
+    rows = [row for _, row in ideal._trinomial_rows(pp)]
+    ideal._degree2_data(2, 7), enumerate_im(2, 7, 2)  # warm the caches
+    tracemalloc.start()
+    try:
+        assert _character_blocks(pp, rows)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
 def test_verify_reads_each_fiber_once(monkeypatch):
-    # The degree-2 data are one lexsort over window-index pairs: no sort key
-    # or index sum per monomial.  verify reads the fiber runs instead of
-    # summing indices again, writes no relation out as monomials, and builds
-    # the trinomial rows once.
+    # The degree-2 data are one sort of window-index pairs by an integer key
+    # per index sum: no tuple key or index sum per monomial.  verify reads
+    # the fiber runs instead of summing indices again, writes no relation out
+    # as monomials, and builds the trinomial rows once.
     calls = []
 
     def spy(fn):
@@ -468,7 +484,8 @@ def sorted_key_route(k, n):
     }
 
 
-@pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (4, 2), (5, 2), (3, 4), (4, 4), (2, 7)])
+@pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (4, 2), (5, 2), (3, 4), (4, 4), (2, 7),
+                                 (5, 3), (8, 2), (7, 3), (2, 8)])
 def test_fiber_runs_match_the_sorted_key_route(k, n):
     expected = sorted_key_route(k, n)
     monos = degree2_monomials(k, n)

@@ -205,6 +205,13 @@ def test_make_curve_params_validation_errors():
         make_curve_params(3, 3, lam=(1, 0), p=103)  # forbidden value
     with pytest.raises(ParameterError):
         make_curve_params(3, 4, lam=(1, 5, 5), p=103)  # duplicate
+    # A value given outside 0..p-1 is named as given, with its residue.
+    with pytest.raises(ParameterError, match=r"got 105 \(= 2 mod p = 103\)"):
+        make_curve_params(3, 3, lam=(105, 5), p=103)
+    with pytest.raises(ParameterError, match=r"value -103 \(= 0 mod p = 103\)"):
+        make_curve_params(3, 3, lam=(1, -103), p=103)
+    with pytest.raises(ParameterError, match=r"got \(1, 5, 108\) \(= \(1, 5, 5\) mod p"):
+        make_curve_params(3, 4, lam=(1, 5, 108), p=103)
     with pytest.raises(ParameterError):
         make_curve_params(3, 3, p=100)  # not prime
     with pytest.raises(ParameterError):
