@@ -16,20 +16,25 @@ The monomials are one (N, 2) array of window-index pairs in term order, sorted
 by one integer key per index sum, and each fiber is one run of its rows, tau
 first: the binomials are these runs.  verify_degree2_kernel writes each
 trinomial only as a fiber row {fiber: coefficient}, and both kernel checks
-take these rows; Relation objects and tau serve export, parse_ideal_json and
-the tests.  The symbolic check works one (Z/k)^n character block and one phi2
-row at a time, with no dense matrix: each row must lie in the kernel of its
-character's block of the evaluation map phi2 (a binomial's fiber coordinates
-are zero), and every rank is a sum of block ranks.  The independent pointwise
-check matches each binomial run's index sums to its fiber and evaluates the
-trinomials at sampled points with curve.evaluation_matrix.  The verdict is a
-plain dict, which verify prints per prime, character labels joined to strings.
+take these rows; Relation objects serve generate_binomials,
+generate_trinomials and parse_ideal_json.  The symbolic check works one
+(Z/k)^n character block and one phi2 row at a time, with no dense matrix:
+each row must lie in the kernel of its character's block of the evaluation
+map phi2 (a binomial's fiber coordinates are zero), and every rank is a sum
+of block ranks.  The independent pointwise check matches each binomial run's
+index sums to its fiber and evaluates the trinomials at sampled points with
+curve.evaluation_matrix.  The verdict is a plain dict, which verify prints
+per prime, character labels joined to strings.
 
-export_ideal writes the JSON text that json.dumps(payload, indent=2) gives,
+export_ideal reads the generators off the same runs as window-index arrays,
+the row source that generate_binomials and generate_trinomials wrap in
+Relations: a binomial is a run's row after the first and that first row,
+tau; a trinomial is the first rows of its three fibers.  It builds no
+Relation, and writes the JSON text that json.dumps(payload, indent=2) gives,
 byte for byte, without running the encoder: each variable is laid out once
-as an indented fragment, every term fills one template with its coefficient
-and two fragments, and the lists around them are joined with the encoder's
-separators and indents (an empty list is "[]").
+as an indented fragment (a name, in cas-text), each relation family is one
+template whose holes take those fragments, and the whole text is one gather
+of these shared pieces and one join.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -74,26 +80,24 @@ def _degree2_data(k: int, n: int) -> tuple[np.ndarray, dict[IndexTuple, tuple[in
     # a pair's key is the sum of its members' keys.  A stable sort keeps each
     # fiber's pairs in (i, j) order, the last clause, as the window is sorted.
     # |key| < (2k-1)^(n-1) * (r_max + 1): far below 2^63 for any window in memory.
+    # Pairs are laid out row by row, (i, i..W-1) for each i: the triu order.
     w = (2 * k - 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     w[0] = -w[0]
     wkey = window @ w
-    i, j = (a.astype(np.int32) for a in np.triu_indices(len(window)))
-    key = wkey[i] + wkey[j]
+    rows = range(len(window))
+    key = np.concatenate([wkey[a] + wkey[a:] for a in rows])
     order = np.argsort(key, kind="stable")
-    key = key[order]
+    key.sort()  # in place: the sorted values are those of key[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     stops = np.r_[starts[1:], len(key)]
-    i, j = i[order], j[order]
-    del key, order
+    del key
+    i = np.repeat(np.arange(len(window), dtype=np.int32), np.arange(len(window), 0, -1))[order]
+    j = np.concatenate([np.arange(a, len(window), dtype=np.int32) for a in rows])[order]
+    del order
     sums = window[i[starts]] + window[j[starts]]
     fibers = {tuple(t): (int(a), int(b)) for t, a, b in zip(sums.tolist(), starts, stops)}
     assert set(fibers) == set(minkowski_di1(k, n, 2).members)
     return np.stack((i, j), axis=1), fibers
-
-
-def degree2_monomials(k: int, n: int) -> tuple[MonomialKey, ...]:
-    window = enumerate_im(k, n, 1).members
-    return tuple((window[i], window[j]) for i, j in _degree2_data(k, n)[0].tolist())
 
 
 def tau(k: int, n: int, t: IndexTuple) -> MonomialKey:
@@ -116,17 +120,17 @@ class Relation:
     index: int | None = None  # relation index for trinomials
 
 
-def generate_binomials(k: int, n: int) -> list[Relation]:
-    """One relation M - tau(t) per monomial M above t other than tau(t),
-    fibers in sorted order: the fiber runs written out, built anew per call.
-
-    Spans all pairwise differences within every fiber; the count is
-    (number of degree-2 monomials) - (number of fibers).
-    """
-    monos = degree2_monomials(k, n)
-    return [Relation(((1, monos[row]), (-1, monos[start])), "binomial")
-            for _, (start, stop) in sorted(_degree2_data(k, n)[1].items())
-            for row in range(start + 1, stop)]
+def _binomial_rows(k: int, n: int) -> np.ndarray:
+    """(B, 4) int32 window indices (i, j, i', j') of each binomial
+    z_i*z_j - z_i'*z_j': every row of every fiber run after the first, paired
+    with the first, tau; fibers in sorted order."""
+    pairs, fibers = _degree2_data(k, n)
+    first, stop = np.array([fibers[t] for t in sorted(fibers)]).T
+    size = stop - first - 1
+    tau_row = np.repeat(first, size)
+    # the b-th binomial overall is row b - (binomials before its fiber) + 1 of its run
+    row = tau_row + 1 + np.arange(len(tau_row)) - np.repeat(np.cumsum(size) - size, size)
+    return np.concatenate((pairs[row], pairs[tau_row]), axis=1)
 
 
 def _trinomial_rows(params: CurveParams) -> list[tuple[int, dict[IndexTuple, int]]]:
@@ -136,11 +140,34 @@ def _trinomial_rows(params: CurveParams) -> list[tuple[int, dict[IndexTuple, int
             for i, t, up, down in ci_shifts(params.k, params.n)]
 
 
+def _trinomial_taus(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(the relation index i of each trinomial, (T, 6) int32 window indices
+    of the taus of its fibers t, t+(k,0,..), t-k*e_i), in _trinomial_rows order."""
+    pairs, fibers = _degree2_data(k, n)
+    shifts = list(ci_shifts(k, n))
+    rows = [fibers[s][0] for _, *three in shifts for s in three]
+    return np.array([i for i, *_ in shifts], dtype=np.intp), pairs[rows].reshape(-1, 6)
+
+
+def generate_binomials(k: int, n: int) -> list[Relation]:
+    """One relation M - tau(t) per monomial M above t other than tau(t),
+    fibers in sorted order: _binomial_rows as Relations, built anew per call.
+
+    Spans all pairwise differences within every fiber; the count is
+    (number of degree-2 monomials) - (number of fibers).
+    """
+    w = enumerate_im(k, n, 1).members
+    return [Relation(((1, (w[a], w[b])), (-1, (w[c], w[d]))), "binomial")
+            for a, b, c, d in _binomial_rows(k, n).tolist()]
+
+
 def generate_trinomials(params: CurveParams) -> list[Relation]:
     """lam_i*tau(t) + tau(t+(k,0,..)) + tau(t-k*e_i) for each i and t in C_i."""
-    return [Relation(tuple((c, tau(params.k, params.n, s)) for s, c in row.items()),
-                     "trinomial", index=i)
-            for i, row in _trinomial_rows(params)]
+    w = enumerate_im(params.k, params.n, 1).members
+    index, taus = _trinomial_taus(params.k, params.n)
+    return [Relation(((params.lam[i - 1] % params.p, (w[a], w[b])), (1, (w[c], w[d])),
+                      (1, (w[e], w[f]))), "trinomial", index=i)
+            for i, (a, b, c, d, e, f) in zip(index.tolist(), taus.tolist())]
 
 
 # --- rewriting into the weight-2 basis ---------------------------------------
@@ -173,7 +200,7 @@ def _relations_vanish_at(
     x^r * prod y_j^(-a_j) is multiplicative in the index, so M - tau(t)
     vanishes exactly when M has index sum t, checked with no points.  The
     rows {fiber: coefficient}, padded with zero coefficients, are read off
-    one (points x fibers) evaluation matrix.
+    one evaluation matrix of points x the fibers the rows name.
     """
     p = params.p
     window = np.array(enumerate_im(params.k, params.n, 1).members, dtype=np.int32)
@@ -182,14 +209,14 @@ def _relations_vanish_at(
     for w, key in zip(window.T, zip(*fibers)):  # one int32 coordinate at a time
         if np.any(w[pairs[:, 0]] + w[pairs[:, 1]] != np.repeat(np.array(key, np.int32), sizes)):
             return False
-    col = {t: c for c, t in enumerate(fibers)}
+    col = {t: c for c, t in enumerate(dict.fromkeys(t for row in rows for t in row))}
     width = max(map(len, rows), default=0)
     coeff = np.zeros((len(rows), width), dtype=np.int64)
     at = np.zeros((len(rows), width), dtype=np.intp)
     for r, row in enumerate(rows):
         for j, (t, c) in enumerate(row.items()):
             coeff[r, j], at[r, j] = c % p, col[t]
-    for vals in evaluation_matrix(params, points, list(fibers)):
+    for vals in evaluation_matrix(params, points, list(col)):
         if np.any((vals[at] * coeff % p).sum(axis=1) % p):
             return False
     return True
@@ -344,10 +371,8 @@ def variable_name(t: IndexTuple) -> str:
     return "z_" + "_".join(str(c) for c in t)
 
 
-def _monomial_text(mono: MonomialKey) -> str:
-    if mono[0] == mono[1]:
-        return f"{variable_name(mono[0])}^2"
-    return f"{variable_name(mono[0])}*{variable_name(mono[1])}"
+# Marks a slot of a text template; no number or variable name contains it.
+HOLE = "\0"
 
 
 def _json_block(brackets: str, items: list[str], depth: int) -> str:
@@ -359,32 +384,54 @@ def _json_block(brackets: str, items: list[str], depth: int) -> str:
     return f'{brackets[0]}{pad}{("," + pad).join(items)}\n{"  " * depth}{brackets[1]}'
 
 
+def _write(pieces: list[str], frame: str, runs: list[tuple[str, np.ndarray, str]]) -> str:
+    """frame with its holes filled in order by runs (template, slots, sep):
+    template once per row of slots, its holes taking the pieces the row names,
+    sep between rows.  One gather of the shared pieces and one join."""
+    idx = []
+    for part, run in zip_longest(frame.split(HOLE), runs):
+        idx.append([len(pieces)])
+        pieces.append(part)
+        if run:
+            template, slots, sep = run
+            lits = template.split(HOLE)
+            base = len(pieces)
+            pieces += [lits[0], sep + lits[0], *lits[1:]]
+            rows = np.empty((len(slots), 2 * len(lits) - 1), dtype=np.intp)
+            rows[:, 0] = base + 1
+            rows[:1, 0] = base  # no sep before the first row
+            rows[:, 1::2] = slots
+            rows[:, 2::2] = np.arange(base + 2, base + len(lits) + 1)
+            idx.append(rows.ravel())
+    return "".join(np.array(pieces, dtype=object)[np.concatenate(idx)].tolist())
+
+
 def export_ideal(params: CurveParams, fmt: str) -> str:
     """Serialize the generators: "json" (machine round-trip) or "cas-text"
     (one generator per line, pasteable into a computer algebra system)."""
     k, n, p = params.k, params.n, params.p
     variables = enumerate_im(k, n, 1).members
-    bins = generate_binomials(k, n)
-    tris = generate_trinomials(params)
+    bins = _binomial_rows(k, n)
+    index, taus = _trinomial_taus(k, n)
+    width = len(variables)
 
     if fmt == "json":
         # Assembled from text (see the module docstring): with an indent,
         # json.dumps runs its pure-Python encoder over every number.
-        factor = {t: _json_block("[]", [str(c) for c in t], 5) for t in variables}
-        term = _json_block("{}", [
-            '"coeff": %d',
-            '"factors": ' + _json_block("[]", ["%s", "%s"], 4),
-        ], 3)
+        pieces = [_json_block("[]", [str(c) for c in t], 5) for t in variables]
+        pieces += [str(v % p) for v in params.lam]  # the trinomials' lam_i coefficients
 
-        def relations(rels: list[Relation]) -> str:
-            return _json_block("[]", [
-                _json_block("[]", [
-                    term % (c, factor[a], factor[b]) for c, (a, b) in rel.terms
-                ], 2)
-                for rel in rels
-            ], 1)
+        def relation(coeffs: list) -> str:
+            return _json_block("[]", [_json_block("{}", [
+                f'"coeff": {c}',
+                '"factors": ' + _json_block("[]", [HOLE, HOLE], 4),
+            ], 3) for c in coeffs], 2)
 
-        return _json_block("{}", [
+        def listed(rows: np.ndarray) -> str:  # an empty list takes its empty fill after "[]"
+            return _json_block("[]", [HOLE], 1) if len(rows) else "[]" + HOLE
+
+        sep = ",\n" + "  " * 2  # between the items of a list at depth 1
+        frame = _json_block("{}", [
             f'"k": {k}',
             f'"n": {n}',
             f'"p": {p}',
@@ -392,34 +439,45 @@ def export_ideal(params: CurveParams, fmt: str) -> str:
             '"variables": ' + _json_block("[]", [
                 _json_block("[]", [str(c) for c in t], 2) for t in variables
             ], 1),
-            '"binomials": ' + relations(bins),
-            '"trinomials": ' + relations(tris),
+            '"binomials": ' + listed(bins),
+            '"trinomials": ' + listed(taus),
         ], 0)
+        return _write(pieces, frame, [
+            (relation([1, -1]), bins, sep),
+            (relation([HOLE, 1, 1]), np.column_stack((width + index - 1, taus)), sep),
+        ])
 
     if fmt == "cas-text":
-        lines = [
+        # A monomial is two slots: its first variable's name, then "*" and
+        # the second's name, or "^2" for a square.
+        pieces = [variable_name(t) for t in variables]
+        pieces += ["*" + name for name in pieces] + ["^2"]
+        pieces += [f"l{i}*" for i in range(1, n)]
+
+        def monomials(rows: np.ndarray) -> np.ndarray:
+            out = rows.astype(np.intp)
+            first, second = rows[:, 0::2], rows[:, 1::2]
+            out[:, 1::2] = np.where(first == second, 2 * width, width + second)
+            return out
+
+        frame = "\n".join([
             f"// k={k} n={n} p={p}",
             "// lambda parameters: "
             + " ".join(f"l{i + 1}={v}" for i, v in enumerate(params.lam)),
-            f"// variables ({len(variables)}), binomials ({len(bins)}), "
-            f"trinomials ({len(tris)})",
+            f"// variables ({width}), binomials ({len(bins)}), "
+            f"trinomials ({len(taus)})",
             "ring R = (0, "
             + ", ".join(f"l{i + 1}" for i in range(n - 1))
             + "), ("
-            + ", ".join(variable_name(t) for t in variables)
+            + ", ".join(pieces[:width])
             + "), dp;",
             "// generators:",
-        ]
-        for rel in bins:
-            (_, m1), (_, m2) = rel.terms
-            lines.append(f"{_monomial_text(m1)} - {_monomial_text(m2)}")
-        for rel in tris:
-            (_, m0), (_, m1), (_, m2) = rel.terms
-            lines.append(
-                f"l{rel.index}*{_monomial_text(m0)} + "
-                f"{_monomial_text(m1)} + {_monomial_text(m2)}"
-            )
-        return "\n".join(lines) + "\n"
+        ]) + "\n" + HOLE + HOLE
+        return _write(pieces, frame, [
+            (HOLE * 2 + " - " + HOLE * 2 + "\n", monomials(bins), ""),
+            (HOLE * 3 + (" + " + HOLE * 2) * 2 + "\n",
+             np.column_stack((2 * width + index, monomials(taus))), ""),
+        ])
 
     raise ParameterError(f"unknown export format: {fmt!r}")
 

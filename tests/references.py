@@ -6,6 +6,8 @@ gfcring computes on one production path, kept here as oracles.
     canonical-divisor tests combine into divisor_of_theta;
   - monomial_sort_key and compare_monomials, the term order that
     ideal._degree2_data sorts the degree-2 monomials by;
+  - degree2_monomials, the rows of ideal._degree2_data as tuples of
+    window members, which export and verify read as index arrays;
   - reduce_to_basis and phi2_matrix, the weight-2 rewriting and the dense
     evaluation map whose character blocks verify_degree2_kernel ranks;
   - span_rank_by_character, the per-character ranks without the checks;
@@ -80,6 +82,11 @@ def compare_monomials(m1: MonomialKey, m2: MonomialKey) -> int:
     """-1, 0, or 1 as m1 precedes, equals, or follows m2 in the term order."""
     k1, k2 = monomial_sort_key(m1), monomial_sort_key(m2)
     return (k1 > k2) - (k1 < k2)
+
+
+def degree2_monomials(k: int, n: int) -> tuple[MonomialKey, ...]:
+    window = enumerate_im(k, n, 1).members
+    return tuple((window[i], window[j]) for i, j in _degree2_data(k, n)[0].tolist())
 
 
 def reduce_to_basis(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]:

@@ -50,3 +50,11 @@ def test_benchmark_workloads_pass_their_oracles(tmp_path):
     assert CHECKS["kernel-5-3"](rec["exit"], rec["output"], tmp_path)[0] == []
     names = {span[0] for span in rec["spans"]}
     assert {"cli.main", "ideal.verify_degree2_kernel", "linalg.rank_mod_p_array"} <= names
+
+
+def test_traced_export_counts_the_bytes_it_wrote(tmp_path):
+    # the tracer books export_ideal's work as len() of the text it returns
+    rec = spawn("export-4-4", tmp_path, trace=True)
+    assert CHECKS["export-4-4"](rec["exit"], rec["output"], tmp_path)[0] == []
+    assert "ideal.export_ideal" in {span[0] for span in rec["spans"]}
+    assert rec["work"]["ideal.export_bytes"] == json.loads(rec["output"])["bytes"]

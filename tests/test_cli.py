@@ -1,5 +1,6 @@
 """Command-line surface: reports, exit codes, formats, and file output."""
 
+import hashlib
 import importlib
 import io
 import json
@@ -169,7 +170,7 @@ TEST_ONLY = [
     "evaluate_theta", "divisor_of_x", "divisor_of_y", "divisor_of_dx", "divisor_degree",
     "monomial_sort_key", "compare_monomials", "reduce_to_basis", "phi2_matrix",
     "span_rank_by_character", "member_im", "action_exponent", "syzygy_multiplicity",
-    "relations_vanish_at_by_monomials",
+    "relations_vanish_at_by_monomials", "degree2_monomials",
 ]
 
 
@@ -339,6 +340,18 @@ def test_reference_output(capsys, argv, code, name):
     with open(os.path.join(REFERENCE, name + ".txt")) as fh:
         expected = fh.read()
     assert run(capsys, *argv.split())[:2] == (code, expected)
+
+
+# The (4,4) export is 12.6 MB of JSON: its sha256 and length, recorded
+# once, stand in for a reference file.
+@pytest.mark.parametrize("fmt, size, digest", [
+    ("json", 12588818, "5da865febff8d00ab3902521813cd632e5510a8207f599ea624c8d4e45317507"),
+    ("cas-text", 1102623, "34da8ea8cc9127e25df1607c636e44961a63aab86c6105150139d55fec45d7cd"),
+])
+def test_export_k_4_n_4_digest(capsys, fmt, size, digest):
+    code, out, err = run(capsys, "export", "--k", "4", "--n", "4", "--seed", "1", "--format", fmt)
+    assert (code, err, len(out)) == (0, "", size)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_export_rejects_pretty(capsys):

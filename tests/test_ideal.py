@@ -21,7 +21,6 @@ from gfcring.ideal import (
     Relation,
     _character_blocks,
     _relations_vanish_at,
-    degree2_monomials,
     export_ideal,
     generate_binomials,
     generate_trinomials,
@@ -37,6 +36,7 @@ from gfcring.params import ParameterError, dim_vm, make_curve_params
 from gfcring.reps import character_of, nu_table, syzygy_table
 from references import (
     compare_monomials,
+    degree2_monomials,
     evaluate_theta,
     monomial_sort_key,
     phi2_matrix,
@@ -593,6 +593,58 @@ def test_export_json_roundtrip():
     assert data["trinomials"] == generate_trinomials(pp)
     # and the round trip is idempotent at the text level
     assert json.loads(text) == json.loads(export_ideal(pp, "json"))
+
+
+def enumerated_generators(pp):
+    """(binomial terms, (index, trinomial terms)) as the paper writes them,
+    without _degree2_data: the monomials from combinations_with_replacement,
+    grouped by index sum, tau the minimum under monomial_sort_key."""
+    k, n = pp.k, pp.n
+    fibers = {}
+    for mono in itertools.combinations_with_replacement(enumerate_im(k, n, 1).members, 2):
+        fibers.setdefault(tuple(a + b for a, b in zip(*mono)), []).append(mono)
+    for monos in fibers.values():
+        monos.sort(key=monomial_sort_key)
+    bins = [((1, mono), (-1, monos[0])) for _, monos in sorted(fibers.items())
+            for mono in monos[1:]]
+    tris = [(i, ((pp.lam[i - 1] % pp.p, fibers[t][0]),
+                 (1, fibers[(t[0] + k, *t[1:])][0]),
+                 (1, fibers[(*t[:i], t[i] - k, *t[i + 1:])][0])))
+            for i in range(1, n) for t in enumerate_ci(k, n, i)]
+    return bins, tris
+
+
+@pytest.mark.parametrize("k, n", [(3, 3), (2, 5), (4, 3), (2, 4), (4, 2)])
+def test_export_writes_the_enumerated_generators(k, n):
+    pp = make_curve_params(k, n, seed=1)
+    data = parse_ideal_json(export_ideal(pp, "json"))
+    bins, tris = enumerated_generators(pp)
+    assert [rel.terms for rel in data["binomials"]] == bins
+    assert [(rel.index, rel.terms) for rel in data["trinomials"]] == tris
+
+
+def test_export_builds_no_relation_and_copies_its_text_once(monkeypatch):
+    # export reads the fiber runs as index arrays and joins shared text
+    # pieces once: no Relation, and a peak near the text itself.  A Relation
+    # per generator and nested joins peak at 3.6 times the text at (3,4).
+    kinds = []
+
+    class Spy(Relation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            kinds.append(self.kind)
+
+    monkeypatch.setattr(ideal, "Relation", Spy)
+    pp = make_curve_params(3, 4, seed=1)
+    export_ideal(pp, "json")  # the cached index sets and fiber runs
+    tracemalloc.start()
+    try:
+        text = export_ideal(pp, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kinds == []
+    assert peak < 2 * len(text)
 
 
 def encoder_export(pp):
