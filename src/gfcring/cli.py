@@ -221,14 +221,24 @@ def cmd_export(args: argparse.Namespace) -> dict:
     text = export_ideal(params, args.fmt)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            _write_sliced(fh, text)
         return {"written": args.out, "bytes": len(text), "p": params.p}
     # raw payload straight to stdout
-    sys.stdout.write(text)
+    _write_sliced(sys.stdout, text)
     return {}
 
 
 # --- rendering / entry ----------------------------------------------------------
+
+# Characters per write: a text-mode write encodes a copy of what it is given,
+# so slicing bounds that copy instead of doubling a whole export in memory.
+WRITE_SLICE = 1 << 20
+
+
+def _write_sliced(fh, text: str) -> None:
+    for start in range(0, len(text), WRITE_SLICE):
+        fh.write(text[start:start + WRITE_SLICE])
+
 
 def _fmt_scalar(v) -> str:
     if isinstance(v, bool):
@@ -284,9 +294,9 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     text = render_pretty(report) if args.fmt == "pretty" else json.dumps(report, indent=2) + "\n"
     if args.out and args.command != "export":
         with open(args.out, "w") as fh:
-            fh.write(text)
+            _write_sliced(fh, text)
     else:
-        sys.stdout.write(text)
+        _write_sliced(sys.stdout, text)
 
 
 def _int_list(text: str) -> tuple[int, ...]:

@@ -133,10 +133,10 @@ def _binomial_rows(k: int, n: int) -> np.ndarray:
     return np.concatenate((pairs[row], pairs[tau_row]), axis=1)
 
 
-def _trinomial_rows(params: CurveParams) -> list[tuple[int, dict[IndexTuple, int]]]:
-    """The trinomials in fiber coordinates: (i, {t: lam_i, t+(k,0,..): 1,
-    t-k*e_i: 1}) for each relation index i and t in C_i."""
-    return [(i, {t: params.lam[i - 1] % params.p, up: 1, down: 1})
+def _trinomial_rows(params: CurveParams) -> list[dict[IndexTuple, int]]:
+    """The trinomials in fiber coordinates: {t: lam_i, t+(k,0,..): 1,
+    t-k*e_i: 1} for each relation index i and t in C_i."""
+    return [{t: params.lam[i - 1] % params.p, up: 1, down: 1}
             for i, t, up, down in ci_shifts(params.k, params.n)]
 
 
@@ -315,7 +315,7 @@ def verify_degree2_kernel(params: CurveParams) -> dict:
     pairs, fibers = _degree2_data(k, n)
     dim_s2 = len(pairs)
     assert dim_s2 == total_degree_d_monomials(k, n, 2)
-    rows = [row for _, row in _trinomial_rows(params)]
+    rows = _trinomial_rows(params)
 
     # (a) pointwise: binomials by their index sums, trinomials at points.
     points, shortfall = sample_points(params, KERNEL_POINTS)

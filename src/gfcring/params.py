@@ -13,8 +13,6 @@ over a second prime.
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -92,66 +90,24 @@ def is_prime(p: int) -> bool:
                for a in MILLER_RABIN_BASES)
 
 
-def _pollard_rho(x: int) -> int:
-    """A nontrivial factor of the odd composite x (Floyd's cycle search)."""
-    for c in itertools.count(1):
-        a = b = 2
-        d = 1
-        while d == 1:
-            a = (a * a + c) % x
-            b = (b * b + c) % x
-            b = (b * b + c) % x
-            d = math.gcd(a - b, x)
-        if d != x:
-            return d
-
-
-def _prime_factors(x: int) -> list[int]:
-    """The distinct prime factors of x >= 1, in increasing order: trial
-    division by the integers below 1000, then Pollard's rho on the cofactor,
-    split until every part passes is_prime."""
-    out = set()
-    for f in range(2, 1000):
-        if x % f == 0:
-            out.add(f)
-            while x % f == 0:
-                x //= f
-    parts = [x] if x > 1 else []
-    while parts:
-        y = parts.pop()
-        if is_prime(y):
-            out.add(y)
-        else:
-            d = _pollard_rho(y)
-            parts += [d, y // d]
-    return sorted(out)
-
-
-def least_primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group of F_p."""
-    if p == 2:
-        return 1
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise AssertionError(f"no primitive root found mod {p}")  # unreachable for prime p
-
-
 def find_prime_and_root(k: int, min_bound: int) -> tuple[int, int]:
     """Smallest prime p >= min_bound with p = 1 (mod k), and a root of unity.
 
-    The returned zeta is gamma^((p-1)/k) for the least primitive root gamma,
-    so it has exact multiplicative order k.
+    Only the candidates p = 1 (mod k) are tested for primality.  The returned
+    zeta is c = x^((p-1)/k) for the least x >= 2 with c^d != 1 for every
+    proper divisor d of k, that is, of exact multiplicative order k; p - 1 is
+    never factored.
     """
     if k < 2:
         raise ParameterError(f"need k >= 2, got k = {k}")
     if min_bound < k:
         raise ParameterError(f"need min_bound >= k, got {min_bound} < {k}")
-    p = min_bound
-    while not (is_prime(p) and p % k == 1):
-        p += 1
-    zeta = pow(least_primitive_root(p), (p - 1) // k, p)
+    p = min_bound + (1 - min_bound) % k
+    while not is_prime(p):
+        p += k
+    divisors = [d for d in range(1, k) if k % d == 0]
+    powers = (pow(x, (p - 1) // k, p) for x in range(2, p))
+    zeta = next(c for c in powers if all(pow(c, d, p) != 1 for d in divisors))
     assert pow(zeta, k, p) == 1
     return p, zeta
 

@@ -125,7 +125,7 @@ def phi2_matrix(params: CurveParams) -> np.ndarray:
 def span_rank_by_character(params: CurveParams) -> dict[IndexTuple, int]:
     """Rank of each character's block of the degree-2 relation span; labels
     with no relations are omitted (their dimension is 0)."""
-    return _character_blocks(params, [row for _, row in _trinomial_rows(params)])[2]
+    return _character_blocks(params, _trinomial_rows(params))[2]
 
 
 def relations_vanish_at_by_monomials(

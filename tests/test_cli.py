@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfcring
-from gfcring import curve, ideal, indexsets, reps
+from gfcring import cli, curve, ideal, indexsets, reps
 from gfcring.cli import main
 from gfcring.ideal import export_ideal, parse_ideal_json
 from gfcring.indexsets import shifted_ci_union
@@ -354,6 +354,38 @@ def test_export_k_4_n_4_digest(capsys, fmt, size, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class RecordedStdout(io.StringIO):
+    """A stdout that keeps the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_output_is_written_in_slices(monkeypatch, tmp_path):
+    # No write gets more than WRITE_SLICE characters, and the slices join to
+    # the whole text, on stdout and in an --out file.
+    monkeypatch.setattr(cli, "WRITE_SLICE", 1000)
+    text = export_ideal(make_curve_params(3, 3, seed=1), "json")
+    stdout = RecordedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["export", "--k", "3", "--n", "3", "--seed", "1"]) == 0
+    assert stdout.getvalue() == text
+    assert max(stdout.sizes) == 1000 and len(stdout.sizes) == -(-len(text) // 1000)
+    path = tmp_path / "ideal.json"
+    assert main(["export", "--k", "3", "--n", "3", "--seed", "1", "--out", str(path)]) == 0
+    assert path.read_text() == text
+    report = tmp_path / "report.json"
+    assert main(["multiplicities", "--k", "3", "--n", "3", "--out", str(report)]) == 0
+    stdout.seek(0), stdout.truncate(), stdout.sizes.clear()
+    assert main(["multiplicities", "--k", "3", "--n", "3"]) == 0
+    assert stdout.getvalue() == report.read_text() and len(stdout.sizes) > 1
+
+
 def test_export_rejects_pretty(capsys):
     code, _, err = run(
         capsys, "export", "--k", "3", "--n", "3", "--format", "pretty"
@@ -492,12 +524,14 @@ def test_large_prime_exits_zero(capsys, argv, key, value):
 @pytest.mark.parametrize("prime, code", [
     ("4611686018427387847", 0),  # the largest prime below 2^62
     ("6000001968000013483", 0),  # p - 1 = 6 * 1000000007 * 1000000321
+    ("226673612279295318930847", 0),  # p - 1 = 6 * 137438965819 * 274877907839
     ("1000000016000000063", 2),  # 1000000007 * 1000000009
 ])
 @pytest.mark.usefixtures("hang_guard")
 def test_export_decides_a_large_pinned_prime(capsys, prime, code):
     # export samples no points, so no int64 guard stands before the
-    # primality test and the factoring of p - 1 for the root of unity.
+    # primality test; the root of unity needs the divisors of k only, not
+    # the factors of p - 1, so a p - 1 with two large factors costs nothing.
     got, out, err = run(capsys, "export", "--k", "3", "--n", "3", "--prime", prime)
     if code:
         assert_one_json_error_line(got, out, err)

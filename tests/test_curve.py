@@ -1,5 +1,7 @@
 """Affine points, evaluation, group action, divisors, and rank checks."""
 
+import dataclasses
+import math
 import random
 from itertools import islice
 from unittest import mock
@@ -31,6 +33,7 @@ from gfcring.params import (
     genus,
     make_curve_params,
 )
+from gfcring.reps import check_equivariance
 from references import (
     divisor_degree,
     divisor_of_dx,
@@ -140,6 +143,27 @@ def test_evaluate_theta_manual():
     assert evaluate_theta(pp, q, t) == expected
     # r = 0 and a = 0 gives the constant 1
     assert evaluate_theta(pp, q, (0, 0, 0)) == 1
+
+
+@pytest.mark.parametrize("k, n", [(3, 3), (3, 4), (4, 3), (5, 2), (6, 2)])
+def test_no_result_depends_on_which_primitive_root_is_zeta(k, n):
+    # Every primitive k-th root zeta^j gives the same sorted points, the same
+    # equivariance verdict and the same rank verdicts, one fiber short of
+    # the full-rank bound (False at m = 1) and at it (True).
+    fiber = k ** (n - 1)
+    pp = next(suitable_params(k, n, full_rank_oversample(k, n, 2), seed=1))
+
+    def results(params):
+        return (sample_points(params, 3 * fiber), check_equivariance(params),
+                *(basis_rank_check(params, m, full_rank_oversample(k, n, m) - short)
+                  for m in (1, 2) for short in (0, fiber)
+                  if full_rank_oversample(k, n, m) - short >= dim_vm(k, n, m)))
+
+    base = results(pp)
+    assert base[1] and base[2] and False in base[2:]
+    for j in range(2, k):
+        if math.gcd(j, k) == 1:
+            assert results(dataclasses.replace(pp, zeta=pow(pp.zeta, j, pp.p))) == base, j
 
 
 @settings(max_examples=20)  # enough draws to reach every curve

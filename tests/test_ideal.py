@@ -204,9 +204,8 @@ def test_trinomial_initial_check_can_fail(monkeypatch):
 
     def down_first(params):
         rows = trinomial_rows(params)
-        i, row = rows[0]
-        (t, lam), (up, _), (down, _) = row.items()
-        rows[0] = (i, {down: 1, t: lam, up: 1})
+        (t, lam), (up, _), (down, _) = rows[0].items()
+        rows[0] = {down: 1, t: lam, up: 1}
         return rows
 
     pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
@@ -421,7 +420,7 @@ def test_symbolic_check_keeps_no_three_dimensional_product():
     # The image is taken one phi2 row at a time: a (relations x fibers x
     # phi2 rows) product at (2,7) would peak above 4 MiB here.
     pp = make_curve_params(2, 7, seed=1)
-    rows = [row for _, row in ideal._trinomial_rows(pp)]
+    rows = ideal._trinomial_rows(pp)
     ideal._degree2_data(2, 7), enumerate_im(2, 7, 2)  # warm the caches
     tracemalloc.start()
     try:

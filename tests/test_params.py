@@ -12,10 +12,8 @@ from gfcring.params import (
     genus,
     is_nonhyperelliptic,
     is_prime,
-    least_primitive_root,
     make_curve_params,
     require_nonhyperelliptic,
-    _prime_factors,
 )
 
 # (k, n) -> genus for every desk-scale curve exercised in this suite.
@@ -81,17 +79,6 @@ def test_is_prime_small():
     assert is_prime(101) and is_prime(103) and not is_prime(1)
 
 
-def trial_division_factors(x):
-    out, f = [], 2
-    while f * f <= x:
-        if x % f == 0:
-            out.append(f)
-            while x % f == 0:
-                x //= f
-        f += 1
-    return out + [x] * (x > 1)
-
-
 @pytest.mark.usefixtures("hang_guard")
 def test_is_prime_agrees_with_trial_division():
     # a sieve of Eratosthenes marks every n below the size that trial division calls prime
@@ -113,29 +100,24 @@ def test_is_prime_decides_large_numbers_quickly():
         is_prime(MILLER_RABIN_BOUND)
 
 
-@pytest.mark.usefixtures("hang_guard")
-def test_prime_factors_split_large_cofactors():
-    for x in [*range(1, 3000), 2 * 1000003**2, 999983 * 1000003, 2**61 - 2]:
-        assert _prime_factors(x) == trial_division_factors(x), x
-    # two large prime factors: stopping at a prime cofactor alone would not help
-    assert _prime_factors(6000001968000013482) == [2, 3, 1000000007, 1000000321]
-    assert least_primitive_root(6000001968000013483) == 2
-    assert least_primitive_root(4611686018427387847) == 6
+def exact_order(c, p):
+    """The multiplicative order of c mod p, by repeated multiplication."""
+    e, power = 1, c % p
+    while power != 1:
+        e, power = e + 1, power * c % p
+    return e
 
 
-def test_least_primitive_root():
-    assert least_primitive_root(101) == 2
-    assert least_primitive_root(103) == 5
-    assert least_primitive_root(211) == 2
-    # generator property: order is exactly p - 1
-    for p in (101, 103, 211):
-        g = least_primitive_root(p)
-        seen = {pow(g, e, p) for e in range(p - 1)}
-        assert len(seen) == p - 1
+def least_prime_by_scan(k, bound):
+    """The first p >= bound that is prime and 1 mod k, one integer at a time."""
+    p = bound
+    while not (is_prime(p) and p % k == 1):
+        p += 1
+    return p
 
 
 def test_find_prime_and_root():
-    assert find_prime_and_root(3, 101) == (103, 56)
+    assert find_prime_and_root(3, 101) == (103, 46)
     assert find_prime_and_root(2, 101) == (101, 100)
     assert find_prime_and_root(4, 160) == (173, 80)
     assert find_prime_and_root(5, 101) == (101, 95)
@@ -150,6 +132,31 @@ def test_find_prime_and_root():
         find_prime_and_root(5, 3)
 
 
+def test_find_prime_and_root_matches_brute_force():
+    # p: the integer scan; zeta: the least x >= 2 whose power x^((p-1)/k)
+    # has exact order k, the order found by repeated multiplication.
+    for k in range(2, 10):
+        for bound in range(k, 400):
+            p, zeta = find_prime_and_root(k, bound)
+            assert p == least_prime_by_scan(k, bound), (k, bound)
+            powers = (pow(x, (p - 1) // k, p) for x in range(2, p))
+            assert zeta == next(c for c in powers if exact_order(c, p) == k), (k, p)
+            assert exact_order(zeta, p) == k
+
+
+@pytest.mark.usefixtures("hang_guard")
+def test_find_prime_and_root_at_large_primes():
+    # p - 1 = 6 * 1000000007 * 1000000321 for the second prime; the order
+    # of zeta is checked on the divisors of k, and p - 1 is not factored.
+    for big in (4611686018427387847, 6000001968000013483):
+        for k in range(2, 10):
+            p, zeta = find_prime_and_root(k, big)
+            assert p == least_prime_by_scan(k, big)
+            assert p == big or (big - 1) % k
+            assert pow(zeta, k, p) == 1
+            assert all(pow(zeta, e, p) != 1 for e in range(1, k))
+
+
 def test_default_prime_bound():
     assert default_prime_bound(2, 4) == 101
     assert default_prime_bound(3, 4) == 120
@@ -159,7 +166,7 @@ def test_default_prime_bound():
 def test_make_curve_params_defaults():
     pp = make_curve_params(3, 3, p=103)
     assert isinstance(pp, CurveParams)
-    assert (pp.k, pp.n, pp.p, pp.zeta) == (3, 3, 103, 56)
+    assert (pp.k, pp.n, pp.p, pp.zeta) == (3, 3, 103, 46)
     assert pp.lam == (1, 51)  # deterministic seed-0 draw
     assert pp.genus == 10
     assert not pp.plane_quintic
