@@ -12,12 +12,9 @@ from .curve import (
     suitable_params,
 )
 from .ideal import (
-    Relation,
     export_ideal,
     generate_binomials,
     generate_trinomials,
-    parse_ideal_json,
-    tau,
     verify_degree2_kernel,
 )
 from .indexsets import (

@@ -167,9 +167,9 @@ def _verify_one(args: argparse.Namespace) -> dict:
                 _label_str(h): d for h, d in rep["per_character"].items()}}
             for rep in reps
         }
-        syz = syzygy_table(k, n, 2)
-        dims = reps[0]["per_character"]
-        report["per_character_ok"] = all(dims.get(h, 0) == syz[h] for h in all_labels(k, n))
+        syz = syzygy_table(k, n, 2)  # the same at every prime
+        report["per_character_ok"] = all(rep["per_character"].get(h, 0) == syz[h]
+                                         for rep in reps for h in all_labels(k, n))
 
     report["passed"] = (
         all(ok for per_prime in report["basis_rank"].values() for ok in per_prime.values())

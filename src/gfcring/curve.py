@@ -148,7 +148,9 @@ def suitable_params(
         # sample_points with count 0 would scan the whole field
         return len(sample_points(params, needed_points)[0]) if needed_points else 0
 
-    bound = p if p is not None else max(min_bound or default_prime_bound(k, n), n, k)
+    if min_bound is None:
+        min_bound = default_prime_bound(k, n)
+    bound = p if p is not None else max(min_bound, n, k)
     if needed_points:
         require_int64_prime(bound)  # before any primality test at this size
     if p is not None:

@@ -1,10 +1,10 @@
 """Degree-2 relations of the canonical coordinate ring, and their verification.
 
-Variables z_t are indexed by the degree-1 window; a degree-d monomial is a
-sorted d-tuple of index tuples.  The term order compares (degree, -sum of
+Variables z_t are indexed by the degree-1 window; a degree-2 monomial z_i*z_j
+is a pair of window indices i <= j.  The term order compares (degree, -sum of
 leading exponents, coordinate sums of a, factor sequence lexicographically);
-within a fixed fiber (= index-sum) only the final lexicographic clause can
-differ, and tau picks each fiber's order-minimal monomial.
+within a fixed fiber (= index sum) only the final lexicographic clause can
+differ, and tau(t) is each fiber's order-minimal monomial.
 
 Two relation families span the degree-2 kernel of the evaluation map:
   - binomials  M - tau(t)            for every monomial M above fiber t,
@@ -14,33 +14,32 @@ the latter vanishing because lam_i + x^k + y_{i+1}^k = 0 on the curve.
 
 The monomials are one (N, 2) array of window-index pairs in term order, sorted
 by one integer key per index sum, and each fiber is one run of its rows, tau
-first: the binomials are these runs.  verify_degree2_kernel writes each
-trinomial only as a fiber row {fiber: coefficient}, and both kernel checks
-take these rows; Relation objects serve generate_binomials,
-generate_trinomials and parse_ideal_json.  The symbolic check works one
-(Z/k)^n character block and one phi2 row at a time, with no dense matrix:
-each row must lie in the kernel of its character's block of the evaluation
-map phi2 (a binomial's fiber coordinates are zero), and every rank is a sum
-of block ranks.  The independent pointwise check matches each binomial run's
-index sums to its fiber and evaluates the trinomials at sampled points with
-curve.evaluation_matrix.  The verdict is a plain dict, which verify prints
-per prime, character labels joined to strings.
+first.  The generators are window-index arrays read off these runs, with no
+field in them: generate_binomials gives each binomial as a run's row after
+the first and that first row, tau; generate_trinomials gives each trinomial
+as its relation index i and the first rows of its three fibers, and its
+lam_i coefficient is read off the curve's parameters.
 
-export_ideal reads the generators off the same runs as window-index arrays,
-the row source that generate_binomials and generate_trinomials wrap in
-Relations: a binomial is a run's row after the first and that first row,
-tau; a trinomial is the first rows of its three fibers.  It builds no
-Relation, and writes the JSON text that json.dumps(payload, indent=2) gives,
-byte for byte, without running the encoder: each variable is laid out once
-as an indented fragment (a name, in cas-text), each relation family is one
-template whose holes take those fragments, and the whole text is one gather
-of these shared pieces and one join.
+verify_degree2_kernel writes each trinomial only as a fiber row {fiber:
+coefficient}, and both kernel checks take these rows.  The symbolic check
+works one (Z/k)^n character block and one phi2 row at a time, with no dense
+matrix: each row must lie in the kernel of its character's block of the
+evaluation map phi2 (a binomial's fiber coordinates are zero), and every rank
+is a sum of block ranks.  The independent pointwise check matches each
+binomial run's index sums to its fiber and evaluates the trinomials at
+sampled points with curve.evaluation_matrix.  The verdict is a plain dict,
+which verify prints per prime, character labels joined to strings.
+
+export_ideal writes the generator arrays as the JSON text that
+json.dumps(payload, indent=2) gives, byte for byte, without running the
+encoder: each variable is laid out once as an indented fragment (a name, in
+cas-text), each relation family is one template whose holes take those
+fragments, and the whole text is one gather of these shared pieces and one
+join.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 
@@ -59,12 +58,6 @@ from .indexsets import (
 from .linalg import rank_mod_p_array
 from .params import CurveParams, ParameterError, dim_vm
 from .reps import character_of
-
-MonomialKey = tuple[IndexTuple, ...]
-
-
-def index_sum(mono: MonomialKey) -> IndexTuple:
-    return tuple(sum(c) for c in zip(*mono))
 
 
 @lru_cache(maxsize=None)
@@ -100,30 +93,11 @@ def _degree2_data(k: int, n: int) -> tuple[np.ndarray, dict[IndexTuple, tuple[in
     return np.stack((i, j), axis=1), fibers
 
 
-def tau(k: int, n: int, t: IndexTuple) -> MonomialKey:
-    """The order-minimal degree-2 monomial with index-sum t."""
-    pairs, fibers = _degree2_data(k, n)
-    if tuple(t) not in fibers:
-        raise ParameterError(f"{t} is not a sum of two degree-1 window members")
-    window = enumerate_im(k, n, 1).members
-    i, j = pairs[fibers[tuple(t)][0]].tolist()
-    return window[i], window[j]
-
-
-@dataclass(frozen=True)
-class Relation:
-    """Formal combination of degree-2 monomials; coefficients are integers
-    read mod p (binomials use 1 and -1 and are field-independent)."""
-
-    terms: tuple[tuple[int, MonomialKey], ...]
-    kind: str  # "binomial" | "trinomial"
-    index: int | None = None  # relation index for trinomials
-
-
-def _binomial_rows(k: int, n: int) -> np.ndarray:
+def generate_binomials(k: int, n: int) -> np.ndarray:
     """(B, 4) int32 window indices (i, j, i', j') of each binomial
     z_i*z_j - z_i'*z_j': every row of every fiber run after the first, paired
-    with the first, tau; fibers in sorted order."""
+    with the first, tau; fibers in sorted order.  B is dim S_2 minus the
+    number of fibers."""
     pairs, fibers = _degree2_data(k, n)
     first, stop = np.array([fibers[t] for t in sorted(fibers)]).T
     size = stop - first - 1
@@ -140,34 +114,16 @@ def _trinomial_rows(params: CurveParams) -> list[dict[IndexTuple, int]]:
             for i, t, up, down in ci_shifts(params.k, params.n)]
 
 
-def _trinomial_taus(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(the relation index i of each trinomial, (T, 6) int32 window indices
-    of the taus of its fibers t, t+(k,0,..), t-k*e_i), in _trinomial_rows order."""
+def generate_trinomials(k: int, n: int) -> np.ndarray:
+    """(T, 7) int32 rows (i, a, b, c, d, e, f) of each trinomial
+    lam_i*z_a*z_b + z_c*z_d + z_e*z_f: the relation index i, then the window
+    indices of the taus of its fibers t, t+(k,0,..), t-k*e_i, in
+    _trinomial_rows order.  The coefficient lam_i is lam[i-1] mod p."""
     pairs, fibers = _degree2_data(k, n)
     shifts = list(ci_shifts(k, n))
     rows = [fibers[s][0] for _, *three in shifts for s in three]
-    return np.array([i for i, *_ in shifts], dtype=np.intp), pairs[rows].reshape(-1, 6)
-
-
-def generate_binomials(k: int, n: int) -> list[Relation]:
-    """One relation M - tau(t) per monomial M above t other than tau(t),
-    fibers in sorted order: _binomial_rows as Relations, built anew per call.
-
-    Spans all pairwise differences within every fiber; the count is
-    (number of degree-2 monomials) - (number of fibers).
-    """
-    w = enumerate_im(k, n, 1).members
-    return [Relation(((1, (w[a], w[b])), (-1, (w[c], w[d]))), "binomial")
-            for a, b, c, d in _binomial_rows(k, n).tolist()]
-
-
-def generate_trinomials(params: CurveParams) -> list[Relation]:
-    """lam_i*tau(t) + tau(t+(k,0,..)) + tau(t-k*e_i) for each i and t in C_i."""
-    w = enumerate_im(params.k, params.n, 1).members
-    index, taus = _trinomial_taus(params.k, params.n)
-    return [Relation(((params.lam[i - 1] % params.p, (w[a], w[b])), (1, (w[c], w[d])),
-                      (1, (w[e], w[f]))), "trinomial", index=i)
-            for i, (a, b, c, d, e, f) in zip(index.tolist(), taus.tolist())]
+    index = np.array([i for i, *_ in shifts], dtype=np.int32)
+    return np.column_stack((index, pairs[rows].reshape(-1, 6)))
 
 
 # --- rewriting into the weight-2 basis ---------------------------------------
@@ -411,8 +367,9 @@ def export_ideal(params: CurveParams, fmt: str) -> str:
     (one generator per line, pasteable into a computer algebra system)."""
     k, n, p = params.k, params.n, params.p
     variables = enumerate_im(k, n, 1).members
-    bins = _binomial_rows(k, n)
-    index, taus = _trinomial_taus(k, n)
+    bins = generate_binomials(k, n)
+    tris = generate_trinomials(k, n)
+    index, taus = tris[:, 0], tris[:, 1:]
     width = len(variables)
 
     if fmt == "json":
@@ -480,52 +437,3 @@ def export_ideal(params: CurveParams, fmt: str) -> str:
         ])
 
     raise ParameterError(f"unknown export format: {fmt!r}")
-
-
-def parse_ideal_json(text: str) -> dict:
-    """Inverse of the json export: returns the parsed payload with relations
-    rebuilt as Relation objects under keys "binomials"/"trinomials".  A
-    missing key or a malformed relation raises ParameterError."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ParameterError("ideal payload is not a JSON object")
-    missing = sorted({"k", "n", "p", "lambda", "variables", "binomials", "trinomials"} - set(data))
-    if missing:
-        raise ParameterError(f"ideal payload lacks {', '.join(missing)}")
-    k, n = data["k"], data["n"]
-
-    def rebuild(raw: list[dict], kind: str, size: int) -> Relation:
-        try:  # a term that is not {"coeff": ..., "factors": ...} leaves no terms
-            terms = tuple((item["coeff"], tuple(map(tuple, item["factors"]))) for item in raw)
-        except (KeyError, TypeError):
-            terms = ()
-        if len(terms) != size or any(
-            len(mono) != 2 or any(len(f) != n or not all(isinstance(c, int) for c in f)
-                                  for f in mono) for _, mono in terms
-        ):
-            raise ParameterError(f"{kind} {raw} is not {size} products of two "
-                                 f"length-{n} integer index tuples")
-        fibers = [index_sum(mono) for _, mono in terms]
-        if kind == "binomial":
-            if fibers[0] != fibers[1]:
-                raise ParameterError(f"binomial {raw} has terms over different fibers")
-            return Relation(terms, kind)
-        # Recover the relation index from the fiber drop of the third term.
-        drop = [b - d for b, d in zip(fibers[0], fibers[2])]
-        if drop[0] or sorted(drop) != [0] * (len(drop) - 1) + [k]:
-            raise ParameterError(f"trinomial {raw} does not lower exactly one "
-                                 f"a-coordinate by k = {k}")
-        return Relation(terms, kind, index=drop.index(k))
-
-    for kind in ("binomials", "trinomials"):
-        if not isinstance(data[kind], list):
-            raise ParameterError(f"{kind} is not a list of relations")
-    return {
-        "k": k,
-        "n": n,
-        "p": data["p"],
-        "lambda": tuple(data["lambda"]),
-        "variables": tuple(tuple(t) for t in data["variables"]),
-        "binomials": [rebuild(r, "binomial", 2) for r in data["binomials"]],
-        "trinomials": [rebuild(r, "trinomial", 3) for r in data["trinomials"]],
-    }

@@ -1,9 +1,12 @@
 """Dense linear algebra over a prime field F_p.
 
-The library only ranks character blocks of a few dozen rows, and the tests'
-dense oracles a few thousand rows at most, so plain Gaussian elimination on
-int64 numpy arrays is fine.  All arithmetic stays exact because entries are
-reduced mod p after every multiply and the prime must satisfy p**2 < 2**62.
+The library ranks the character blocks of verify's degree-2 check (the phi2
+block and the relation block of each (Z/k)^n character; at (2,10) the largest
+has 6921 rows and 1793 columns) and the per-class blocks of
+curve.basis_rank_check's evaluation matrix.  Gaussian elimination on int64
+numpy arrays takes one Python step per pivot, each a vectorized update of
+the trailing block.  All arithmetic stays exact because entries are reduced
+mod p after every multiply and the prime must satisfy p**2 < 2**62.
 """
 
 from __future__ import annotations

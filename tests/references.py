@@ -15,20 +15,31 @@ gfcring computes on one production path, kept here as oracles.
     multiplies every monomial's window values at every point;
   - member_im, the window test behind enumerate_im;
   - action_exponent, the scalar form of reps.character_of's action;
-  - syzygy_multiplicity, mu - nu per label through the DFS mu.
+  - syzygy_multiplicity, mu - nu per label through the DFS mu;
+  - Relation (with MonomialKey), the generators as formal sums of monomials
+    of window tuples, built by binomial_relations and trinomial_relations
+    from the arrays of ideal.generate_binomials and generate_trinomials;
+  - tau and index_sum, a fiber's order-minimal monomial and a monomial's
+    fiber, as tuples;
+  - parse_ideal_json, the json export read back as Relations: its
+    round-trip oracle.
 """
 
 from __future__ import annotations
+
+import json
+from dataclasses import dataclass
 
 import numpy as np
 
 from gfcring.curve import AffinePoint, evaluation_matrix
 from gfcring.ideal import (
-    MonomialKey,
     _character_blocks,
     _degree2_data,
     _reduce,
     _trinomial_rows,
+    generate_binomials,
+    generate_trinomials,
 )
 from gfcring.indexsets import IndexTuple, enumerate_im, minkowski_di1
 from gfcring.params import CurveParams, ParameterError
@@ -70,6 +81,103 @@ def divisor_degree(k: int, n: int, c: tuple[int, ...]) -> int:
 
 
 # --- ideal --------------------------------------------------------------------
+
+MonomialKey = tuple[IndexTuple, ...]
+
+
+def index_sum(mono: MonomialKey) -> IndexTuple:
+    return tuple(sum(c) for c in zip(*mono))
+
+
+def tau(k: int, n: int, t: IndexTuple) -> MonomialKey:
+    """The order-minimal degree-2 monomial with index-sum t."""
+    pairs, fibers = _degree2_data(k, n)
+    if tuple(t) not in fibers:
+        raise ParameterError(f"{t} is not a sum of two degree-1 window members")
+    window = enumerate_im(k, n, 1).members
+    i, j = pairs[fibers[tuple(t)][0]].tolist()
+    return window[i], window[j]
+
+
+@dataclass(frozen=True)
+class Relation:
+    """Formal combination of degree-2 monomials; coefficients are integers
+    read mod p (binomials use 1 and -1 and are field-independent)."""
+
+    terms: tuple[tuple[int, MonomialKey], ...]
+    kind: str  # "binomial" | "trinomial"
+    index: int | None = None  # relation index for trinomials
+
+
+def binomial_relations(k: int, n: int) -> list[Relation]:
+    """One relation M - tau(t) per monomial M above t other than tau(t),
+    fibers in sorted order: generate_binomials as Relations.
+
+    Spans all pairwise differences within every fiber; the count is
+    (number of degree-2 monomials) - (number of fibers).
+    """
+    w = enumerate_im(k, n, 1).members
+    return [Relation(((1, (w[a], w[b])), (-1, (w[c], w[d]))), "binomial")
+            for a, b, c, d in generate_binomials(k, n).tolist()]
+
+
+def trinomial_relations(params: CurveParams) -> list[Relation]:
+    """lam_i*tau(t) + tau(t+(k,0,..)) + tau(t-k*e_i) for each i and t in C_i:
+    generate_trinomials as Relations."""
+    w = enumerate_im(params.k, params.n, 1).members
+    return [Relation(((params.lam[i - 1] % params.p, (w[a], w[b])), (1, (w[c], w[d])),
+                      (1, (w[e], w[f]))), "trinomial", index=i)
+            for i, a, b, c, d, e, f in generate_trinomials(params.k, params.n).tolist()]
+
+
+def parse_ideal_json(text: str) -> dict:
+    """Inverse of the json export: returns the parsed payload with relations
+    rebuilt as Relation objects under keys "binomials"/"trinomials".  A
+    missing key or a malformed relation raises ParameterError."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ParameterError("ideal payload is not a JSON object")
+    missing = sorted({"k", "n", "p", "lambda", "variables", "binomials", "trinomials"} - set(data))
+    if missing:
+        raise ParameterError(f"ideal payload lacks {', '.join(missing)}")
+    k, n = data["k"], data["n"]
+
+    def rebuild(raw: list[dict], kind: str, size: int) -> Relation:
+        try:  # a term that is not {"coeff": ..., "factors": ...} leaves no terms
+            terms = tuple((item["coeff"], tuple(map(tuple, item["factors"]))) for item in raw)
+        except (KeyError, TypeError):
+            terms = ()
+        if len(terms) != size or any(
+            len(mono) != 2 or any(len(f) != n or not all(isinstance(c, int) for c in f)
+                                  for f in mono) for _, mono in terms
+        ):
+            raise ParameterError(f"{kind} {raw} is not {size} products of two "
+                                 f"length-{n} integer index tuples")
+        fibers = [index_sum(mono) for _, mono in terms]
+        if kind == "binomial":
+            if fibers[0] != fibers[1]:
+                raise ParameterError(f"binomial {raw} has terms over different fibers")
+            return Relation(terms, kind)
+        # Recover the relation index from the fiber drop of the third term.
+        drop = [b - d for b, d in zip(fibers[0], fibers[2])]
+        if drop[0] or sorted(drop) != [0] * (len(drop) - 1) + [k]:
+            raise ParameterError(f"trinomial {raw} does not lower exactly one "
+                                 f"a-coordinate by k = {k}")
+        return Relation(terms, kind, index=drop.index(k))
+
+    for kind in ("binomials", "trinomials"):
+        if not isinstance(data[kind], list):
+            raise ParameterError(f"{kind} is not a list of relations")
+    return {
+        "k": k,
+        "n": n,
+        "p": data["p"],
+        "lambda": tuple(data["lambda"]),
+        "variables": tuple(tuple(t) for t in data["variables"]),
+        "binomials": [rebuild(r, "binomial", 2) for r in data["binomials"]],
+        "trinomials": [rebuild(r, "trinomial", 3) for r in data["trinomials"]],
+    }
+
 
 def monomial_sort_key(mono: MonomialKey):
     """Total-order key: degree, then larger exponent-sum of x first, then

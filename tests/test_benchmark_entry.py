@@ -58,3 +58,7 @@ def test_traced_export_counts_the_bytes_it_wrote(tmp_path):
     assert CHECKS["export-4-4"](rec["exit"], rec["output"], tmp_path)[0] == []
     assert "ideal.export_ideal" in {span[0] for span in rec["spans"]}
     assert rec["work"]["ideal.export_bytes"] == json.loads(rec["output"])["bytes"]
+    # and the generators as the rows of the two generator arrays it read
+    # (23352 binomials and 1809 trinomials at seed 0)
+    written = json.loads((tmp_path / "ideal.json").read_text())
+    assert rec["work"]["ideal.relations"] == len(written["binomials"]) + len(written["trinomials"])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import gfcring
 from gfcring import cli, curve, ideal, indexsets, reps
 from gfcring.cli import main
-from gfcring.ideal import export_ideal, parse_ideal_json
+from gfcring.ideal import export_ideal
 from gfcring.indexsets import shifted_ci_union
 from gfcring.linalg import rank_mod_p_array
 from gfcring.params import make_curve_params
@@ -170,7 +170,8 @@ TEST_ONLY = [
     "evaluate_theta", "divisor_of_x", "divisor_of_y", "divisor_of_dx", "divisor_degree",
     "monomial_sort_key", "compare_monomials", "reduce_to_basis", "phi2_matrix",
     "span_rank_by_character", "member_im", "action_exponent", "syzygy_multiplicity",
-    "relations_vanish_at_by_monomials", "degree2_monomials",
+    "relations_vanish_at_by_monomials", "degree2_monomials", "Relation", "MonomialKey", "tau",
+    "index_sum", "binomial_relations", "trinomial_relations", "parse_ideal_json",
 ]
 
 
@@ -184,6 +185,27 @@ def test_test_only_references_stay_out_of_the_package():
     for name in TEST_ONLY:
         assert callable(getattr(references, name))
         assert [module.__name__ for module in modules if hasattr(module, name)] == []
+
+
+def test_verify_compares_every_primes_per_character_dims(capsys, monkeypatch):
+    # The per-character dims do not depend on the field: a second prime whose
+    # dims are off by one fails the run, though its own checks all pass.
+    verify_degree2_kernel = cli.verify_degree2_kernel
+    primes = []
+
+    def second_prime_off(params):
+        rep = verify_degree2_kernel(params)
+        primes.append(params.p)
+        if len(primes) == 2:
+            h = next(iter(rep["per_character"]))
+            rep["per_character"][h] += 1
+        return rep
+
+    monkeypatch.setattr(cli, "verify_degree2_kernel", second_prime_off)
+    code, rep, err = run_json(capsys, "verify", "--k", "3", "--n", "3", "--seed", "1")
+    assert len(primes) == 2 and not err
+    assert code == 1 and rep["per_character_ok"] is False
+    assert all(per_prime["passed"] for per_prime in rep["degree2"].values())
 
 
 def test_verify_point_floor_covers_every_sampled_check():
@@ -297,7 +319,7 @@ def test_export_json_stdout(capsys):
         capsys, "export", "--k", "3", "--n", "3", "--prime", "103", "--format", "json"
     )
     assert code == 0
-    data = parse_ideal_json(out)
+    data = references.parse_ideal_json(out)
     pp = make_curve_params(3, 3, p=103)
     assert out == export_ideal(pp, "json")
     assert len(data["binomials"]) == 20
@@ -401,6 +423,17 @@ def test_prime_bound_env_override(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["p"] == 211  # first prime = 1 mod 3 above 200
+
+
+def test_prime_bound_env_zero_is_a_bound(capsys, monkeypatch):
+    # 0 is a bound like 1, not an unset one: both start the search at k.
+    primes = []
+    for bound in ("0", "1"):
+        monkeypatch.setenv("GFC_DEFAULT_PRIME_BOUND", bound)
+        code, out, _ = run(capsys, "export", "--k", "3", "--n", "3", "--seed", "1")
+        assert code == 0
+        primes.append(json.loads(out)["p"])
+    assert primes == [7, 7]
 
 
 def test_prime_bound_env_below_the_lambda_draw(capsys, monkeypatch):

@@ -18,15 +18,11 @@ from gfcring.curve import (
 )
 from gfcring.ideal import (
     KERNEL_POINTS,
-    Relation,
     _character_blocks,
     _relations_vanish_at,
     export_ideal,
     generate_binomials,
     generate_trinomials,
-    index_sum,
-    parse_ideal_json,
-    tau,
     variable_name,
     verify_degree2_kernel,
 )
@@ -35,14 +31,20 @@ from gfcring.linalg import rank_mod_p_array
 from gfcring.params import ParameterError, dim_vm, make_curve_params
 from gfcring.reps import character_of, nu_table, syzygy_table
 from references import (
+    Relation,
+    binomial_relations,
     compare_monomials,
     degree2_monomials,
     evaluate_theta,
+    index_sum,
     monomial_sort_key,
+    parse_ideal_json,
     phi2_matrix,
     reduce_to_basis,
     relations_vanish_at_by_monomials,
     span_rank_by_character,
+    tau,
+    trinomial_relations,
 )
 
 # relation counts per curve: binomials = #monomials - #fibers,
@@ -133,7 +135,7 @@ def test_tau_is_order_minimal():
 
 def test_binomial_generation():
     for (k, n), (n_bi, _) in RELATION_COUNTS.items():
-        bins = generate_binomials(k, n)
+        bins = binomial_relations(k, n)
         assert len(bins) == len(degree2_monomials(k, n)) - len(minkowski_di1(k, n, 2))
         assert len(bins) == n_bi
         seen = set()
@@ -147,9 +149,27 @@ def test_binomial_generation():
             seen.add(m1)
 
 
+def test_generator_arrays_are_window_indices_of_the_taus():
+    # One row per generator, int32 window indices: a binomial pairs a
+    # monomial with the tau of its fiber, a trinomial leads with its index i.
+    for (k, n), (n_bi, n_tri) in RELATION_COUNTS.items():
+        window = enumerate_im(k, n, 1).members
+        bins, tris = generate_binomials(k, n), generate_trinomials(k, n)
+        assert (bins.shape, tris.shape) == ((n_bi, 4), (n_tri, 7))
+        assert bins.dtype == tris.dtype == np.int32
+        for a, b, c, d in bins.tolist():
+            t = index_sum((window[a], window[b]))
+            assert a <= b and c <= d and (window[c], window[d]) == tau(k, n, t)
+        got = [(i, (window[a], window[b]), (window[c], window[d]), (window[e], window[f]))
+               for i, a, b, c, d, e, f in tris.tolist()]
+        assert got == [(i, tau(k, n, t), tau(k, n, (t[0] + k, *t[1:])),
+                        tau(k, n, (*t[:i], t[i] - k, *t[i + 1:])))
+                       for i in range(1, n) for t in enumerate_ci(k, n, i)]
+
+
 def test_trinomial_generation():
     pp = make_curve_params(3, 3, p=103)
-    tris = generate_trinomials(pp)
+    tris = trinomial_relations(pp)
     assert len(tris) == sum(len(enumerate_ci(3, 3, i)) for i in (1, 2)) == 8
     for rel in tris:
         assert rel.kind == "trinomial"
@@ -168,7 +188,7 @@ def test_trinomial_spec_example():
     pp = make_curve_params(3, 3, p=103)
     match = [
         rel
-        for rel in generate_trinomials(pp)
+        for rel in trinomial_relations(pp)
         if rel.index == 1 and index_sum(rel.terms[0][1]) == (0, 4, 4)
     ]
     assert len(match) == 1
@@ -181,7 +201,7 @@ def test_trinomial_spec_example():
 def test_trinomial_counts_frozen():
     for (k, n), (_, n_tri) in RELATION_COUNTS.items():
         pp = make_curve_params(k, n)
-        assert len(generate_trinomials(pp)) == n_tri
+        assert len(trinomial_relations(pp)) == n_tri
 
 
 def test_trinomial_initial_term_is_lambda_term():
@@ -189,7 +209,7 @@ def test_trinomial_initial_term_is_lambda_term():
     # maximal term off the three fibers alone, by (-t[0], *t[1:]).
     for (k, n) in [(3, 3), (2, 5), (3, 4)]:
         pp = make_curve_params(k, n)
-        for rel in generate_trinomials(pp):
+        for rel in trinomial_relations(pp):
             monos = [m for _, m in rel.terms]
             top = max(monos, key=monomial_sort_key)
             assert top == monos[0]
@@ -218,7 +238,7 @@ def test_trinomial_initial_check_can_fail(monkeypatch):
 
 def test_relation_character_is_shared():
     pp = make_curve_params(3, 3, p=103)
-    for rel in generate_binomials(3, 3) + generate_trinomials(pp):
+    for rel in binomial_relations(3, 3) + trinomial_relations(pp):
         labels = {character_of(3, 2, index_sum(m)) for _, m in rel.terms}
         assert len(labels) == 1
 
@@ -229,7 +249,7 @@ def test_relations_vanish_at_points():
     var_val = [
         {t: evaluate_theta(pp, q, t) for t in enumerate_im(3, 3, 1)} for q in pts
     ]
-    for rel in generate_binomials(3, 3) + generate_trinomials(pp):
+    for rel in binomial_relations(3, 3) + trinomial_relations(pp):
         for vals in var_val:
             acc = sum(c * vals[m[0]] * vals[m[1]] for c, m in rel.terms)
             assert acc % pp.p == 0
@@ -304,7 +324,7 @@ def test_phi2_character_blocks_sum_to_dense_rank(curve, min_bound, seed):
         assert block == nu[h]
         total += block
     dense = rank_mod_p_array(mat, pp.p)
-    rels = generate_binomials(k, n) + generate_trinomials(pp)
+    rels = binomial_relations(k, n) + trinomial_relations(pp)
     assert total == dense == _character_blocks(pp, fiber_rows(rels))[1] == dim_vm(k, n, 2)
 
 
@@ -322,7 +342,7 @@ def test_span_rank_matches_dense_elimination():
     # per-character structural rank vs one dense elimination over everything
     for (k, n) in [(2, 4), (3, 3), (4, 2), (2, 5), (3, 4)]:
         pp = make_curve_params(k, n)
-        rels = generate_binomials(k, n) + generate_trinomials(pp)
+        rels = binomial_relations(k, n) + trinomial_relations(pp)
         structural = sum(span_rank_by_character(pp).values())
         if rels:
             dense = rank_mod_p_array(relation_matrix(pp, rels), pp.p)
@@ -349,8 +369,8 @@ def kernel_cases(pp):
     """(relations, whether they all vanish): the true generators, then three
     corruptions that each break exactly one relation."""
     k, n = pp.k, pp.n
-    bins = generate_binomials(k, n)
-    tris = generate_trinomials(pp)
+    bins = binomial_relations(k, n)
+    tris = trinomial_relations(pp)
     monos = degree2_monomials(k, n)
 
     def label(mono):
@@ -412,7 +432,7 @@ def test_symbolic_kernel_check_is_exact_at_the_largest_prime():
             assert _character_blocks(pp, fiber_rows(rels))[0] == expected
         scale = pp.p - 2
         scaled = [Relation(tuple((c * scale % pp.p, m) for c, m in rel.terms), rel.kind,
-                           rel.index) for rel in generate_trinomials(pp)]
+                           rel.index) for rel in trinomial_relations(pp)]
         assert _character_blocks(pp, fiber_rows(scaled))[0]
 
 
@@ -433,9 +453,8 @@ def test_symbolic_check_keeps_no_three_dimensional_product():
 
 def test_verify_reads_each_fiber_once(monkeypatch):
     # The degree-2 data are one sort of window-index pairs by an integer key
-    # per index sum: no tuple key or index sum per monomial.  verify reads
-    # the fiber runs instead of summing indices again, writes no relation out
-    # as monomials, and builds the trinomial rows once.
+    # per index sum.  verify reads the fiber runs instead of building the
+    # generator arrays, and builds the trinomial rows once.
     calls = []
 
     def spy(fn):
@@ -446,29 +465,12 @@ def test_verify_reads_each_fiber_once(monkeypatch):
 
     pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
     ideal._degree2_data.cache_clear()
-    for fn in (index_sum, generate_binomials, tau, generate_trinomials, ideal._trinomial_rows):
+    for fn in (generate_binomials, generate_trinomials, ideal._trinomial_rows):
         monkeypatch.setattr(ideal, fn.__name__, spy(fn))
     ideal._degree2_data(3, 4)
     assert calls == []
     assert verify_degree2_kernel(pp)["passed"]
     assert calls == [("_trinomial_rows", (pp,))]
-
-
-def test_verify_builds_no_binomial_relation(monkeypatch):
-    # verify builds no Relation object at all: the binomials stay the fiber
-    # runs of the degree-2 data, the trinomials fiber rows.
-    kinds = []
-
-    class Spy(Relation):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            kinds.append(self.kind)
-
-    monkeypatch.setattr(ideal, "Relation", Spy)
-    rep = verify_degree2_kernel(next(suitable_params(3, 4, KERNEL_POINTS, seed=1)))
-    assert rep["passed"] and rep["n_binomials"] == 1150
-    assert rep["n_trinomials"] == 267
-    assert kinds == []
 
 
 def sorted_key_route(k, n):
@@ -588,8 +590,8 @@ def test_export_json_roundtrip():
     assert (data["k"], data["n"], data["p"]) == (3, 3, 103)
     assert data["lambda"] == pp.lam
     assert data["variables"] == enumerate_im(3, 3, 1).members
-    assert data["binomials"] == generate_binomials(3, 3)
-    assert data["trinomials"] == generate_trinomials(pp)
+    assert data["binomials"] == binomial_relations(3, 3)
+    assert data["trinomials"] == trinomial_relations(pp)
     # and the round trip is idempotent at the text level
     assert json.loads(text) == json.loads(export_ideal(pp, "json"))
 
@@ -622,18 +624,10 @@ def test_export_writes_the_enumerated_generators(k, n):
     assert [(rel.index, rel.terms) for rel in data["trinomials"]] == tris
 
 
-def test_export_builds_no_relation_and_copies_its_text_once(monkeypatch):
-    # export reads the fiber runs as index arrays and joins shared text
-    # pieces once: no Relation, and a peak near the text itself.  A Relation
-    # per generator and nested joins peak at 3.6 times the text at (3,4).
-    kinds = []
-
-    class Spy(Relation):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            kinds.append(self.kind)
-
-    monkeypatch.setattr(ideal, "Relation", Spy)
+def test_export_builds_no_relation_and_copies_its_text_once():
+    # export reads the generators as index arrays and joins shared text
+    # pieces once: a peak near the text itself.  A Relation per generator
+    # and nested joins peak at 3.6 times the text at (3,4).
     pp = make_curve_params(3, 4, seed=1)
     export_ideal(pp, "json")  # the cached index sets and fiber runs
     tracemalloc.start()
@@ -642,7 +636,6 @@ def test_export_builds_no_relation_and_copies_its_text_once(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kinds == []
     assert peak < 2 * len(text)
 
 
@@ -658,8 +651,8 @@ def encoder_export(pp):
             "p": pp.p,
             "lambda": list(pp.lam),
             "variables": [list(t) for t in enumerate_im(pp.k, pp.n, 1).members],
-            "binomials": [rel_json(r) for r in generate_binomials(pp.k, pp.n)],
-            "trinomials": [rel_json(r) for r in generate_trinomials(pp)],
+            "binomials": [rel_json(r) for r in binomial_relations(pp.k, pp.n)],
+            "trinomials": [rel_json(r) for r in trinomial_relations(pp)],
         },
         indent=2,
     )
