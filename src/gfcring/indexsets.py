@@ -5,6 +5,11 @@ last n-1 entries are the denominator exponents attached to y_2, ..., y_n.
 Sorting flat tuples lexicographically is exactly the (r, a) ordering used for
 all canonical enumerations.
 
+_lattice lays out the m-th window and the 2-fold sumset from their closed
+forms: (N, n) int64 rows in (r, a) order, and per row one int64 mixed-radix
+key led by r, so keys ascend with the rows; past 2^63 it raises ParameterError.
+C_i is a mask over the sumset; the sets built from it share the sumset's tuples.
+
 A "relation index" i runs over 1..n-1; relation i involves lam[i-1] and
 shifts the a-coordinate at 0-based position i-1, i.e. flat position i.
 """
@@ -15,7 +20,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
-from math import comb
+from math import comb, prod
+
+import numpy as np
 
 from .params import ParameterError, dim_vm
 
@@ -29,7 +36,7 @@ class IndexSet:
     members: tuple[IndexTuple, ...]
 
     def __post_init__(self) -> None:
-        assert list(self.members) == sorted(set(self.members)), "not sorted/duplicate-free"
+        assert all(s < t for s, t in itertools.pairwise(self.members)), "not strictly increasing"
 
     def __len__(self) -> int:
         return len(self.members)
@@ -39,17 +46,30 @@ class IndexSet:
 
 
 @lru_cache(maxsize=None)
-def enumerate_im(k: int, n: int, m: int) -> IndexSet:
-    """All members of the m-th window, sorted; cardinality is dim_vm(k,n,m)."""
+def _lattice(k: int, n: int, m: int, lo: int | None = None
+             ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """(rows, keys, dims) of {(r, a): lo <= a_j <= m(k-1), 0 <= r <= |a| - 2m}, lo by
+    default (m-1)(k-1), with keys = ravel_multi_index(rows.T, dims).  Read-only."""
     if m < 1:
         raise ParameterError(f"need m >= 1, got {m}")
-    lo, hi = (m - 1) * (k - 1), m * (k - 1)
-    members = []
-    for a in itertools.product(range(lo, hi + 1), repeat=n - 1):
-        for r in range(sum(a) - 2 * m + 1):
-            members.append((r, *a))
-    members.sort()
-    return IndexSet(tuple(members))
+    hi, lo = m * (k - 1), (m - 1) * (k - 1) if lo is None else lo
+    dims = (max((n - 1) * hi - 2 * m, 0) + 1, *(hi + 1,) * (n - 1))
+    if prod(dims) >= 1 << 63:
+        raise ParameterError(f"index keys at (k, n, m) = ({k}, {n}, {m}) pass the int64 limit")
+    a = np.indices((hi - lo + 1,) * (n - 1)).reshape(n - 1, -1).T + lo  # lexicographic
+    count = np.maximum(a.sum(axis=1) - 2 * m + 1, 0)
+    a = np.repeat(a, count, axis=0)
+    r = np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    rows = np.column_stack((r, a))[np.argsort(r, kind="stable")]
+    keys = np.ravel_multi_index(rows.T, dims)
+    rows.flags.writeable = keys.flags.writeable = False
+    return rows, keys, dims
+
+
+@lru_cache(maxsize=None)
+def enumerate_im(k: int, n: int, m: int) -> IndexSet:
+    """All members of the m-th window, sorted; cardinality is dim_vm(k,n,m)."""
+    return IndexSet(tuple(zip(*_lattice(k, n, m)[0].T.tolist())))
 
 
 def count_im(k: int, n: int, m: int) -> int:
@@ -76,21 +96,28 @@ def count_im(k: int, n: int, m: int) -> int:
 def minkowski_di1(k: int, n: int, d: int) -> IndexSet:
     """The d-fold sumset of the degree-1 window with itself.
 
-    d = 2 is built from its closed form {0 <= a_j <= 2(k-1), 0 <= r <= |a| - 4},
-    which ideal._degree2_data checks against the degree-2 monomials; each
-    larger d adds the window once to the cached (d-1)-fold set.
+    d <= 2 is built from its closed form {0 <= a_j <= d(k-1), 0 <= r <= |a| - 2d},
+    which ideal._degree2_data checks against the degree-2 monomials at d = 2;
+    each larger d adds the window once to the cached (d-1)-fold set.
     """
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
-    if d == 1:
-        members = enumerate_im(k, n, 1).members
-    elif d == 2:
-        members = sorted((r, *a) for a in itertools.product(range(2 * k - 1), repeat=n - 1)
-                         for r in range(sum(a) - 3))
+    if d <= 2:
+        members = tuple(zip(*_lattice(k, n, d, 0)[0].T.tolist()))
     else:
         members = sorted({tuple(x + y for x, y in zip(s, t))
                           for s in minkowski_di1(k, n, d - 1) for t in enumerate_im(k, n, 1)})
     return IndexSet(tuple(members))
+
+
+def _ci_mask(k: int, n: int, i: int) -> np.ndarray:
+    rows = _lattice(k, n, 2, 0)[0]
+    return (rows[:, i] >= k) & (rows[:, 0] <= rows[:, 1:].sum(axis=1) - (k + 4))
+
+
+def _sumset_members(k: int, n: int, at: np.ndarray) -> tuple[IndexTuple, ...]:
+    """The sumset's member tuples at the positions at, shared, not copied."""
+    return tuple(map(minkowski_di1(k, n, 2).members.__getitem__, at.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -105,18 +132,18 @@ def enumerate_ci(k: int, n: int, i: int) -> IndexSet:
     """
     if not 1 <= i <= n - 1:
         raise ParameterError(f"relation index must be in 1..{n - 1}, got {i}")
-    return IndexSet(tuple(
-        t for t in minkowski_di1(k, n, 2)
-        if k <= t[i] and t[0] <= sum(t[1:]) - (k + 4)
-    ))
+    return IndexSet(_sumset_members(k, n, np.flatnonzero(_ci_mask(k, n, i))))
 
 
 def ci_shifts(k: int, n: int) -> Iterator[tuple[int, IndexTuple, IndexTuple, IndexTuple]]:
     """(i, t, t + (k, 0, ..., 0), t - k*e_i) for each relation index i and
     each t in C_i, in that order: the three fibers of every trinomial."""
+    _, keys, dims = _lattice(k, n, 2, 0)
     for i in range(1, n):
-        for t in enumerate_ci(k, n, i):
-            yield i, t, (t[0] + k, *t[1:]), (*t[:i], t[i] - k, *t[i + 1:])
+        at = keys[_ci_mask(k, n, i)]
+        up, down = (_sumset_members(k, n, np.searchsorted(keys, at + shift))
+                    for shift in (k * prod(dims[1:]), -k * prod(dims[i + 1:])))
+        yield from zip(itertools.repeat(i), enumerate_ci(k, n, i), up, down)
 
 
 def shifted_ci_union(k: int, n: int) -> set[IndexTuple]:
@@ -126,15 +153,17 @@ def shifted_ci_union(k: int, n: int) -> set[IndexTuple]:
     below the degree-2 window (a_i <= k-2): exactly the fibers that relation
     family i eliminates from the standard monomials.
     """
-    return {down for _, _, _, down in ci_shifts(k, n)}
+    _, keys, dims = _lattice(k, n, 2, 0)
+    down = [keys[_ci_mask(k, n, i)] - k * prod(dims[i + 1:]) for i in range(1, n)]
+    return set(_sumset_members(k, n, np.searchsorted(keys, np.concatenate(down))))
 
 
 @lru_cache(maxsize=None)
 def standard_set(k: int, n: int) -> IndexSet:
     """Fibers of the 2-fold sumset surviving all relation eliminations; built
     once per curve, like the sets it is made from."""
-    keep = sorted(set(minkowski_di1(k, n, 2).members) - shifted_ci_union(k, n))
-    return IndexSet(tuple(keep))
+    drop = shifted_ci_union(k, n).__contains__
+    return IndexSet(tuple(itertools.filterfalse(drop, minkowski_di1(k, n, 2).members)))
 
 
 def standard_set_identity(k: int, n: int) -> bool:
@@ -147,7 +176,7 @@ def standard_set_identity(k: int, n: int) -> bool:
     the unshifted C_i themselves would not produce the degree-2 window (the
     counts already differ at (3,3): 31 vs 27).
     """
-    return set(standard_set(k, n).members) == set(enumerate_im(k, n, 2).members)
+    return standard_set(k, n).members == enumerate_im(k, n, 2).members
 
 
 # --- partition counting ------------------------------------------------------

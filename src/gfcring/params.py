@@ -161,7 +161,8 @@ def make_curve_params(
         raise ParameterError(f"p = {p} is not prime")
     if p is not None and p % k != 1:
         raise ParameterError(f"p = {p} is not 1 mod k = {k}")
-    p, zeta = find_prime_and_root(k, p or min_bound or default_prime_bound(k, n))
+    bound = default_prime_bound(k, n) if min_bound is None else min_bound
+    p, zeta = find_prime_and_root(k, bound if p is None else p)
 
     n_free = n - 2  # lambda values beyond the fixed leading 1
     if lam is not None and seed is not None:

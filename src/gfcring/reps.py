@@ -26,6 +26,7 @@ import numpy as np
 from .curve import InsufficientPointsError, apply_group, evaluation_matrix, sample_points
 from .indexsets import (
     IndexTuple,
+    _lattice,
     count_partitions,
     enumerate_im,
     enumerate_jd,
@@ -35,8 +36,8 @@ from .params import CurveParams, ParameterError, dim_vm
 
 
 def character_of(k: int, m: int, t: IndexTuple) -> IndexTuple:
-    """Label h such that every automorphism g scales the weight-m element at
-    t by zeta^(h . g): e_1 (r + m) - a . e = h . g (mod k)."""
+    """Label h such that every automorphism g scales the weight-m element at t by
+    zeta^(h . g): e_1 (r + m) - a . e = h . g (mod k), per column if t is rows.T."""
     return ((t[0] + m) % k, *((-aj) % k for aj in t[1:]))
 
 
@@ -44,26 +45,24 @@ def all_labels(k: int, n: int) -> list[IndexTuple]:
     return [t for t in itertools.product(range(k), repeat=n)]
 
 
-def nu_closed(k: int, n: int, m: int, h: IndexTuple) -> int:
+def nu_closed(k: int, n: int, m: int, h) -> int:
     """Closed-form multiplicity of the character h in weight m.
 
     The count reduces to the number of multiples of k in an interval whose
     endpoints involve the residues; that derivation divides r + m by k with
     a nonnegative quotient, so the leading residue must be taken in the
     window [m, m + k) (the trailing residues stay in [0, k)).  Labels whose
-    interval is empty come out negative and are clamped to 0.  Validated
-    exhaustively against nu_table(..., closed=False).
+    interval is empty come out negative and are clamped to 0, label by label
+    if h is the n columns of a label array.  Validated against the brute route.
     """
     if m < 1:
         raise ParameterError(f"need m >= 1, got {m}")
-    h1 = h[0] % k
-    while h1 < m:
-        h1 += k
+    h1 = m + (h[0] - m) % k
     rest = [hj % k for hj in h[1:]]
     tot = h1 + sum(rest)
     ceil_term = -((-(tot + m)) // k)  # ceil((tot + m) / k) with exact ints
     val = (n - 1) * (m - 1) - ceil_term - sum((m - 1 - hj) // k for hj in rest) + 1
-    return max(0, val)
+    return val * (val > 0)  # max(0, val), label by label
 
 
 def mu(k: int, n: int, d: int, h: IndexTuple) -> int:
@@ -75,16 +74,17 @@ def mu(k: int, n: int, d: int, h: IndexTuple) -> int:
 def nu_table(k: int, n: int, m: int, closed: bool = True) -> dict[IndexTuple, int]:
     """All k^n multiplicities at once, keyed by label in all_labels order.
 
-    closed=False buckets the window members by character in a single pass
-    (the brute-force route); closed=True evaluates the formula per label.
+    closed=False bincounts the window members' characters (the brute-force
+    route); closed=True runs nu_closed on the label columns, in int64.
     """
     if closed:
-        vals = {h: nu_closed(k, n, m, h) for h in all_labels(k, n)}
+        if (n + 2) * (m + k) >= 1 << 63:  # bounds every intermediate of nu_closed
+            raise ParameterError(f"weight m = {m} is beyond the int64 range of nu_closed")
+        counts = nu_closed(k, n, m, np.indices((k,) * n).reshape(n, -1))
     else:
-        vals = {h: 0 for h in all_labels(k, n)}
-        for t in enumerate_im(k, n, m):
-            vals[character_of(k, m, t)] += 1
-    return vals
+        chars = character_of(k, m, _lattice(k, n, m)[0].T)
+        counts = np.bincount(np.ravel_multi_index(chars, (k,) * n), minlength=k ** n)
+    return dict(zip(all_labels(k, n), counts.tolist()))
 
 
 def _cayley_difference(k: int, n: int) -> np.ndarray:
@@ -135,9 +135,8 @@ def mu_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
     if d > MAX_MU_DEGREE:
         raise ParameterError(f"degree d = {d} is above the limit {MAX_MU_DEGREE} "
                              "of the multiplicity recurrence")
-    chars = np.array([character_of(k, 1, t) for t in enumerate_im(k, n, 1)],
-                     dtype=np.int64).reshape(-1, n)
-    psi = [np.bincount(np.ravel_multi_index((i * chars % k).T, (k,) * n),
+    chars = np.array(character_of(k, 1, _lattice(k, n, 1)[0].T))
+    psi = [np.bincount(np.ravel_multi_index(i * chars % k, (k,) * n),
                        minlength=k ** n).reshape(k, -1) for i in range(k)]
     diff = _cayley_difference(k, n - 1)
     h = np.eye(1, k ** n, dtype=np.int64).reshape(k, -1)  # the identity, h_0

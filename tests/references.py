@@ -14,6 +14,11 @@ gfcring computes on one production path, kept here as oracles.
   - relations_vanish_at_by_monomials, the degree-2 point check that
     multiplies every monomial's window values at every point;
   - member_im, the window test behind enumerate_im;
+  - enumerate_im_by_tuples, minkowski_di1_by_tuples, enumerate_ci_by_tuples,
+    shifted_ci_union_by_tuples and standard_set_by_tuples, the index sets
+    that indexsets lays out as key arrays, built one tuple at a time;
+  - nu_table_by_tuples, both nu routes one label or one window member at a
+    time;
   - action_exponent, the scalar form of reps.character_of's action;
   - syzygy_multiplicity, mu - nu per label through the DFS mu;
   - Relation (with MonomialKey), the generators as formal sums of monomials
@@ -27,8 +32,10 @@ gfcring computes on one production path, kept here as oracles.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +50,7 @@ from gfcring.ideal import (
 )
 from gfcring.indexsets import IndexTuple, enumerate_im, minkowski_di1
 from gfcring.params import CurveParams, ParameterError
-from gfcring.reps import mu, nu_closed
+from gfcring.reps import all_labels, character_of, mu, nu_closed
 
 
 # --- curve --------------------------------------------------------------------
@@ -283,7 +290,53 @@ def member_im(k: int, n: int, m: int, t: IndexTuple) -> bool:
     return all(lo <= aj <= hi for aj in a) and 0 <= r <= sum(a) - 2 * m
 
 
+def enumerate_im_by_tuples(k: int, n: int, m: int) -> tuple[IndexTuple, ...]:
+    """The m-th window, r looped per a and the tuples sorted."""
+    lo, hi = (m - 1) * (k - 1), m * (k - 1)
+    members = []
+    for a in itertools.product(range(lo, hi + 1), repeat=n - 1):
+        for r in range(sum(a) - 2 * m + 1):
+            members.append((r, *a))
+    members.sort()
+    return tuple(members)
+
+
+@lru_cache(maxsize=None)
+def minkowski_di1_by_tuples(k: int, n: int) -> tuple[IndexTuple, ...]:
+    """The 2-fold sumset from its closed form, one comprehension."""
+    return tuple(sorted((r, *a) for a in itertools.product(range(2 * k - 1), repeat=n - 1)
+                        for r in range(sum(a) - 3)))
+
+
+def enumerate_ci_by_tuples(k: int, n: int, i: int) -> tuple[IndexTuple, ...]:
+    """C_i as a filter over the sumset's tuples."""
+    return tuple(t for t in minkowski_di1_by_tuples(k, n)
+                 if k <= t[i] and t[0] <= sum(t[1:]) - (k + 4))
+
+
+def shifted_ci_union_by_tuples(k: int, n: int) -> set[IndexTuple]:
+    """The down-shifts t - k*e_i of every t in every C_i, as a set."""
+    return {(*t[:i], t[i] - k, *t[i + 1:])
+            for i in range(1, n) for t in enumerate_ci_by_tuples(k, n, i)}
+
+
+def standard_set_by_tuples(k: int, n: int) -> tuple[IndexTuple, ...]:
+    """The sumset minus the shifted union, by set difference."""
+    return tuple(sorted(set(minkowski_di1_by_tuples(k, n)) - shifted_ci_union_by_tuples(k, n)))
+
+
 # --- reps ---------------------------------------------------------------------
+
+def nu_table_by_tuples(k: int, n: int, m: int, closed: bool) -> dict[IndexTuple, int]:
+    """nu_table's two routes, nu_closed per label or character_of per
+    window member."""
+    if closed:
+        return {h: nu_closed(k, n, m, h) for h in all_labels(k, n)}
+    vals = {h: 0 for h in all_labels(k, n)}
+    for t in enumerate_im_by_tuples(k, n, m):
+        vals[character_of(k, m, t)] += 1
+    return vals
+
 
 def action_exponent(k: int, m: int, t: IndexTuple, g: IndexTuple) -> int:
     """Exponent of zeta by which the automorphism g scales the weight-m

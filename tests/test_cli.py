@@ -12,6 +12,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,6 +173,8 @@ TEST_ONLY = [
     "span_rank_by_character", "member_im", "action_exponent", "syzygy_multiplicity",
     "relations_vanish_at_by_monomials", "degree2_monomials", "Relation", "MonomialKey", "tau",
     "index_sum", "binomial_relations", "trinomial_relations", "parse_ideal_json",
+    "enumerate_im_by_tuples", "minkowski_di1_by_tuples", "enumerate_ci_by_tuples",
+    "shifted_ci_union_by_tuples", "standard_set_by_tuples", "nu_table_by_tuples",
 ]
 
 
@@ -218,9 +221,10 @@ def test_verify_point_floor_covers_every_sampled_check():
 def test_verify_reports_a_negative_syzygy_count(capsys, monkeypatch):
     # nu inflated at the trivial character drives mu - nu below zero there:
     # verify and the grid report it as a failed check, not a traceback.
+    # nu_table hands nu_closed the label columns, h[j] the j-th entry of each.
     nu_closed = reps.nu_closed
     monkeypatch.setattr(reps, "nu_closed",
-                        lambda k, n, m, h: nu_closed(k, n, m, h) + 10 * (not any(h)))
+                        lambda k, n, m, h: nu_closed(k, n, m, h) + 10 * ~np.any(h, axis=0))
     code, rep, err = run_json(capsys, "verify", "--k", "3", "--n", "3")
     assert code == 1 and rep["per_character_ok"] is False and not err
     code, rep, err = run_json(capsys, "verify", "--grid", "--kmax", "3", "--nmax", "4",
@@ -228,6 +232,15 @@ def test_verify_reports_a_negative_syzygy_count(capsys, monkeypatch):
     assert code == 1 and not err
     negative = {(row["k"], row["n"]) for row in rep["rows"] if not row["syzygy_nonneg_ok"]}
     assert negative == {(2, 4), (3, 3)}
+
+
+def test_index_keys_past_int64_exit_2(capsys):
+    # Refused before anything is allocated: one JSON error line, no output.
+    for argv in (["basis", "--k", "65536", "--n", "6"],
+                 ["multiplicities", "--k", "3", "--n", "3", "--kind", "nu", "--m", str(1 << 62)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "int64" in json.loads(err)["error"], argv
+        assert err.count("\n") == 1
 
 
 def test_verify_pinned_prime(capsys):

@@ -8,8 +8,11 @@ from math import comb
 
 import pytest
 
+from gfcring import indexsets
 from gfcring.indexsets import (
+    IndexSet,
     IndexTuple,
+    ci_shifts,
     count_im,
     count_partitions,
     enumerate_ci,
@@ -21,11 +24,20 @@ from gfcring.indexsets import (
     standard_set_identity,
     total_degree_d_monomials,
 )
-from gfcring.params import ParameterError, dim_vm, genus
+from gfcring.params import ParameterError, dim_vm, genus, is_nonhyperelliptic
 from gfcring.reps import all_labels, character_of, mu_table, nu_table, syzygy_table
-from references import member_im
+from references import (
+    enumerate_ci_by_tuples,
+    enumerate_im_by_tuples,
+    member_im,
+    minkowski_di1_by_tuples,
+    shifted_ci_union_by_tuples,
+    standard_set_by_tuples,
+)
 
 GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
+# Every curve with k, n <= 5; C_1 is empty at (4,2) and (5,2).
+SMALL_CURVES = [(k, n) for k in range(2, 6) for n in range(2, 6) if is_nonhyperelliptic(k, n)]
 DIRECT_SUM_CURVES = GRID + [(5, 3), (2, 7)]
 
 # (k, n) -> |I1 + I1|, the size of minkowski_di1's closed form; the closed
@@ -149,6 +161,32 @@ def test_ci_membership():
         enumerate_ci(3, 3, 0)
     with pytest.raises(ValueError):
         enumerate_ci(3, 3, 3)
+
+
+@pytest.mark.parametrize("k, n", SMALL_CURVES)
+def test_key_array_sets_match_tuple_references(k, n):
+    for m in (1, 2, 3):
+        assert enumerate_im(k, n, m).members == enumerate_im_by_tuples(k, n, m), m
+    assert minkowski_di1(k, n, 2).members == minkowski_di1_by_tuples(k, n)
+    shifts = []
+    for i in range(1, n):
+        ci = enumerate_ci_by_tuples(k, n, i)
+        assert enumerate_ci(k, n, i).members == ci, i
+        shifts += [(i, t, (t[0] + k, *t[1:]), (*t[:i], t[i] - k, *t[i + 1:])) for t in ci]
+    assert list(ci_shifts(k, n)) == shifts
+    assert shifted_ci_union(k, n) == shifted_ci_union_by_tuples(k, n)
+    assert standard_set(k, n).members == standard_set_by_tuples(k, n)
+    assert standard_set_identity(k, n) is (
+        standard_set_by_tuples(k, n) == enumerate_im_by_tuples(k, n, 2))
+
+
+def test_oversize_index_keys_raise_before_allocation():
+    # At (2^16, 6) the weight-1 keys span 327674 * 65536^5 > 2^63 values.
+    k, n = 1 << 16, 6
+    for call in (lambda: indexsets._lattice(k, n, 1), lambda: enumerate_im(k, n, 1),
+                 lambda: minkowski_di1(k, n, 2), lambda: nu_table(k, n, 1, closed=False)):
+        with pytest.raises(ParameterError, match="int64"):
+            call()
 
 
 def test_shifted_union_covers_low_fibers():
@@ -305,6 +343,14 @@ def test_enumerate_jd():
         assert sorted(seen) == list(minkowski_di1(k, n, d).members)
     with pytest.raises(ValueError):
         enumerate_jd(3, 3, 2, (1, 1))  # label arity
+
+
+def test_index_set_rejects_unsorted_or_repeated_members():
+    IndexSet(((0, 1), (0, 2), (1, 0)))
+    with pytest.raises(AssertionError):
+        IndexSet(((0, 2), (0, 1)))
+    with pytest.raises(AssertionError):
+        IndexSet(((0, 1), (0, 1), (1, 0)))
 
 
 def test_index_set_container_protocol():

@@ -225,6 +225,9 @@ def test_make_curve_params_validation_errors():
         make_curve_params(3, 3, p=101)  # 101 != 1 mod 3
     with pytest.raises(ParameterError):
         make_curve_params(2, 4, p=3)  # F_3 minus {0, 1} holds one lambda value, not two
+    for min_bound in (0, 1):  # 0 is a bound below k, not an unset bound
+        with pytest.raises(ParameterError, match="need min_bound >= k"):
+            make_curve_params(3, 3, seed=1, min_bound=min_bound)
 
 
 def test_zeta_has_exact_order_k():

@@ -7,7 +7,7 @@ import pytest
 
 from gfcring import reps
 from gfcring.curve import sample_points, suitable_params
-from gfcring.params import ParameterError, dim_vm, make_curve_params
+from gfcring.params import ParameterError, dim_vm, is_nonhyperelliptic, make_curve_params
 from gfcring.reps import (
     all_labels,
     character_of,
@@ -18,7 +18,7 @@ from gfcring.reps import (
     nu_table,
     syzygy_table,
 )
-from references import action_exponent, syzygy_multiplicity
+from references import action_exponent, nu_table_by_tuples, syzygy_multiplicity
 
 GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
 
@@ -72,6 +72,25 @@ def test_nu_totals():
     for (k, n) in GRID:
         for m in (1, 2, 3):
             assert sum(nu_table(k, n, m).values()) == dim_vm(k, n, m)
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for k in range(2, 6) for n in range(2, 6)
+                                  if is_nonhyperelliptic(k, n)])
+def test_nu_routes_match_tuple_references(k, n):
+    for m in (1, 2, 3):
+        closed, brute = nu_table(k, n, m, closed=True), nu_table(k, n, m, closed=False)
+        assert closed == brute == nu_table_by_tuples(k, n, m, True), m
+        assert brute == nu_table_by_tuples(k, n, m, False), m
+        assert {type(v) for v in [*closed.values(), *brute.values()]} == {int}
+
+
+def test_nu_closed_route_refuses_int64_overflow():
+    # Every intermediate of the formula is below (n + 2)(m + k): at (3, 3),
+    # exact up to the largest m with 5(m + 3) < 2^63, refused from there.
+    m = (1 << 63) // 5 - 2
+    assert nu_table(3, 3, m - 1) == nu_table_by_tuples(3, 3, m - 1, True)
+    with pytest.raises(ParameterError, match="int64"):
+        nu_table(3, 3, m)
 
 
 def test_nu_table_routes_agree():
