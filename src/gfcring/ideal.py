@@ -14,17 +14,18 @@ the latter vanishing because lam_i + x^k + y_{i+1}^k = 0 on the curve.
 
 The monomials are one (N, 2) array of window-index pairs in term order, sorted
 by one integer key per index sum, and each fiber is one run of its rows, tau
-first.  The generators are window-index arrays read off these runs, with no
-field in them: generate_binomials gives each binomial as a run's row after
-the first and that first row, tau; generate_trinomials gives each trinomial
-as its relation index i and the first rows of its three fibers, and its
-lam_i coefficient is read off the curve's parameters.
+first, named by its row in the sumset minkowski_di1(k, n, 2).  The generators
+are window-index arrays read off these runs, with no field in them:
+generate_binomials gives each binomial as a run's row after the first and
+that first row, tau; generate_trinomials gives each trinomial as its relation
+index i and the first rows of its three fibers, and its lam_i coefficient is
+read off the curve's parameters.
 
-verify_degree2_kernel writes each trinomial only as a fiber row {fiber:
-coefficient}, and both kernel checks take these rows.  The symbolic check
-works one (Z/k)^n character block and one phi2 row at a time, with no dense
-matrix: each row must lie in the kernel of its character's block of the
-evaluation map phi2 (a binomial's fiber coordinates are zero), and every rank
+verify_degree2_kernel writes the trinomials once, as the sumset rows of their
+three fibers and their coefficients, and both kernel checks read these
+arrays.  The symbolic check builds one (Z/k)^n character block at a time, of
+phi2 from its closed form and of the relations' parts (a binomial's fiber
+coordinates are zero), and multiplies them one phi2 row at a time; every rank
 is a sum of block ranks.  The independent pointwise check matches each
 binomial run's index sums to its fiber and evaluates the trinomials at
 sampled points with curve.evaluation_matrix.  The verdict is a plain dict,
@@ -42,15 +43,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import zip_longest
+from math import prod
 
 import numpy as np
 
 from .curve import AffinePoint, InsufficientPointsError, evaluation_matrix, sample_points
 from .indexsets import (
     IndexTuple,
+    _lattice,
     ci_shifts,
     enumerate_im,
-    minkowski_di1,
     standard_set,
     standard_set_identity,
     total_degree_d_monomials,
@@ -61,12 +63,12 @@ from .reps import character_of
 
 
 @lru_cache(maxsize=None)
-def _degree2_data(k: int, n: int) -> tuple[np.ndarray, dict[IndexTuple, tuple[int, int]]]:
+def _degree2_data(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(the degree-2 monomials in term order, as an (N, 2) int32 array of
-    degree-1 window indices i <= j; fiber -> its run [start, stop) of rows,
-    tau first, fibers in run order).  Treat both as immutable.  The fibers, read
-    off one sorted integer key per index sum, must equal minkowski_di1's
-    closed form: an independent enumeration of the 2-fold sumset."""
+    degree-1 window indices i <= j; start, stop: the fiber at row f of
+    minkowski_di1(k, n, 2) is the run [start[f], stop[f]) of rows, tau
+    first).  Treat all three as immutable.  The runs, read off one sorted
+    integer key per index sum, must be the sumset's closed form exactly."""
     window = np.array(enumerate_im(k, n, 1).members, dtype=np.int32).reshape(-1, n)
     # The term order without its constant degree: a sum's key has base-(2k-1)
     # digits -r, a_2, ..., a_n (an a-coordinate of a sum is at most 2(k-1)), and
@@ -87,10 +89,13 @@ def _degree2_data(k: int, n: int) -> tuple[np.ndarray, dict[IndexTuple, tuple[in
     i = np.repeat(np.arange(len(window), dtype=np.int32), np.arange(len(window), 0, -1))[order]
     j = np.concatenate([np.arange(a, len(window), dtype=np.int32) for a in rows])[order]
     del order
-    sums = window[i[starts]] + window[j[starts]]
-    fibers = {tuple(t): (int(a), int(b)) for t, a, b in zip(sums.tolist(), starts, stops)}
-    assert set(fibers) == set(minkowski_di1(k, n, 2).members)
-    return np.stack((i, j), axis=1), fibers
+    # No digit of a sum carries in the sumset's mixed radix, so a run's key
+    # there is the sum of its first pair's keys.
+    skey = np.ravel_multi_index(window.T, _lattice(k, n, 2, 0)[2])
+    sums = skey[i[starts]] + skey[j[starts]]
+    run = np.argsort(sums)
+    assert np.array_equal(sums[run], _lattice(k, n, 2, 0)[1])
+    return np.stack((i, j), axis=1), starts[run], stops[run]
 
 
 def generate_binomials(k: int, n: int) -> np.ndarray:
@@ -98,8 +103,7 @@ def generate_binomials(k: int, n: int) -> np.ndarray:
     z_i*z_j - z_i'*z_j': every row of every fiber run after the first, paired
     with the first, tau; fibers in sorted order.  B is dim S_2 minus the
     number of fibers."""
-    pairs, fibers = _degree2_data(k, n)
-    first, stop = np.array([fibers[t] for t in sorted(fibers)]).T
+    pairs, first, stop = _degree2_data(k, n)
     size = stop - first - 1
     tau_row = np.repeat(first, size)
     # the b-th binomial overall is row b - (binomials before its fiber) + 1 of its run
@@ -107,11 +111,13 @@ def generate_binomials(k: int, n: int) -> np.ndarray:
     return np.concatenate((pairs[row], pairs[tau_row]), axis=1)
 
 
-def _trinomial_rows(params: CurveParams) -> list[dict[IndexTuple, int]]:
-    """The trinomials in fiber coordinates: {t: lam_i, t+(k,0,..): 1,
-    t-k*e_i: 1} for each relation index i and t in C_i."""
-    return [{t: params.lam[i - 1] % params.p, up: 1, down: 1}
-            for i, t, up, down in ci_shifts(params.k, params.n)]
+def _trinomial_rows(params: CurveParams) -> tuple[np.ndarray, np.ndarray]:
+    """The trinomials in fiber coordinates, one row for each relation index
+    i and t in C_i: (T, 3) sumset rows of t, t+(k,0,..), t-k*e_i and (T, 3)
+    int64 coefficients lam_i, 1, 1 mod p."""
+    shifts = ci_shifts(params.k, params.n)
+    lam = np.array([v % params.p for v in params.lam], dtype=np.int64)[shifts[:, :1] - 1]
+    return shifts[:, 1:], np.column_stack((lam, np.ones((len(shifts), 2), dtype=np.int64)))
 
 
 def generate_trinomials(k: int, n: int) -> np.ndarray:
@@ -119,61 +125,58 @@ def generate_trinomials(k: int, n: int) -> np.ndarray:
     lam_i*z_a*z_b + z_c*z_d + z_e*z_f: the relation index i, then the window
     indices of the taus of its fibers t, t+(k,0,..), t-k*e_i, in
     _trinomial_rows order.  The coefficient lam_i is lam[i-1] mod p."""
-    pairs, fibers = _degree2_data(k, n)
-    shifts = list(ci_shifts(k, n))
-    rows = [fibers[s][0] for _, *three in shifts for s in three]
-    index = np.array([i for i, *_ in shifts], dtype=np.int32)
-    return np.column_stack((index, pairs[rows].reshape(-1, 6)))
+    pairs, start, _ = _degree2_data(k, n)
+    shifts = ci_shifts(k, n)
+    return np.column_stack((shifts[:, 0].astype(np.int32),
+                            pairs[start[shifts[:, 1:]]].reshape(-1, 6)))
 
 
 # --- rewriting into the weight-2 basis ---------------------------------------
 
-def _reduce(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]:
-    k, p = params.k, params.p
-    terms: dict[IndexTuple, int] = {t: 1}
-    for j in range(1, params.n):
-        lam_j = params.lam[j - 1] % p
-        new: dict[IndexTuple, int] = {}
-        for s, c in terms.items():
-            if s[j] >= k - 1:
-                new[s] = (new.get(s, 0) + c) % p
-            else:
-                # Raise the low coordinate: the j-th curve equation rewrites
-                # the element at s as -lam_j*(a_j + k branch) - (r + k branch).
-                up = (*s[:j], s[j] + k, *s[j + 1:])
-                up_r = (s[0] + k, *up[1:])
-                new[up] = (new.get(up, 0) - c * lam_j) % p
-                new[up_r] = (new.get(up_r, 0) - c) % p
-        terms = new
-    return {s: c for s, c in terms.items() if c}
+def _phi2_entries(params: CurveParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi2 as (row of enumerate_im(k, n, 2), fiber, value mod p) arrays,
+    fibers ascending, zero values kept.  The j-th curve equation raises each
+    low coordinate a_j < k-1 of the fiber t once, by k, as -lam_j times that
+    branch minus the branch with r raised too: with L the z low coordinates,
+    the element at t is the sum over s = 0..z of (-1)^z e_(z-s)(lam_L) at
+    t + k*(s, 1_L), e the elementary symmetric polynomials; that value is the
+    coefficient of x^s in the product of (-lam_j - x) over L.  Every term
+    lies in the weight-2 window, under t's character."""
+    k, n, p = params.k, params.n, params.p
+    rows, keys, dims = _lattice(k, n, 2, 0)
+    low = rows[:, 1:] < k - 1
+    # poly[m]: the coefficients of that product over the bits j-1 set in m
+    poly = [[1]]
+    for lam_j in params.lam:
+        poly += [[(-lam_j * a - b) % p for a, b in zip(e + [0], [0] + e)] for e in poly]
+    value = np.array([e + [0] * (n - len(e)) for e in poly], dtype=np.int64)
+    fiber, s = np.divmod(np.flatnonzero(np.arange(n) <= low.sum(axis=1)[:, None]), n)
+    raised = keys + k * (low @ np.array([prod(dims[j + 1:]) for j in range(1, n)]))
+    at = np.searchsorted(_lattice(k, n, 2)[1], raised[fiber] + k * prod(dims[1:]) * s)
+    return at, fiber, value[(low @ (1 << np.arange(n - 1)))[fiber], s]
 
 
 def _relations_vanish_at(
-    params: CurveParams, rows: list[dict[IndexTuple, int]], points: list[AffinePoint]
+    params: CurveParams, rels: tuple[np.ndarray, np.ndarray], points: list[AffinePoint]
 ) -> bool:
     """Whether every binomial, and every fiber row at every point, vanishes.
 
     x^r * prod y_j^(-a_j) is multiplicative in the index, so M - tau(t)
     vanishes exactly when M has index sum t, checked with no points.  The
-    rows {fiber: coefficient}, padded with zero coefficients, are read off
-    one evaluation matrix of points x the fibers the rows name.
+    rows (fibers, coeff), sumset rows and coefficients, are read off one
+    evaluation matrix of points x sumset rows.
     """
     p = params.p
-    window = np.array(enumerate_im(params.k, params.n, 1).members, dtype=np.int32)
-    pairs, fibers = _degree2_data(params.k, params.n)
-    sizes = [stop - start for start, stop in fibers.values()]
-    for w, key in zip(window.T, zip(*fibers)):  # one int32 coordinate at a time
-        if np.any(w[pairs[:, 0]] + w[pairs[:, 1]] != np.repeat(np.array(key, np.int32), sizes)):
+    fibers, coeff = rels[0], rels[1] % p
+    window = _lattice(params.k, params.n, 1)[0].astype(np.int32)
+    sumset = _lattice(params.k, params.n, 2, 0)[0]
+    pairs, start, stop = _degree2_data(params.k, params.n)
+    run = np.argsort(start)  # the fibers in the order of their runs
+    for w, t in zip(window.T, sumset[run].T.astype(np.int32)):  # one coordinate at a time
+        if np.any(w[pairs[:, 0]] + w[pairs[:, 1]] != np.repeat(t, (stop - start)[run])):
             return False
-    col = {t: c for c, t in enumerate(dict.fromkeys(t for row in rows for t in row))}
-    width = max(map(len, rows), default=0)
-    coeff = np.zeros((len(rows), width), dtype=np.int64)
-    at = np.zeros((len(rows), width), dtype=np.intp)
-    for r, row in enumerate(rows):
-        for j, (t, c) in enumerate(row.items()):
-            coeff[r, j], at[r, j] = c % p, col[t]
-    for vals in evaluation_matrix(params, points, list(col)):
-        if np.any((vals[at] * coeff % p).sum(axis=1) % p):
+    for vals in evaluation_matrix(params, points, sumset):
+        if np.any((vals[fibers] * coeff % p).sum(axis=1) % p):
             return False
     return True
 
@@ -181,57 +184,53 @@ def _relations_vanish_at(
 # --- span-rank bookkeeping ----------------------------------------------------
 
 def _character_blocks(
-    params: CurveParams, rels: list[dict[IndexTuple, int]]
+    params: CurveParams, rels: tuple[np.ndarray, np.ndarray]
 ) -> tuple[bool, int, dict[IndexTuple, int]]:
     """(whether every relation maps to zero, rank of phi2, span ranks by
     character of the binomials and the relations, nonzero ones only), in one
     pass over the character blocks.
 
-    Each relation comes in fiber coordinates, {fiber: coefficient mod p},
-    where every binomial M - tau(t) is zero.  _reduce moves coordinates
-    by multiples of k, so each fiber's phi2 column lies in its own
-    character's rows (a miss raises KeyError), and a relation vanishes
-    iff each character's part of it is in the kernel of that character's
-    phi2 block.  The product is reduced per term, so it is exact for every p
-    that the ranks accept.  The binomials span every within-fiber
-    difference, sum(|fiber| - 1) per character; the relations add the rank
-    of their parts.
+    Each relation comes in fiber coordinates, a row of (fibers, coeff) that
+    names a fiber at most once, where every binomial M - tau(t) is zero.
+    phi2 moves coordinates by multiples of k, so each fiber's phi2 column
+    lies in its own character's rows, and a relation vanishes iff each
+    character's part of it is in the kernel of that character's phi2 block.
+    The product is reduced per term, so it is exact for every p that the
+    ranks accept.  The binomials span every within-fiber difference,
+    sum(|fiber| - 1) per character; the relations add the rank of their
+    parts.
     """
     k, n, p = params.k, params.n, params.p
-    fibers = _degree2_data(k, n)[1]
-    character = {t: character_of(k, 2, t) for t in fibers}
-    columns: dict[IndexTuple, list[IndexTuple]] = {}
-    for t in sorted(fibers):
-        columns.setdefault(character[t], []).append(t)
-    rows: dict[IndexTuple, list[IndexTuple]] = {}
-    for s in enumerate_im(k, n, 2).members:
-        rows.setdefault(character_of(k, 2, s), []).append(s)
-    parts: dict[IndexTuple, list[dict[IndexTuple, int]]] = {}
-    for rel in rels:
-        by_char: dict[IndexTuple, dict[IndexTuple, int]] = {}
-        for t, c in rel.items():
-            if c % p:
-                by_char.setdefault(character[t], {})[t] = c % p
-        for h, part in by_char.items():
-            parts.setdefault(h, []).append(part)
+    _, start, stop = _degree2_data(k, n)
+    fibers, coeff = rels
+    row, col, value = _phi2_entries(params)
+    term = np.flatnonzero(coeff % p)  # flat positions of the nonzero coefficients
+
+    sumset, keys, _ = _lattice(k, n, 2, 0)
+    char = np.ravel_multi_index(character_of(k, 2, sumset.T), (k,) * n)
+    window_char = char[np.searchsorted(keys, _lattice(k, n, 2)[1])]  # at the same points
+    present = np.flatnonzero(np.bincount(char))
+
+    def split(labels: np.ndarray) -> list[np.ndarray]:
+        """The positions of each present label in turn, ascending."""
+        order = np.argsort(labels, kind="stable")
+        return np.split(order, np.searchsorted(labels[order], present[1:]))
 
     vanish, phi2_rank, dims = True, 0, {}
-    for h, ts in sorted(columns.items()):
-        col = {t: i for i, t in enumerate(ts)}
-        row = {s: i for i, s in enumerate(rows.get(h, ()))}
-        phi2 = np.zeros((len(row), len(col)), dtype=np.int64)
-        for t in ts:
-            for s, c in _reduce(params, t).items():
-                phi2[row[s], col[t]] = c
+    blocks = zip(present.tolist(), split(char), split(window_char), split(char[col]),
+                 split(char[fibers.flat[term]]))
+    for h, cols, rows, e, t in blocks:
+        phi2 = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        phi2[np.searchsorted(rows, row[e]), np.searchsorted(cols, col[e])] = value[e]
         phi2_rank += rank_mod_p_array(phi2, p)
-        block = np.zeros((len(parts.get(h, ())), len(col)), dtype=np.int64)
-        for r, part in enumerate(parts.get(h, ())):
-            for t, c in part.items():
-                block[r, col[t]] = c
-        vanish = vanish and not any(np.any((block * row % p).sum(axis=1) % p) for row in phi2)
-        dim = sum(fibers[t][1] - fibers[t][0] - 1 for t in ts) + rank_mod_p_array(block, p)
+        at = term[t]
+        new = np.diff(at // 3, prepend=-1) != 0  # the first term of each relation's part
+        block = np.zeros((new.sum(), len(cols)), dtype=np.int64)
+        block[np.cumsum(new) - 1, np.searchsorted(cols, fibers.flat[at])] = coeff.flat[at] % p
+        vanish = vanish and not any(np.any((block * r % p).sum(axis=1) % p) for r in phi2)
+        dim = int((stop - start - 1)[cols].sum()) + rank_mod_p_array(block, p)
         if dim:
-            dims[h] = dim
+            dims[tuple(map(int, np.unravel_index(h, (k,) * n)))] = dim
     return vanish, phi2_rank, dims
 
 
@@ -268,7 +267,7 @@ def verify_degree2_kernel(params: CurveParams) -> dict:
     """
     k, n, p = params.k, params.n, params.p
     d2 = dim_vm(k, n, 2)
-    pairs, fibers = _degree2_data(k, n)
+    pairs, start, _ = _degree2_data(k, n)
     dim_s2 = len(pairs)
     assert dim_s2 == total_degree_d_monomials(k, n, 2)
     rows = _trinomial_rows(params)
@@ -295,16 +294,15 @@ def verify_degree2_kernel(params: CurveParams) -> dict:
         and standard_count == dim_s2 - span_rank
     )
 
-    # (d) initial terms of trinomials, read off the fibers.
-    trinomial_initial_ok = all(
-        max(row, key=lambda s: (-s[0], *s[1:])) == next(iter(row)) for row in rows
-    )
+    # (d) initial terms of trinomials: the runs lie in term order.
+    top = start[rows[0]]
+    trinomial_initial_ok = bool(np.all(top[:, :1] > top[:, 1:]))
 
     report = {
         "p": p,
         "dim_s2": dim_s2,
-        "n_binomials": dim_s2 - len(fibers),
-        "n_trinomials": len(rows),
+        "n_binomials": dim_s2 - len(start),
+        "n_trinomials": len(top),
         "phi2_rank": phi2_rank,
         "ker_dim": dim_s2 - phi2_rank,
         "span_rank": span_rank,

@@ -8,7 +8,8 @@ all canonical enumerations.
 _lattice lays out the m-th window and the 2-fold sumset from their closed
 forms: (N, n) int64 rows in (r, a) order, and per row one int64 mixed-radix
 key led by r, so keys ascend with the rows; past 2^63 it raises ParameterError.
-C_i is a mask over the sumset; the sets built from it share the sumset's tuples.
+ci_shifts gives the trinomials' fibers as sumset rows; the sets built from
+them share the sumset's tuples.
 
 A "relation index" i runs over 1..n-1; relation i involves lam[i-1] and
 shifts the a-coordinate at 0-based position i-1, i.e. flat position i.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 from math import comb, prod
 
 import numpy as np
@@ -110,11 +110,6 @@ def minkowski_di1(k: int, n: int, d: int) -> IndexSet:
     return IndexSet(tuple(members))
 
 
-def _ci_mask(k: int, n: int, i: int) -> np.ndarray:
-    rows = _lattice(k, n, 2, 0)[0]
-    return (rows[:, i] >= k) & (rows[:, 0] <= rows[:, 1:].sum(axis=1) - (k + 4))
-
-
 def _sumset_members(k: int, n: int, at: np.ndarray) -> tuple[IndexTuple, ...]:
     """The sumset's member tuples at the positions at, shared, not copied."""
     return tuple(map(minkowski_di1(k, n, 2).members.__getitem__, at.tolist()))
@@ -127,23 +122,28 @@ def enumerate_ci(k: int, n: int, i: int) -> IndexSet:
 
     These are exactly the sumset points t for which t + (k, 0, ..., 0) and
     t - k*e_i also lie in the sumset (e_i = unit vector at flat position i,
-    the a-coordinate tied to relation index i); ci_shifts yields both shifts
-    of every member.
+    the a-coordinate tied to relation index i); ci_shifts lays out both
+    shifts of every member.
     """
     if not 1 <= i <= n - 1:
         raise ParameterError(f"relation index must be in 1..{n - 1}, got {i}")
-    return IndexSet(_sumset_members(k, n, np.flatnonzero(_ci_mask(k, n, i))))
+    shifts = ci_shifts(k, n)
+    return IndexSet(_sumset_members(k, n, shifts[shifts[:, 0] == i, 1]))
 
 
-def ci_shifts(k: int, n: int) -> Iterator[tuple[int, IndexTuple, IndexTuple, IndexTuple]]:
-    """(i, t, t + (k, 0, ..., 0), t - k*e_i) for each relation index i and
-    each t in C_i, in that order: the three fibers of every trinomial."""
-    _, keys, dims = _lattice(k, n, 2, 0)
+def ci_shifts(k: int, n: int) -> np.ndarray:
+    """(T, 4) intp rows (i, t, t + (k, 0, ..., 0), t - k*e_i) for each relation
+    index i and each t in C_i, in that order: the three fibers of every
+    trinomial, each a row of the sumset minkowski_di1(k, n, 2)."""
+    rows, keys, dims = _lattice(k, n, 2, 0)
+    low_r = rows[:, 0] <= rows[:, 1:].sum(axis=1) - (k + 4)
+    shifts = []
     for i in range(1, n):
-        at = keys[_ci_mask(k, n, i)]
-        up, down = (_sumset_members(k, n, np.searchsorted(keys, at + shift))
+        t = np.flatnonzero((rows[:, i] >= k) & low_r)
+        up, down = (np.searchsorted(keys, keys[t] + shift)
                     for shift in (k * prod(dims[1:]), -k * prod(dims[i + 1:])))
-        yield from zip(itertools.repeat(i), enumerate_ci(k, n, i), up, down)
+        shifts.append(np.column_stack((np.full_like(t, i), t, up, down)))
+    return np.concatenate(shifts)
 
 
 def shifted_ci_union(k: int, n: int) -> set[IndexTuple]:
@@ -153,9 +153,7 @@ def shifted_ci_union(k: int, n: int) -> set[IndexTuple]:
     below the degree-2 window (a_i <= k-2): exactly the fibers that relation
     family i eliminates from the standard monomials.
     """
-    _, keys, dims = _lattice(k, n, 2, 0)
-    down = [keys[_ci_mask(k, n, i)] - k * prod(dims[i + 1:]) for i in range(1, n)]
-    return set(_sumset_members(k, n, np.searchsorted(keys, np.concatenate(down))))
+    return set(_sumset_members(k, n, ci_shifts(k, n)[:, 3]))
 
 
 @lru_cache(maxsize=None)

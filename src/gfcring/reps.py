@@ -80,6 +80,8 @@ def nu_table(k: int, n: int, m: int, closed: bool = True) -> dict[IndexTuple, in
     if closed:
         if (n + 2) * (m + k) >= 1 << 63:  # bounds every intermediate of nu_closed
             raise ParameterError(f"weight m = {m} is beyond the int64 range of nu_closed")
+        if n * k ** n >= 1 << 60:  # numpy refuses the columns' 2^63 bytes or more
+            raise ParameterError(f"the {k}^{n} character labels are too many to lay out")
         counts = nu_closed(k, n, m, np.indices((k,) * n).reshape(n, -1))
     else:
         chars = character_of(k, m, _lattice(k, n, m)[0].T)

@@ -8,8 +8,11 @@ gfcring computes on one production path, kept here as oracles.
     ideal._degree2_data sorts the degree-2 monomials by;
   - degree2_monomials, the rows of ideal._degree2_data as tuples of
     window members, which export and verify read as index arrays;
-  - reduce_to_basis and phi2_matrix, the weight-2 rewriting and the dense
-    evaluation map whose character blocks verify_degree2_kernel ranks;
+  - reduce_stepwise, the weight-2 rewriting one curve equation at a time,
+    the oracle for the closed form of ideal._phi2_entries;
+  - reduce_to_basis and phi2_matrix, one fiber's closed-form rewriting and
+    the dense evaluation map whose character blocks verify_degree2_kernel
+    ranks;
   - span_rank_by_character, the per-character ranks without the checks;
   - relations_vanish_at_by_monomials, the degree-2 point check that
     multiplies every monomial's window values at every point;
@@ -32,6 +35,7 @@ gfcring computes on one production path, kept here as oracles.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass
@@ -43,7 +47,7 @@ from gfcring.curve import AffinePoint, evaluation_matrix
 from gfcring.ideal import (
     _character_blocks,
     _degree2_data,
-    _reduce,
+    _phi2_entries,
     _trinomial_rows,
     generate_binomials,
     generate_trinomials,
@@ -98,11 +102,13 @@ def index_sum(mono: MonomialKey) -> IndexTuple:
 
 def tau(k: int, n: int, t: IndexTuple) -> MonomialKey:
     """The order-minimal degree-2 monomial with index-sum t."""
-    pairs, fibers = _degree2_data(k, n)
-    if tuple(t) not in fibers:
+    pairs, start, _ = _degree2_data(k, n)
+    fibers = minkowski_di1(k, n, 2).members
+    f = bisect.bisect_left(fibers, tuple(t))
+    if fibers[f:f + 1] != (tuple(t),):
         raise ParameterError(f"{t} is not a sum of two degree-1 window members")
     window = enumerate_im(k, n, 1).members
-    i, j = pairs[fibers[tuple(t)][0]].tolist()
+    i, j = pairs[start[f]].tolist()
     return window[i], window[j]
 
 
@@ -204,20 +210,46 @@ def degree2_monomials(k: int, n: int) -> tuple[MonomialKey, ...]:
     return tuple((window[i], window[j]) for i, j in _degree2_data(k, n)[0].tolist())
 
 
+def reduce_stepwise(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]:
+    """The weight-2 element at t rewritten one curve equation at a time,
+    {window member: nonzero coefficient mod p}: each equation rewrites every
+    term whose coordinate j is below the window, one dict per equation."""
+    k, p = params.k, params.p
+    terms: dict[IndexTuple, int] = {t: 1}
+    for j in range(1, params.n):
+        lam_j = params.lam[j - 1] % p
+        new: dict[IndexTuple, int] = {}
+        for s, c in terms.items():
+            if s[j] >= k - 1:
+                new[s] = (new.get(s, 0) + c) % p
+            else:
+                # Raise the low coordinate: the j-th curve equation rewrites
+                # the element at s as -lam_j*(a_j + k branch) - (r + k branch).
+                up = (*s[:j], s[j] + k, *s[j + 1:])
+                up_r = (s[0] + k, *up[1:])
+                new[up] = (new.get(up, 0) - c * lam_j) % p
+                new[up_r] = (new.get(up_r, 0) - c) % p
+        terms = new
+    return {s: c for s, c in terms.items() if c}
+
+
 def reduce_to_basis(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]:
     """Express the weight-2 element at t (any 2-fold sumset point) as a
-    combination of weight-2 window members, as a dict index -> coefficient.
+    combination of weight-2 window members, as a dict index -> nonzero
+    coefficient: t's entries of ideal._phi2_entries.
 
     Each coordinate below the window is raised once by k, so the expansion
-    has at most 2^(number of low coordinates) terms and every output index
+    has at most 1 + (number of low coordinates) terms and every output index
     lies in the weight-2 window.
     """
-    t = tuple(t)
-    if t not in set(minkowski_di1(params.k, params.n, 2).members):
+    fibers = minkowski_di1(params.k, params.n, 2).members
+    f = bisect.bisect_left(fibers, tuple(t))
+    if fibers[f:f + 1] != (tuple(t),):
         raise ParameterError(f"{t} is not a 2-fold sumset point")
-    out = _reduce(params, t)
-    assert set(out) <= set(enumerate_im(params.k, params.n, 2).members)
-    return out
+    window = enumerate_im(params.k, params.n, 2).members
+    row, fiber, value = _phi2_entries(params)
+    at = fiber == f
+    return {window[r]: v for r, v in zip(row[at].tolist(), value[at].tolist()) if v}
 
 
 def phi2_matrix(params: CurveParams) -> np.ndarray:
@@ -228,12 +260,10 @@ def phi2_matrix(params: CurveParams) -> np.ndarray:
     index-sum.  Full row rank (= dim V_2) is the surjectivity statement.
     """
     k, n = params.k, params.n
-    pairs, fibers = _degree2_data(k, n)
-    row = {s: i for i, s in enumerate(enumerate_im(k, n, 2).members)}
-    mat = np.zeros((len(row), len(pairs)), dtype=np.int64)
-    for t, (start, stop) in fibers.items():
-        for s, c in _reduce(params, t).items():
-            mat[row[s], start:stop] = c
+    pairs, start, stop = _degree2_data(k, n)
+    mat = np.zeros((len(enumerate_im(k, n, 2)), len(pairs)), dtype=np.int64)
+    for r, f, c in zip(*(a.tolist() for a in _phi2_entries(params))):
+        mat[r, start[f]:stop[f]] = c
     return mat
 
 
@@ -244,34 +274,29 @@ def span_rank_by_character(params: CurveParams) -> dict[IndexTuple, int]:
 
 
 def relations_vanish_at_by_monomials(
-    params: CurveParams, rows: list[dict[IndexTuple, int]], points: list[AffinePoint]
+    params: CurveParams, rels: tuple[np.ndarray, np.ndarray], points: list[AffinePoint]
 ) -> bool:
-    """Whether every binomial and every fiber row {fiber: coefficient} in
-    rows evaluates to zero at every point.
+    """Whether every binomial and every fiber row of rels = (fibers, coeff),
+    sumset rows and their coefficients, evaluates to zero at every point.
 
     The degree-1 window is evaluated once as a (points x variables) matrix.
     The binomials stay implicit: at each point every monomial's value
     vals[i]*vals[j] must equal that of its fiber's first row, so a row reads
-    fiber t at prod[fibers[t][0]].  The rows are padded to a common length
-    with zero coefficients and checked as one int64 expression.  The scan
+    fiber f at prod[start[f]], checked as one int64 expression.  The scan
     stops at the first point where a check fails; one point at a time keeps
     the working set at a few monomial-sized arrays.
     """
     p = params.p
     window = enumerate_im(params.k, params.n, 1).members
-    pairs, fibers = _degree2_data(params.k, params.n)
-    runs = np.array(sorted(fibers.values()), dtype=np.intp)
-    first = np.repeat(runs[:, 0], runs[:, 1] - runs[:, 0])
+    pairs, start, stop = _degree2_data(params.k, params.n)
+    runs = np.argsort(start)
+    first = np.repeat(start[runs], (stop - start)[runs])
     mono_i, mono_j = pairs.T.astype(np.intp)  # an intp index is not converted per gather
-    width = max(map(len, rows), default=0)
-    coeff = np.zeros((len(rows), width), dtype=np.int64)
-    at = np.zeros((len(rows), width), dtype=np.intp)
-    for r, row in enumerate(rows):
-        for j, (t, c) in enumerate(row.items()):
-            coeff[r, j], at[r, j] = c % p, fibers[t][0]
+    fibers, coeff = rels
     for vals in evaluation_matrix(params, points, window):
         prod = vals[mono_i] * vals[mono_j] % p
-        if np.any(prod != prod[first]) or np.any((prod[at] * coeff % p).sum(axis=1) % p):
+        terms = prod[start[fibers]] * (coeff % p) % p
+        if np.any(prod != prod[first]) or np.any(terms.sum(axis=1) % p):
             return False
     return True
 

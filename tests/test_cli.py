@@ -169,7 +169,7 @@ def test_verify_evaluates_through_the_matrix_kernel_only(capsys):
 # The second routes that only the tests run, kept in tests/references.py.
 TEST_ONLY = [
     "evaluate_theta", "divisor_of_x", "divisor_of_y", "divisor_of_dx", "divisor_degree",
-    "monomial_sort_key", "compare_monomials", "reduce_to_basis", "phi2_matrix",
+    "monomial_sort_key", "compare_monomials", "reduce_stepwise", "reduce_to_basis", "phi2_matrix",
     "span_rank_by_character", "member_im", "action_exponent", "syzygy_multiplicity",
     "relations_vanish_at_by_monomials", "degree2_monomials", "Relation", "MonomialKey", "tau",
     "index_sum", "binomial_relations", "trinomial_relations", "parse_ideal_json",
@@ -240,6 +240,15 @@ def test_index_keys_past_int64_exit_2(capsys):
                  ["multiplicities", "--k", "3", "--n", "3", "--kind", "nu", "--m", str(1 << 62)]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and "int64" in json.loads(err)["error"], argv
+        assert err.count("\n") == 1
+
+
+def test_label_tables_numpy_cannot_lay_out_exit_2(capsys):
+    # nu's k^n labels as n intp columns would pass 2^63 bytes (or 64 dimensions).
+    for k, n in ((2, 62), (2, 64), (3, 40)):
+        code, out, err = run(capsys, "multiplicities", "--kind", "nu", "--k", str(k),
+                             "--n", str(n))
+        assert (code, out) == (2, "") and "labels" in json.loads(err)["error"], (k, n)
         assert err.count("\n") == 1
 
 
@@ -363,6 +372,8 @@ REFERENCE = os.path.join(os.path.dirname(__file__), "reference")
     ("verify --k 2 --n 5 --seed 1", 0, "verify_k_2_n_5_seed_1"),
     ("verify --k 2 --n 7 --seed 1", 0, "verify_k_2_n_7_seed_1"),
     ("verify --k 4 --n 4 --seed 1", 0, "verify_k_4_n_4_seed_1"),
+    ("verify --k 3 --n 4 --seed 5 --prime 2147483647", 0,
+     "verify_k_3_n_4_seed_5_prime_2147483647"),
     ("verify --grid --kmax 3 --nmax 4 --mmax 2 --seed 1", 0,
      "verify_grid_kmax_3_nmax_4_mmax_2_seed_1"),
     ("verify --k 3 --n 3 --seed 1 --format pretty", 0, "verify_k_3_n_3_seed_1_pretty"),

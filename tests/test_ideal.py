@@ -19,6 +19,7 @@ from gfcring.curve import (
 from gfcring.ideal import (
     KERNEL_POINTS,
     _character_blocks,
+    _phi2_entries,
     _relations_vanish_at,
     export_ideal,
     generate_binomials,
@@ -40,6 +41,7 @@ from references import (
     monomial_sort_key,
     parse_ideal_json,
     phi2_matrix,
+    reduce_stepwise,
     reduce_to_basis,
     relations_vanish_at_by_monomials,
     span_rank_by_character,
@@ -223,10 +225,10 @@ def test_trinomial_initial_check_can_fail(monkeypatch):
     trinomial_rows = ideal._trinomial_rows
 
     def down_first(params):
-        rows = trinomial_rows(params)
-        (t, lam), (up, _), (down, _) = rows[0].items()
-        rows[0] = {down: 1, t: lam, up: 1}
-        return rows
+        fibers, coeff = trinomial_rows(params)
+        fibers[0, [0, 2]] = fibers[0, [2, 0]]
+        coeff[0, [0, 2]] = coeff[0, [2, 0]]
+        return fibers, coeff
 
     pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
     monkeypatch.setattr(ideal, "_trinomial_rows", down_first)
@@ -269,7 +271,7 @@ def test_reduce_to_basis_output_in_window():
         assert combo
         assert all(s in window for s in combo)
         low = sum(1 for aj in t[1:] if aj <= 1)
-        assert len(combo) <= 2 ** low
+        assert len(combo) <= low + 1
     with pytest.raises(ValueError):
         reduce_to_basis(pp, (50, 0, 0, 0))
 
@@ -289,6 +291,22 @@ def test_reduce_to_basis_evaluation_oracle():
                 sum(c * evaluate_theta(pp, q, s) for s, c in combo.items()) % pp.p
             )
             assert direct == rewritten
+
+
+@pytest.mark.parametrize("k, n, p", [(3, 3, None), (2, 7, None), (5, 3, None), (4, 4, None),
+                                     (7, 3, None), (3, 4, 2147483647)])
+def test_phi2_closed_form_matches_the_stepwise_rewrite(k, n, p):
+    # At p = 2^31 - 1 the products of e_s and lam_j come close to 2^62.
+    pp = make_curve_params(k, n, seed=5, p=p)
+    window = enumerate_im(k, n, 2).members
+    row, fiber, value = _phi2_entries(pp)
+    assert np.all(np.diff(fiber) >= 0) and np.all((0 <= value) & (value < pp.p))
+    closed = {}
+    for r, f, v in zip(row.tolist(), fiber.tolist(), value.tolist()):
+        if v:
+            closed.setdefault(f, {})[window[r]] = v
+    assert closed == {f: reduce_stepwise(pp, t)
+                      for f, t in enumerate(minkowski_di1(k, n, 2).members)}
 
 
 def test_phi2_matrix_frozen_shapes_and_ranks():
@@ -325,7 +343,7 @@ def test_phi2_character_blocks_sum_to_dense_rank(curve, min_bound, seed):
         total += block
     dense = rank_mod_p_array(mat, pp.p)
     rels = binomial_relations(k, n) + trinomial_relations(pp)
-    assert total == dense == _character_blocks(pp, fiber_rows(rels))[1] == dim_vm(k, n, 2)
+    assert total == dense == _character_blocks(pp, fiber_rows(pp, rels))[1] == dim_vm(k, n, 2)
 
 
 def relation_matrix(pp, rels):
@@ -351,18 +369,21 @@ def test_span_rank_matches_dense_elimination():
         assert structural == dense == SPAN_RANKS[(k, n)]
 
 
-def fiber_rows(rels):
-    """Each relation in fiber coordinates, {fiber: summed coefficient}: the
-    relation -> fiber route, summing every monomial's indices, as an oracle
-    for the fiber runs that verify reads."""
-    rows = []
-    for rel in rels:
+def fiber_rows(pp, rels):
+    """Each relation in fiber coordinates, (fibers, coeff): the sumset rows of
+    its index sums and their summed coefficients, padded to three with zero
+    coefficients.  The relation -> fiber route, summing every monomial's
+    indices, is an oracle for the fiber runs that verify reads."""
+    at = {t: f for f, t in enumerate(minkowski_di1(pp.k, pp.n, 2).members)}
+    fibers = np.zeros((len(rels), 3), dtype=np.intp)
+    coeff = np.zeros((len(rels), 3), dtype=np.int64)
+    for r, rel in enumerate(rels):
         row = {}
         for c, mono in rel.terms:
-            t = index_sum(mono)
-            row[t] = row.get(t, 0) + c
-        rows.append(row)
-    return rows
+            f = at[index_sum(mono)]
+            row[f] = row.get(f, 0) + c
+        fibers[r, :len(row)], coeff[r, :len(row)] = list(row), list(row.values())
+    return fibers, coeff
 
 
 def kernel_cases(pp):
@@ -401,7 +422,7 @@ def test_sparse_kernel_check_matches_dense_oracle(k, n, p):
         return not np.any(phi2_matrix(pp) @ relation_matrix(pp, rels).T % pp.p)
 
     def symbolic(pp, rels):
-        return _character_blocks(pp, fiber_rows(rels))[0]
+        return _character_blocks(pp, fiber_rows(pp, rels))[0]
 
     pp = make_curve_params(k, n, p=p)
     for rels, expected in kernel_cases(pp):
@@ -413,12 +434,12 @@ def test_sparse_kernel_check_matches_dense_oracle(k, n, p):
     pts, short = sample_points(pp, 50)
     assert not short
     for rels, expected in kernel_cases(pp):
-        rows = fiber_rows(rels)
+        rows = fiber_rows(pp, rels)
         assert (_relations_vanish_at(pp, rows, pts)
                 == relations_vanish_at_by_monomials(pp, rows, pts)
                 == symbolic(pp, rels) == expected)
         assert dense(pp, rels) == expected
-    assert _relations_vanish_at(pp, [], pts)
+    assert _relations_vanish_at(pp, fiber_rows(pp, []), pts)
 
 
 def test_symbolic_kernel_check_is_exact_at_the_largest_prime():
@@ -429,11 +450,11 @@ def test_symbolic_kernel_check_is_exact_at_the_largest_prime():
     for k, n in [(3, 3), (3, 4)]:
         pp = make_curve_params(k, n, seed=5, p=2147483647)
         for rels, expected in kernel_cases(pp):
-            assert _character_blocks(pp, fiber_rows(rels))[0] == expected
+            assert _character_blocks(pp, fiber_rows(pp, rels))[0] == expected
         scale = pp.p - 2
         scaled = [Relation(tuple((c * scale % pp.p, m) for c, m in rel.terms), rel.kind,
                            rel.index) for rel in trinomial_relations(pp)]
-        assert _character_blocks(pp, fiber_rows(scaled))[0]
+        assert _character_blocks(pp, fiber_rows(pp, scaled))[0]
 
 
 def test_symbolic_check_keeps_no_three_dimensional_product():
@@ -454,7 +475,7 @@ def test_symbolic_check_keeps_no_three_dimensional_product():
 def test_verify_reads_each_fiber_once(monkeypatch):
     # The degree-2 data are one sort of window-index pairs by an integer key
     # per index sum.  verify reads the fiber runs instead of building the
-    # generator arrays, and builds the trinomial rows once.
+    # generator arrays, and builds the trinomial rows and phi2 once.
     calls = []
 
     def spy(fn):
@@ -465,12 +486,13 @@ def test_verify_reads_each_fiber_once(monkeypatch):
 
     pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
     ideal._degree2_data.cache_clear()
-    for fn in (generate_binomials, generate_trinomials, ideal._trinomial_rows):
+    for fn in (generate_binomials, generate_trinomials, ideal._trinomial_rows,
+               ideal._phi2_entries):
         monkeypatch.setattr(ideal, fn.__name__, spy(fn))
     ideal._degree2_data(3, 4)
     assert calls == []
     assert verify_degree2_kernel(pp)["passed"]
-    assert calls == [("_trinomial_rows", (pp,))]
+    assert calls == [("_trinomial_rows", (pp,)), ("_phi2_entries", (pp,))]
 
 
 def sorted_key_route(k, n):
@@ -490,29 +512,32 @@ def sorted_key_route(k, n):
 def test_fiber_runs_match_the_sorted_key_route(k, n):
     expected = sorted_key_route(k, n)
     monos = degree2_monomials(k, n)
-    fibers = ideal._degree2_data(k, n)[1]
+    _, start, stop = ideal._degree2_data(k, n)
+    fibers = minkowski_di1(k, n, 2).members
+    runs = np.argsort(start).tolist()
     assert monos == tuple(itertools.chain.from_iterable(expected.values()))
-    assert list(fibers) == list(expected)
-    assert {t: monos[start:stop] for t, (start, stop) in fibers.items()} == expected
+    assert [fibers[f] for f in runs] == list(expected)
+    assert {fibers[f]: monos[start[f]:stop[f]] for f in runs} == expected
 
 
 def test_point_check_finds_a_monomial_filed_under_a_neighbouring_fiber(monkeypatch):
     pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
     pts, _ = sample_points(pp, KERNEL_POINTS)
-    pairs, fibers = ideal._degree2_data(3, 4)
-    assert _relations_vanish_at(pp, [], pts)
+    pairs, start, stop = ideal._degree2_data(3, 4)
+    none = fiber_rows(pp, [])
+    assert _relations_vanish_at(pp, none, pts)
     # Move the first row of some fiber with two or more monomials into the
     # run of the fiber before it in term order.
-    order = list(fibers)
-    at = next(pos for pos, t in enumerate(order[1:], 1) if fibers[t][1] - fibers[t][0] > 1)
-    moved = dict(fibers)
+    order = np.argsort(start)
+    at = next(pos for pos, f in enumerate(order[1:], 1) if stop[f] - start[f] > 1)
     before, after = order[at - 1], order[at]
-    moved[before] = (fibers[before][0], fibers[before][1] + 1)
-    moved[after] = (fibers[after][0] + 1, fibers[after][1])
-    monkeypatch.setattr(ideal, "_degree2_data", lambda k, n: (pairs, moved))
-    assert not _relations_vanish_at(pp, [], pts)
+    moved_start, moved_stop = start.copy(), stop.copy()
+    moved_stop[before] += 1
+    moved_start[after] += 1
+    monkeypatch.setattr(ideal, "_degree2_data", lambda k, n: (pairs, moved_start, moved_stop))
+    assert not _relations_vanish_at(pp, none, pts)
     # The index sums show the misfiled monomial with no point at all.
-    assert not _relations_vanish_at(pp, [], [])
+    assert not _relations_vanish_at(pp, none, [])
 
 
 @given(

@@ -173,7 +173,9 @@ def test_key_array_sets_match_tuple_references(k, n):
         ci = enumerate_ci_by_tuples(k, n, i)
         assert enumerate_ci(k, n, i).members == ci, i
         shifts += [(i, t, (t[0] + k, *t[1:]), (*t[:i], t[i] - k, *t[i + 1:])) for t in ci]
-    assert list(ci_shifts(k, n)) == shifts
+    fibers = minkowski_di1(k, n, 2).members
+    assert [(i, fibers[t], fibers[up], fibers[down])
+            for i, t, up, down in ci_shifts(k, n).tolist()] == shifts
     assert shifted_ci_union(k, n) == shifted_ci_union_by_tuples(k, n)
     assert standard_set(k, n).members == standard_set_by_tuples(k, n)
     assert standard_set_identity(k, n) is (
