@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .indexsets import IndexTuple, enumerate_im
-from .linalg import rank_mod_p_array, require_int64_prime
+from .indexsets import IndexTuple, _lattice
+from .linalg import ranks_mod_p, require_int64_prime
 from .params import (
     CurveParams,
     ParameterError,
@@ -34,7 +35,7 @@ class InsufficientPointsError(RuntimeError):
     """The chosen prime does not yield enough affine points; raise the prime."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffinePoint:
     x: int
     y: tuple[int, ...]  # (y_2, ..., y_n), all nonzero mod p
@@ -94,19 +95,34 @@ def _kth_roots(c: int, k: int, p: int, zeta: int) -> list[int]:
 def sample_points(
     params: CurveParams, count: int
 ) -> tuple[list[AffinePoint], bool]:
-    """Deterministically sample up to `count` points with all y_j nonzero.
+    """Deterministically sample up to `count` points with all y_j nonzero
+    (every point of the field when count < 1).
 
     Scans x = 0, 1, 2, ...; for each x every -(lam[j-1] + x^k) must be a
     nonzero k-th power residue (tested by raising to (p-1)/k), and then all
     combinations of the k root choices per coordinate are emitted.  Returns
     (points, shortfall): shortfall is True when the whole field was scanned
-    and fewer than `count` points exist.  Raises ParameterError before the
-    scan when p^2 >= 2^62, where evaluation_matrix would reject the points.
+    and fewer than `count` points exist.  The scan of each of the last few
+    curves is kept and resumed, so a request is a prefix of one scan, copied.
+    Raises ParameterError before the scan when p^2 >= 2^62, where
+    evaluation_matrix would reject the points.
     """
+    require_int64_prime(params.p)
+    points, scan = _scans(params)
+    points.extend(itertools.islice(scan, max(count - len(points), 0)) if count > 0 else scan)
+    points = points[:count] if count > 0 else points[:]
+    return points, len(points) < count
+
+
+@lru_cache(maxsize=4)
+def _scans(params: CurveParams) -> tuple[list[AffinePoint], Iterator[AffinePoint]]:
+    """(the points scanned so far, the rest of the scan) of one curve."""
+    return [], _scan(params)
+
+
+def _scan(params: CurveParams) -> Iterator[AffinePoint]:
     k, p, zeta = params.k, params.p, params.zeta
-    require_int64_prime(p)
     res_exp = (p - 1) // k
-    points: list[AffinePoint] = []
     for x in range(p):
         xk = pow(x, k, p)
         targets = [(-(lam_j + xk)) % p for lam_j in params.lam]
@@ -116,10 +132,7 @@ def sample_points(
         for ys in itertools.product(*root_lists):
             pt = AffinePoint(x, ys)
             assert is_on_curve(params, pt)
-            points.append(pt)
-            if len(points) == count:
-                return points, False
-    return points, len(points) < count
+            yield pt
 
 
 def suitable_params(
@@ -250,13 +263,20 @@ def full_rank_oversample(k: int, n: int, m: int) -> int:
     return k ** (n - 1) * fibers
 
 
+# Cells per stack of evaluation blocks.  Past 2^14 cells (128 KiB, where
+# glibc's malloc turns to mmap) the freed stacks leave the heap fragmented
+# for the degree-2 check that follows: (6,4) then peaks at 70.8 MB, not 66.0.
+BASIS_STACK_CELLS = 1 << 12
+
+
 def basis_rank_check(params: CurveParams, m: int, oversample: int) -> bool:
     """True iff the weight-m basis evaluated at `oversample` points has rank d_m.
 
     The points form complete x-fibers, whose rows split by the class of a mod
     k (see full_rank_oversample); within a class all points of a fiber give
     one row up to scalars.  So the rank is a sum over the classes, each taken
-    on one point per fiber.  Raises ParameterError when oversample is below
+    on one point per fiber, and the classes of one size are ranked as one
+    ranks_mod_p stack.  Raises ParameterError when oversample is below
     d_m or not a whole number of fibers, and InsufficientPointsError when the
     prime has fewer points.
     """
@@ -276,9 +296,18 @@ def basis_rank_check(params: CurveParams, m: int, oversample: int) -> bool:
         )
     assert all(len({pt.x for pt in points[i:i + fiber]}) == 1
                for i in range(0, oversample, fiber))
-    basis = enumerate_im(k, n, m).members
-    classes: dict[IndexTuple, list[int]] = {}
-    for col, t in enumerate(basis):
-        classes.setdefault(tuple(a % k for a in t[1:]), []).append(col)
+    basis = _lattice(k, n, m)[0]
     firsts = evaluation_matrix(params, points[::fiber], basis)
-    return sum(rank_mod_p_array(firsts[:, cols], p) for cols in classes.values()) == d_m
+    # The columns class by class, the classes ordered by size: stacks of
+    # (fibers x size) blocks of one size, each within BASIS_STACK_CELLS.
+    cls = np.ravel_multi_index((basis[:, 1:] % k).T, (k,) * (n - 1))
+    size = np.bincount(cls)[cls]
+    order = np.argsort(size * k ** (n - 1) + cls, kind="stable")
+    edges = np.flatnonzero(np.diff(size[order], prepend=0, append=0)).tolist()
+    rank = 0
+    for lo, hi in itertools.pairwise(edges):
+        cols = order[lo:hi].reshape(-1, size[order[lo]])  # a row per class
+        per = max(1, BASIS_STACK_CELLS // cols[0].size // len(firsts))
+        for at in range(0, len(cols), per):
+            rank += int(ranks_mod_p(firsts[:, cols[at:at + per]].transpose(1, 0, 2), p).sum())
+    return rank == d_m

@@ -23,12 +23,13 @@ read off the curve's parameters.
 
 verify_degree2_kernel writes the trinomials once, as the sumset rows of their
 three fibers and their coefficients, and both kernel checks read these
-arrays.  The symbolic check builds one (Z/k)^n character block at a time, of
-phi2 from its closed form and of the relations' parts (a binomial's fiber
-coordinates are zero), and multiplies them one phi2 row at a time; every rank
-is a sum of block ranks.  The independent pointwise check matches each
-binomial run's index sums to its fiber and evaluates the trinomials at
-sampled points with curve.evaluation_matrix.  The verdict is a plain dict,
+arrays.  The symbolic check builds the (Z/k)^n character blocks of phi2,
+from its closed form, and of the relations' parts (a binomial's fiber
+coordinates are zero), stacks the blocks of one shape, ranks each stack in
+one call and multiplies them one phi2 row at a time; every rank is a sum of
+block ranks.  The independent pointwise check matches each binomial run's
+index sums to its fiber and evaluates the trinomials at sampled points with
+curve.evaluation_matrix.  The verdict is a plain dict,
 which verify prints per prime, character labels joined to strings.
 
 export_ideal writes the generator arrays as the JSON text that
@@ -42,7 +43,7 @@ join.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import pairwise, zip_longest
 from math import prod
 
 import numpy as np
@@ -57,7 +58,7 @@ from .indexsets import (
     standard_set_identity,
     total_degree_d_monomials,
 )
-from .linalg import rank_mod_p_array
+from .linalg import CHUNK_CELLS, ranks_mod_p
 from .params import CurveParams, ParameterError, dim_vm
 from .reps import character_of
 
@@ -198,40 +199,78 @@ def _character_blocks(
     The product is reduced per term, so it is exact for every p that the
     ranks accept.  The binomials span every within-fiber difference,
     sum(|fiber| - 1) per character; the relations add the rank of their
-    parts.
+    parts.  The characters whose blocks have one shape (phi2 rows, fibers,
+    parts) are stacked, in chunks of at most CHUNK_CELLS cells or one
+    character: one scatter and one ranks_mod_p call per chunk and stack.
     """
     k, n, p = params.k, params.n, params.p
     _, start, stop = _degree2_data(k, n)
     fibers, coeff = rels
-    row, col, value = _phi2_entries(params)
-    term = np.flatnonzero(coeff % p)  # flat positions of the nonzero coefficients
-
     sumset, keys, _ = _lattice(k, n, 2, 0)
     char = np.ravel_multi_index(character_of(k, 2, sumset.T), (k,) * n)
-    window_char = char[np.searchsorted(keys, _lattice(k, n, 2)[1])]  # at the same points
-    present = np.flatnonzero(np.bincount(char))
 
-    def split(labels: np.ndarray) -> list[np.ndarray]:
-        """The positions of each present label in turn, ascending."""
-        order = np.argsort(labels, kind="stable")
-        return np.split(order, np.searchsorted(labels[order], present[1:]))
+    def local(of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(each position's index among those of its label; each label's count)."""
+        order = np.argsort(of, kind="stable")
+        count = np.bincount(of, minlength=k ** n)
+        at = np.empty_like(order)
+        at[order] = np.arange(len(of)) - np.repeat(np.cumsum(count) - count, count)
+        return at, count
 
-    vanish, phi2_rank, dims = True, 0, {}
-    blocks = zip(present.tolist(), split(char), split(window_char), split(char[col]),
-                 split(char[fibers.flat[term]]))
-    for h, cols, rows, e, t in blocks:
-        phi2 = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        phi2[np.searchsorted(rows, row[e]), np.searchsorted(cols, col[e])] = value[e]
-        phi2_rank += rank_mod_p_array(phi2, p)
-        at = term[t]
-        new = np.diff(at // 3, prepend=-1) != 0  # the first term of each relation's part
-        block = np.zeros((new.sum(), len(cols)), dtype=np.int64)
-        block[np.cumsum(new) - 1, np.searchsorted(cols, fibers.flat[at])] = coeff.flat[at] % p
-        vanish = vanish and not any(np.any((block * r % p).sum(axis=1) % p) for r in phi2)
-        dim = int((stop - start - 1)[cols].sum()) + rank_mod_p_array(block, p)
-        if dim:
-            dims[tuple(map(int, np.unravel_index(h, (k,) * n)))] = dim
-    return vanish, phi2_rank, dims
+    def parts(term: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """local() of each term's part, its relation's terms under its character."""
+        key = char[fibers.flat[term]] * len(fibers) + term // 3
+        order = np.argsort(key, kind="stable")
+        first = np.diff(key[order], prepend=-1) != 0
+        at, count = local(key[order][first] // len(fibers))
+        part = np.empty_like(order)
+        part[order] = at[np.cumsum(first) - 1]
+        return part, count
+
+    col_at, n_cols = local(char)
+    row_at, n_rows = local(char[np.searchsorted(keys, _lattice(k, n, 2)[1])])
+    term = np.flatnonzero(coeff % p)  # flat positions of the nonzero coefficients
+    part, n_parts = parts(term)
+    # The present characters grouped by shape, ascending within a group, the
+    # largest first: smaller ones reuse their freed memory (smallest first
+    # peaks about 9 MB higher at (2,9)).
+    shape = (n_rows * (n_cols.max() + 1) + n_cols) * (n_parts.max() + 1) + n_parts
+    cells = n_cols * (n_rows + n_parts)
+    order = np.flatnonzero(n_cols)
+    order = order[np.lexsort((shape[order], -cells[order]))]
+    group = np.flatnonzero(np.diff(shape[order], prepend=-1))
+    within = np.arange(len(order)) - np.repeat(group, np.diff(group, append=len(order)))
+    edges = np.r_[np.flatnonzero(within % np.maximum(1, CHUNK_CELLS // cells[order]) == 0),
+                  len(order)]
+    pos = np.zeros(k ** n, dtype=np.intp)  # each character's place in order
+    pos[order] = np.arange(len(order))
+
+    def by_chunk(label: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+        """The arrays sorted by the place of label, then each chunk's start."""
+        at = np.argsort(pos[label], kind="stable")
+        return [a[at] for a in arrays] + [np.searchsorted(pos[label][at], edges)]
+
+    row, col, value = _phi2_entries(params)
+    row, col, value, e = by_chunk(char[col], row, col, value)
+    term, part, t = by_chunk(char[fibers.flat[term]], term, part)
+    vanish, phi2_rank = True, 0
+    dims = np.bincount(char, stop - start - 1, k ** n).astype(np.int64)
+    for c, (lo, hi) in enumerate(pairwise(edges.tolist())):
+        h, at, f = order[lo], slice(e[c], e[c + 1]), fibers.flat[term[t[c]:t[c + 1]]]
+        phi2 = np.zeros((hi - lo, n_rows[h], n_cols[h]), dtype=np.int64)
+        phi2[pos[char[col[at]]] - lo, row_at[row[at]], col_at[col[at]]] = value[at]
+        block = np.zeros((hi - lo, n_parts[h], n_cols[h]), dtype=np.int64)
+        block[pos[char[f]] - lo, part[t[c]:t[c + 1]], col_at[f]] = (
+            coeff.flat[term[t[c]:t[c + 1]]] % p)
+        phi2_rank += int(ranks_mod_p(phi2, p).sum())
+        dims[order[lo:hi]] += ranks_mod_p(block, p)
+        image = np.empty_like(block)  # one phi2 row's image at a time
+        vanish = vanish and not any(
+            np.any(np.remainder(np.multiply(block, phi2[:, None, r], out=image), p,
+                                out=image).sum(axis=2) % p) for r in range(n_rows[h]))
+    nonzero = np.flatnonzero(dims)
+    label = zip(*(a.tolist() for a in np.unravel_index(nonzero, (k,) * n)))
+    return vanish, phi2_rank, dict(zip(label, dims[nonzero].tolist()))
 
 
 # --- the verification report ---------------------------------------------------

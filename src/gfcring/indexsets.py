@@ -7,7 +7,8 @@ all canonical enumerations.
 
 _lattice lays out the m-th window and the 2-fold sumset from their closed
 forms: (N, n) int64 rows in (r, a) order, and per row one int64 mixed-radix
-key led by r, so keys ascend with the rows; past 2^63 it raises ParameterError.
+key led by r, so keys ascend with the rows.  Where a key, or the bytes of the
+a-coordinate grid it lays out first, would reach 2^63, it raises ParameterError.
 ci_shifts gives the trinomials' fibers as sumset rows; the sets built from
 them share the sumset's tuples.
 
@@ -56,6 +57,9 @@ def _lattice(k: int, n: int, m: int, lo: int | None = None
     dims = (max((n - 1) * hi - 2 * m, 0) + 1, *(hi + 1,) * (n - 1))
     if prod(dims) >= 1 << 63:
         raise ParameterError(f"index keys at (k, n, m) = ({k}, {n}, {m}) pass the int64 limit")
+    if (n - 1) * (hi - lo + 1) ** (n - 1) * np.dtype(np.intp).itemsize >= 1 << 63:
+        raise ParameterError(f"the a-coordinate grid at (k, n, m) = ({k}, {n}, {m}) "
+                             "needs 2^63 bytes or more")
     a = np.indices((hi - lo + 1,) * (n - 1)).reshape(n - 1, -1).T + lo  # lexicographic
     count = np.maximum(a.sum(axis=1) - 2 * m + 1, 0)
     a = np.repeat(a, count, axis=0)

@@ -1,6 +1,8 @@
 """Test-only reference implementations: second routes to jobs that
 gfcring computes on one production path, kept here as oracles.
 
+  - rank_mod_p_array with its _eliminate, the rank of one matrix, one
+    Python step per pivot: the per-matrix oracle of linalg.ranks_mod_p;
   - evaluate_theta, the scalar form of curve.evaluation_matrix;
   - the divisors of x, y_j and dx, and a divisor's degree, which the
     canonical-divisor tests combine into divisor_of_theta;
@@ -14,6 +16,8 @@ gfcring computes on one production path, kept here as oracles.
     the dense evaluation map whose character blocks verify_degree2_kernel
     ranks;
   - span_rank_by_character, the per-character ranks without the checks;
+  - character_blocks_one_by_one, ideal._character_blocks one character
+    block at a time, each ranked on its own;
   - relations_vanish_at_by_monomials, the degree-2 point check that
     multiplies every monomial's window values at every point;
   - member_im, the window test behind enumerate_im;
@@ -40,6 +44,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -52,9 +57,68 @@ from gfcring.ideal import (
     generate_binomials,
     generate_trinomials,
 )
-from gfcring.indexsets import IndexTuple, enumerate_im, minkowski_di1
+from gfcring.indexsets import IndexTuple, _lattice, enumerate_im, minkowski_di1
+from gfcring.linalg import require_int64_prime
 from gfcring.params import CurveParams, ParameterError
 from gfcring.reps import all_labels, character_of, mu, nu_closed
+
+
+# --- linalg -------------------------------------------------------------------
+
+def rank_mod_p_array(mat: np.ndarray | Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p of an integer array or list of rows (never clobbered).
+
+    The working copy is C-ordered whatever the input's layout: elimination
+    walks rows, and on a column-strided copy it runs about 3x slower.
+    Raises ParameterError when p^2 >= 2^62, where int64 products would wrap.
+    """
+    require_int64_prime(p)
+    mat = np.array(mat, dtype=np.int64, order="C")
+    return _eliminate(mat, p) if mat.size else 0
+
+
+def _eliminate(mat: np.ndarray, p: int) -> int:
+    """In-place row reduction; returns the number of pivots.
+
+    Full-matrix reduction mod p after every pivot would dominate the runtime
+    (int64 division is slow), so entries are left to drift and only the
+    pivot row and the column being cleared are canonicalized.  One update
+    step grows magnitudes by at most p^2, so a counter renormalizes the
+    trailing block before int64 could overflow; for desk-scale primes that
+    never actually triggers.
+    """
+    n_rows, n_cols = mat.shape
+    mat %= p
+    rank = 0
+    dirty = 0
+    max_dirty = 2**62 // (p * p) - 1
+    for col in range(n_cols):
+        if rank == n_rows:
+            break
+        colvals = mat[rank:, col] % p
+        nz = np.nonzero(colvals)[0]
+        if nz.size == 0:
+            continue
+        pivot = rank + int(nz[0])
+        if pivot != rank:
+            mat[[rank, pivot]] = mat[[pivot, rank]]
+        # Columns left of the pivot are never read again, so scaling and
+        # clearing both act on the trailing block only.
+        row = mat[rank, col:]
+        row %= p
+        inv = pow(int(row[0]), p - 2, p)
+        row *= inv
+        row %= p
+        below = mat[rank + 1:, col:]
+        if below.size:
+            factors = below[:, 0] % p
+            below -= np.outer(factors, row)
+            dirty += 1
+            if dirty >= max_dirty:
+                below %= p
+                dirty = 0
+        rank += 1
+    return rank
 
 
 # --- curve --------------------------------------------------------------------
@@ -271,6 +335,57 @@ def span_rank_by_character(params: CurveParams) -> dict[IndexTuple, int]:
     """Rank of each character's block of the degree-2 relation span; labels
     with no relations are omitted (their dimension is 0)."""
     return _character_blocks(params, _trinomial_rows(params))[2]
+
+
+def character_blocks_one_by_one(
+    params: CurveParams, rels: tuple[np.ndarray, np.ndarray]
+) -> tuple[bool, int, dict[IndexTuple, int]]:
+    """(whether every relation maps to zero, rank of phi2, span ranks by
+    character of the binomials and the relations, nonzero ones only), in one
+    pass over the character blocks.
+
+    Each relation comes in fiber coordinates, a row of (fibers, coeff) that
+    names a fiber at most once, where every binomial M - tau(t) is zero.
+    phi2 moves coordinates by multiples of k, so each fiber's phi2 column
+    lies in its own character's rows, and a relation vanishes iff each
+    character's part of it is in the kernel of that character's phi2 block.
+    The product is reduced per term, so it is exact for every p that the
+    ranks accept.  The binomials span every within-fiber difference,
+    sum(|fiber| - 1) per character; the relations add the rank of their
+    parts.
+    """
+    k, n, p = params.k, params.n, params.p
+    _, start, stop = _degree2_data(k, n)
+    fibers, coeff = rels
+    row, col, value = _phi2_entries(params)
+    term = np.flatnonzero(coeff % p)  # flat positions of the nonzero coefficients
+
+    sumset, keys, _ = _lattice(k, n, 2, 0)
+    char = np.ravel_multi_index(character_of(k, 2, sumset.T), (k,) * n)
+    window_char = char[np.searchsorted(keys, _lattice(k, n, 2)[1])]  # at the same points
+    present = np.flatnonzero(np.bincount(char))
+
+    def split(labels: np.ndarray) -> list[np.ndarray]:
+        """The positions of each present label in turn, ascending."""
+        order = np.argsort(labels, kind="stable")
+        return np.split(order, np.searchsorted(labels[order], present[1:]))
+
+    vanish, phi2_rank, dims = True, 0, {}
+    blocks = zip(present.tolist(), split(char), split(window_char), split(char[col]),
+                 split(char[fibers.flat[term]]))
+    for h, cols, rows, e, t in blocks:
+        phi2 = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        phi2[np.searchsorted(rows, row[e]), np.searchsorted(cols, col[e])] = value[e]
+        phi2_rank += rank_mod_p_array(phi2, p)
+        at = term[t]
+        new = np.diff(at // 3, prepend=-1) != 0  # the first term of each relation's part
+        block = np.zeros((new.sum(), len(cols)), dtype=np.int64)
+        block[np.cumsum(new) - 1, np.searchsorted(cols, fibers.flat[at])] = coeff.flat[at] % p
+        vanish = vanish and not any(np.any((block * r % p).sum(axis=1) % p) for r in phi2)
+        dim = int((stop - start - 1)[cols].sum()) + rank_mod_p_array(block, p)
+        if dim:
+            dims[tuple(map(int, np.unravel_index(h, (k,) * n)))] = dim
+    return vanish, phi2_rank, dims
 
 
 def relations_vanish_at_by_monomials(

@@ -22,7 +22,7 @@ from gfcring import cli, curve, ideal, indexsets, reps
 from gfcring.cli import main
 from gfcring.ideal import export_ideal
 from gfcring.indexsets import shifted_ci_union
-from gfcring.linalg import rank_mod_p_array
+from gfcring.linalg import ranks_mod_p
 from gfcring.params import make_curve_params
 import references
 
@@ -131,15 +131,32 @@ def test_verify_ranks_only_character_blocks(capsys, monkeypatch):
     # most, never of the dense phi2 or basis evaluation matrix.
     shapes = []
 
-    def spy(mat, p):
-        shapes.append(mat.shape)
-        return rank_mod_p_array(mat, p)
+    def spy(stack, p):
+        shapes.append(stack.shape)
+        return ranks_mod_p(stack, p)
 
-    monkeypatch.setattr(curve, "rank_mod_p_array", spy)
-    monkeypatch.setattr(ideal, "rank_mod_p_array", spy)
+    monkeypatch.setattr(curve, "ranks_mod_p", spy)
+    monkeypatch.setattr(ideal, "ranks_mod_p", spy)
     code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
     assert code == 0 and rep["passed"]
-    assert shapes and max(rows for rows, _ in shapes) <= 30
+    assert shapes and max(rows for _, rows, _ in shapes) <= 30
+
+
+def test_verify_scans_each_prime_once(capsys, monkeypatch):
+    # The prime search, both rank checks, the kernel and the equivariance
+    # check all read one scan of each prime.
+    scanned = []
+    scan = curve._scan
+
+    def spy(params):
+        scanned.append(params.p)
+        return scan(params)
+
+    monkeypatch.setattr(curve, "_scan", spy)
+    curve._scans.cache_clear()
+    code, rep, _ = run_json(capsys, "verify", "--k", "3", "--n", "3", "--seed", "1")
+    assert code == 0 and rep["passed"]
+    assert set(rep["primes"]) <= set(scanned) and len(scanned) == len(set(scanned))
 
 
 def test_verify_builds_standard_set_once(capsys, monkeypatch):
@@ -175,6 +192,7 @@ TEST_ONLY = [
     "index_sum", "binomial_relations", "trinomial_relations", "parse_ideal_json",
     "enumerate_im_by_tuples", "minkowski_di1_by_tuples", "enumerate_ci_by_tuples",
     "shifted_ci_union_by_tuples", "standard_set_by_tuples", "nu_table_by_tuples",
+    "rank_mod_p_array", "_eliminate", "character_blocks_one_by_one",
 ]
 
 
@@ -509,6 +527,8 @@ UNWRITABLE = os.path.join(os.devnull, "report.json")
     ["verify", "--grid", "--kmax", "3", "--nmax", "3", "--lambda", "1,5"],
     ["export", "--k", "2", "--n", "4", "--prime", "3"],
     ["verify", "--k", "2", "--n", "6", "--prime", "5"],
+    ["basis", "--k", "2", "--n", "56"],
+    ["multiplicities", "--kind", "mu", "--k", "2", "--n", "56"],
 ])
 @pytest.mark.usefixtures("hang_guard")
 def test_bad_input_is_one_json_error_line(capsys, argv):

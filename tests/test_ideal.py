@@ -28,12 +28,12 @@ from gfcring.ideal import (
     verify_degree2_kernel,
 )
 from gfcring.indexsets import enumerate_ci, enumerate_im, minkowski_di1
-from gfcring.linalg import rank_mod_p_array
 from gfcring.params import ParameterError, dim_vm, make_curve_params
 from gfcring.reps import character_of, nu_table, syzygy_table
 from references import (
     Relation,
     binomial_relations,
+    character_blocks_one_by_one,
     compare_monomials,
     degree2_monomials,
     evaluate_theta,
@@ -41,6 +41,7 @@ from references import (
     monomial_sort_key,
     parse_ideal_json,
     phi2_matrix,
+    rank_mod_p_array,
     reduce_stepwise,
     reduce_to_basis,
     relations_vanish_at_by_monomials,
@@ -455,6 +456,24 @@ def test_symbolic_kernel_check_is_exact_at_the_largest_prime():
         scaled = [Relation(tuple((c * scale % pp.p, m) for c, m in rel.terms), rel.kind,
                            rel.index) for rel in trinomial_relations(pp)]
         assert _character_blocks(pp, fiber_rows(pp, scaled))[0]
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 7), (3, 3), (3, 4), (4, 2), (4, 4), (5, 3)])
+def test_character_blocks_match_the_one_by_one_oracle(k, n):
+    # Stacking the blocks by shape changes no verdict and no rank: the same
+    # triple, per_character in the same order, at two primes; and with one
+    # trinomial coefficient off by one, both find a relation that does not
+    # vanish.  (4,2) has no trinomials at all.
+    for pp in itertools.islice(suitable_params(k, n, seed=1), 2):
+        fibers, coeff = ideal._trinomial_rows(pp)
+        cases = [((fibers, coeff), True)]
+        if len(coeff):
+            bad = coeff.copy()
+            bad[len(bad) // 2, 0] += 1
+            cases.append(((fibers, bad), False))
+        for rows, vanish in cases:
+            got, want = _character_blocks(pp, rows), character_blocks_one_by_one(pp, rows)
+            assert got == want and list(got[2]) == list(want[2]) and got[0] == vanish
 
 
 def test_symbolic_check_keeps_no_three_dimensional_product():
