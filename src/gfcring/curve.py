@@ -41,13 +41,15 @@ class AffinePoint:
     y: tuple[int, ...]  # (y_2, ..., y_n), all nonzero mod p
 
 
-def is_on_curve(params: CurveParams, pt: AffinePoint) -> bool:
-    k, p = params.k, params.p
-    xk = pow(pt.x, k, p)
-    return all(
-        (lam_j + xk + pow(yj, k, p)) % p == 0 and yj % p != 0
-        for lam_j, yj in zip(params.lam, pt.y)
-    )
+def _pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
+    """base^e mod p elementwise, by square and multiply in int64: exact while
+    p^2 < 2^62, as every factor is reduced below p."""
+    out, base = np.ones_like(base), base % p
+    while e:
+        if e & 1:
+            out = out * base % p
+        base, e = base * base % p, e >> 1
+    return out
 
 
 def _rth_root(c: int, r: int, p: int) -> int:
@@ -98,14 +100,15 @@ def sample_points(
     """Deterministically sample up to `count` points with all y_j nonzero
     (every point of the field when count < 1).
 
-    Scans x = 0, 1, 2, ...; for each x every -(lam[j-1] + x^k) must be a
-    nonzero k-th power residue (tested by raising to (p-1)/k), and then all
-    combinations of the k root choices per coordinate are emitted.  Returns
-    (points, shortfall): shortfall is True when the whole field was scanned
-    and fewer than `count` points exist.  The scan of each of the last few
-    curves is kept and resumed, so a request is a prefix of one scan, copied.
-    Raises ParameterError before the scan when p^2 >= 2^62, where
-    evaluation_matrix would reject the points.
+    Scans x = 0, 1, 2, ... in blocks of SCAN_BLOCK; an x is kept when every
+    -(lam[j-1] + x^k) is a nonzero k-th power residue (its (p-1)/k-th power
+    is 1), and then all combinations of the k root choices per coordinate
+    are emitted.  Returns (points, shortfall): shortfall is True when the
+    whole field was scanned and fewer than `count` points exist.  The scan of
+    each of the last few curves is kept and resumed, so a request is a prefix
+    of one scan, copied.  Raises ParameterError before the scan when
+    p^2 >= 2^62, where the scan's int64 powers and evaluation_matrix would
+    wrap.
     """
     require_int64_prime(params.p)
     points, scan = _scans(params)
@@ -120,19 +123,26 @@ def _scans(params: CurveParams) -> tuple[list[AffinePoint], Iterator[AffinePoint
     return [], _scan(params)
 
 
+# The x values that one step of the point scan tests at once.
+SCAN_BLOCK = 1 << 10
+
+
 def _scan(params: CurveParams) -> Iterator[AffinePoint]:
+    """The points in sample_points' order.  The k-th roots are taken for the
+    accepted x alone, and each x-fiber is asserted on the curve as one array."""
     k, p, zeta = params.k, params.p, params.zeta
-    res_exp = (p - 1) // k
-    for x in range(p):
-        xk = pow(x, k, p)
-        targets = [(-(lam_j + xk)) % p for lam_j in params.lam]
-        if any(c == 0 or pow(c, res_exp, p) != 1 for c in targets):
-            continue
-        root_lists = [_kth_roots(c, k, p, zeta) for c in targets]
-        for ys in itertools.product(*root_lists):
-            pt = AffinePoint(x, ys)
-            assert is_on_curve(params, pt)
-            yield pt
+    lam = np.array([v % p for v in params.lam], dtype=np.int64)
+    for lo in range(0, p, SCAN_BLOCK):
+        x = np.arange(lo, min(lo + SCAN_BLOCK, p), dtype=np.int64)
+        xk = _pow_mod(x, k, p)
+        targets = -(lam[:, None] + xk) % p
+        # a zero target fails too: its power is 0, as (p-1)/k >= 1
+        keep = np.all(_pow_mod(targets, (p - 1) // k, p) == 1, axis=0)
+        for xi, xki, c in zip(x[keep].tolist(), xk[keep].tolist(), targets[:, keep].T.tolist()):
+            ys = list(itertools.product(*(_kth_roots(cj, k, p, zeta) for cj in c)))
+            fiber = np.array(ys, dtype=np.int64)
+            assert np.all(fiber % p != 0) and not np.any((lam + xki + _pow_mod(fiber, k, p)) % p)
+            yield from (AffinePoint(xi, y) for y in ys)
 
 
 def suitable_params(
@@ -200,9 +210,8 @@ def evaluation_matrix(
     require_int64_prime(p)
     exps = np.array(basis, dtype=np.intp).reshape(-1, width)
     xs = np.array([pt.x % p for pt in points], dtype=np.int64)
-    inv = np.array(
-        [[pow(yj, p - 2, p) for yj in pt.y] for pt in points], dtype=np.int64
-    ).reshape(-1, width - 1)
+    inv = _pow_mod(np.array([pt.y for pt in points], dtype=np.int64).reshape(-1, width - 1),
+                   p - 2, p)
 
     def powers(base: np.ndarray, top: int) -> np.ndarray:
         """Columns base^0, ..., base^top mod p."""
@@ -211,10 +220,11 @@ def evaluation_matrix(
             table[:, e] = table[:, e - 1] * base % p
         return table
 
-    top = exps.max(axis=0, initial=0)
-    out = np.take(powers(xs, int(top[0])), exps[:, 0], axis=1)
+    # per column: an axis-0 max over C-ordered rows runs about 10x slower
+    top = [int(col.max(initial=0)) for col in exps.T]
+    out = np.take(powers(xs, top[0]), exps[:, 0], axis=1)
     for j in range(1, width):
-        out *= np.take(powers(inv[:, j - 1], int(top[j])), exps[:, j], axis=1)
+        out *= np.take(powers(inv[:, j - 1], top[j]), exps[:, j], axis=1)
         out %= p
     return np.ascontiguousarray(out)
 

@@ -70,7 +70,7 @@ def _degree2_data(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     minkowski_di1(k, n, 2) is the run [start[f], stop[f]) of rows, tau
     first).  Treat all three as immutable.  The runs, read off one sorted
     integer key per index sum, must be the sumset's closed form exactly."""
-    window = np.array(enumerate_im(k, n, 1).members, dtype=np.int32).reshape(-1, n)
+    window = _lattice(k, n, 1)[0].astype(np.int32)
     # The term order without its constant degree: a sum's key has base-(2k-1)
     # digits -r, a_2, ..., a_n (an a-coordinate of a sum is at most 2(k-1)), and
     # a pair's key is the sum of its members' keys.  A stable sort keeps each
@@ -157,29 +157,41 @@ def _phi2_entries(params: CurveParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return at, fiber, value[(low @ (1 << np.arange(n - 1)))[fiber], s]
 
 
+@lru_cache(maxsize=None)
+def _binomials_share_sums(k: int, n: int) -> bool:
+    """Whether every row of every fiber run has that fiber as its index sum:
+    then each binomial M - tau(t) vanishes on the curve, as x^r * prod
+    y_j^(-a_j) is multiplicative in the index.  No prime enters, so it runs
+    once per curve."""
+    window = _lattice(k, n, 1)[0].astype(np.int32)
+    sumset = _lattice(k, n, 2, 0)[0]
+    pairs, start, stop = _degree2_data(k, n)
+    run = np.argsort(start)  # the fibers in the order of their runs
+    return all(np.array_equal(w[pairs[:, 0]] + w[pairs[:, 1]], np.repeat(t, (stop - start)[run]))
+               for w, t in zip(window.T, sumset[run].T.astype(np.int32)))
+
+
 def _relations_vanish_at(
     params: CurveParams, rels: tuple[np.ndarray, np.ndarray], points: list[AffinePoint]
 ) -> bool:
     """Whether every binomial, and every fiber row at every point, vanishes.
 
-    x^r * prod y_j^(-a_j) is multiplicative in the index, so M - tau(t)
-    vanishes exactly when M has index sum t, checked with no points.  The
-    rows (fibers, coeff), sumset rows and coefficients, are read off one
-    evaluation matrix of points x sumset rows.
+    The binomials are checked by their index sums, with no points.  The
+    rows (fibers, coeff), sumset rows and coefficients, are read off
+    evaluation matrices of points x sumset rows, a block of points at a
+    time, each block's values and terms within CHUNK_CELLS cells (or one
+    point).  The terms are laid out term by term, so the sums add rows.
     """
+    if not _binomials_share_sums(params.k, params.n):
+        return False
     p = params.p
-    fibers, coeff = rels[0], rels[1] % p
-    window = _lattice(params.k, params.n, 1)[0].astype(np.int32)
+    fibers, coeff = (np.ascontiguousarray(a.T) for a in (rels[0], rels[1] % p))
     sumset = _lattice(params.k, params.n, 2, 0)[0]
-    pairs, start, stop = _degree2_data(params.k, params.n)
-    run = np.argsort(start)  # the fibers in the order of their runs
-    for w, t in zip(window.T, sumset[run].T.astype(np.int32)):  # one coordinate at a time
-        if np.any(w[pairs[:, 0]] + w[pairs[:, 1]] != np.repeat(t, (stop - start)[run])):
-            return False
-    for vals in evaluation_matrix(params, points, sumset):
-        if np.any((vals[fibers] * coeff % p).sum(axis=1) % p):
-            return False
-    return True
+    per = max(1, CHUNK_CELLS // max(fibers.size, len(sumset)))
+    return not any(
+        np.any((evaluation_matrix(params, points[at:at + per], sumset)[:, fibers] * coeff % p)
+               .sum(axis=1) % p)
+        for at in range(0, len(points), per))
 
 
 # --- span-rank bookkeeping ----------------------------------------------------

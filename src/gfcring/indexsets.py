@@ -9,8 +9,8 @@ _lattice lays out the m-th window and the 2-fold sumset from their closed
 forms: (N, n) int64 rows in (r, a) order, and per row one int64 mixed-radix
 key led by r, so keys ascend with the rows.  Where a key, or the bytes of the
 a-coordinate grid it lays out first, would reach 2^63, it raises ParameterError.
-ci_shifts gives the trinomials' fibers as sumset rows; the sets built from
-them share the sumset's tuples.
+ci_shifts gives the trinomials' fibers as sumset rows, and standard_set is a
+mask over those rows; the tuple sets built from them share the sumset's tuples.
 
 A "relation index" i runs over 1..n-1; relation i involves lam[i-1] and
 shifts the a-coordinate at 0-based position i-1, i.e. flat position i.
@@ -46,11 +46,10 @@ class IndexSet:
         return iter(self.members)
 
 
-@lru_cache(maxsize=None)
-def _lattice(k: int, n: int, m: int, lo: int | None = None
-             ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """(rows, keys, dims) of {(r, a): lo <= a_j <= m(k-1), 0 <= r <= |a| - 2m}, lo by
-    default (m-1)(k-1), with keys = ravel_multi_index(rows.T, dims).  Read-only."""
+def _window(k: int, n: int, m: int, lo: int | None = None
+            ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """(r, a, dims) of _lattice's set, unsorted: the a-coordinate grid in
+    lexicographic order, each a repeated once per r = 0..|a| - 2m."""
     if m < 1:
         raise ParameterError(f"need m >= 1, got {m}")
     hi, lo = m * (k - 1), (m - 1) * (k - 1) if lo is None else lo
@@ -63,7 +62,15 @@ def _lattice(k: int, n: int, m: int, lo: int | None = None
     a = np.indices((hi - lo + 1,) * (n - 1)).reshape(n - 1, -1).T + lo  # lexicographic
     count = np.maximum(a.sum(axis=1) - 2 * m + 1, 0)
     a = np.repeat(a, count, axis=0)
-    r = np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    return np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count), a, dims
+
+
+@lru_cache(maxsize=None)
+def _lattice(k: int, n: int, m: int, lo: int | None = None
+             ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """(rows, keys, dims) of {(r, a): lo <= a_j <= m(k-1), 0 <= r <= |a| - 2m}, lo by
+    default (m-1)(k-1), with keys = ravel_multi_index(rows.T, dims).  Read-only."""
+    r, a, dims = _window(k, n, m, lo)
     rows = np.column_stack((r, a))[np.argsort(r, kind="stable")]
     keys = np.ravel_multi_index(rows.T, dims)
     rows.flags.writeable = keys.flags.writeable = False
@@ -114,11 +121,6 @@ def minkowski_di1(k: int, n: int, d: int) -> IndexSet:
     return IndexSet(tuple(members))
 
 
-def _sumset_members(k: int, n: int, at: np.ndarray) -> tuple[IndexTuple, ...]:
-    """The sumset's member tuples at the positions at, shared, not copied."""
-    return tuple(map(minkowski_di1(k, n, 2).members.__getitem__, at.tolist()))
-
-
 @lru_cache(maxsize=None)
 def enumerate_ci(k: int, n: int, i: int) -> IndexSet:
     """The relation family C_i in closed form: the points of the 2-fold sumset
@@ -131,8 +133,8 @@ def enumerate_ci(k: int, n: int, i: int) -> IndexSet:
     """
     if not 1 <= i <= n - 1:
         raise ParameterError(f"relation index must be in 1..{n - 1}, got {i}")
-    shifts = ci_shifts(k, n)
-    return IndexSet(_sumset_members(k, n, shifts[shifts[:, 0] == i, 1]))
+    shifts, fibers = ci_shifts(k, n), minkowski_di1(k, n, 2).members  # shared, not copied
+    return IndexSet(tuple(map(fibers.__getitem__, shifts[shifts[:, 0] == i, 1].tolist())))
 
 
 def ci_shifts(k: int, n: int) -> np.ndarray:
@@ -150,22 +152,16 @@ def ci_shifts(k: int, n: int) -> np.ndarray:
     return np.concatenate(shifts)
 
 
-def shifted_ci_union(k: int, n: int) -> set[IndexTuple]:
-    """Union over relation indices of the down-shift of each C_i by k*e_i.
-
-    The shift of C_i collects the sumset points whose i-th a-coordinate is
-    below the degree-2 window (a_i <= k-2): exactly the fibers that relation
-    family i eliminates from the standard monomials.
-    """
-    return set(_sumset_members(k, n, ci_shifts(k, n)[:, 3]))
-
-
 @lru_cache(maxsize=None)
-def standard_set(k: int, n: int) -> IndexSet:
-    """Fibers of the 2-fold sumset surviving all relation eliminations; built
-    once per curve, like the sets it is made from."""
-    drop = shifted_ci_union(k, n).__contains__
-    return IndexSet(tuple(itertools.filterfalse(drop, minkowski_di1(k, n, 2).members)))
+def standard_set(k: int, n: int) -> np.ndarray:
+    """The fibers of the 2-fold sumset that survive every relation
+    elimination, as a read-only (S, n) array of sumset rows: the sumset
+    without the down-shift t - k*e_i of every t in every C_i.  That shift of
+    C_i collects the sumset points whose i-th a-coordinate is below the
+    degree-2 window (a_i <= k-2).  Built once per curve."""
+    out = np.delete(_lattice(k, n, 2, 0)[0], ci_shifts(k, n)[:, 3], axis=0)
+    out.flags.writeable = False
+    return out
 
 
 def standard_set_identity(k: int, n: int) -> bool:
@@ -178,7 +174,7 @@ def standard_set_identity(k: int, n: int) -> bool:
     the unshifted C_i themselves would not produce the degree-2 window (the
     counts already differ at (3,3): 31 vs 27).
     """
-    return standard_set(k, n).members == enumerate_im(k, n, 2).members
+    return np.array_equal(standard_set(k, n), _lattice(k, n, 2)[0])
 
 
 # --- partition counting ------------------------------------------------------

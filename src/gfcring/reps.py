@@ -27,8 +27,8 @@ from .curve import InsufficientPointsError, apply_group, evaluation_matrix, samp
 from .indexsets import (
     IndexTuple,
     _lattice,
+    _window,
     count_partitions,
-    enumerate_im,
     enumerate_jd,
     total_degree_d_monomials,
 )
@@ -37,7 +37,8 @@ from .params import CurveParams, ParameterError, dim_vm
 
 def character_of(k: int, m: int, t: IndexTuple) -> IndexTuple:
     """Label h such that every automorphism g scales the weight-m element at t by
-    zeta^(h . g): e_1 (r + m) - a . e = h . g (mod k), per column if t is rows.T."""
+    zeta^(h . g): e_1 (r + m) - a . e = h . g (mod k), per column if t is rows.T
+    (and m may give one weight per column)."""
     return ((t[0] + m) % k, *((-aj) % k for aj in t[1:]))
 
 
@@ -75,7 +76,8 @@ def nu_table(k: int, n: int, m: int, closed: bool = True) -> dict[IndexTuple, in
     """All k^n multiplicities at once, keyed by label in all_labels order.
 
     closed=False bincounts the window members' characters (the brute-force
-    route); closed=True runs nu_closed on the label columns, in int64.
+    route), read off the unsorted window grid; closed=True runs nu_closed on
+    the label columns, in int64.
     """
     if closed:
         if (n + 2) * (m + k) >= 1 << 63:  # bounds every intermediate of nu_closed
@@ -84,7 +86,8 @@ def nu_table(k: int, n: int, m: int, closed: bool = True) -> dict[IndexTuple, in
             raise ParameterError(f"the {k}^{n} character labels are too many to lay out")
         counts = nu_closed(k, n, m, np.indices((k,) * n).reshape(n, -1))
     else:
-        chars = character_of(k, m, _lattice(k, n, m)[0].T)
+        r, a, _ = _window(k, n, m)
+        chars = character_of(k, m, (r, *a.T))
         counts = np.bincount(np.ravel_multi_index(chars, (k,) * n), minlength=k ** n)
     return dict(zip(all_labels(k, n), counts.tolist()))
 
@@ -168,9 +171,11 @@ def check_equivariance(params: CurveParams) -> bool:
     t of weights m = 1..3: at EQUIVARIANCE_POINTS points, translating by the
     generator e_j scales the value by zeta^(h_j - m [j = 0]),
     h = character_of(k, m, t); the m [j = 0] removes the tensor weight, which
-    evaluation omits.  The generators suffice, as apply_group scales each
-    coordinate by a power of zeta and the exponent is linear in g.  Raises
-    InsufficientPointsError when the prime has no points.
+    evaluation omits.  The three windows are one stack of lattice rows with a
+    weight per row, their labels one character_of call on its columns.  The
+    generators suffice, as apply_group scales each coordinate by a power of
+    zeta and the exponent is linear in g.  Raises InsufficientPointsError
+    when the prime has no points.
     """
     k, n, p, zeta = params.k, params.n, params.p, params.zeta
     points, _ = sample_points(params, EQUIVARIANCE_POINTS)
@@ -178,10 +183,12 @@ def check_equivariance(params: CurveParams) -> bool:
         raise InsufficientPointsError(f"no affine points over p = {p}")
     moved = [apply_group(params, pt, g) for g in np.eye(n, dtype=int).tolist()
              for pt in points]
-    basis = [(m, t) for m in (1, 2, 3) for t in enumerate_im(k, n, m)]
-    vals = evaluation_matrix(params, points + moved, [t for _, t in basis])
+    windows = [_lattice(k, n, m)[0] for m in (1, 2, 3)]
+    weight = np.repeat([1, 2, 3], [len(rows) for rows in windows])
+    basis = np.concatenate(windows)
+    vals = evaluation_matrix(params, points + moved, basis)
     vals = vals.reshape(n + 1, len(points), len(basis))
-    exps = np.array([character_of(k, m, t) for m, t in basis]).reshape(-1, n)
-    exps[:, 0] -= [m for m, _ in basis]
+    exps = np.column_stack(character_of(k, weight, basis.T))
+    exps[:, 0] -= weight
     scale = np.array([pow(zeta, e, p) for e in range(k)], dtype=np.int64)[exps % k]
     return all(np.array_equal(vals[j + 1], vals[0] * scale[:, j] % p) for j in range(n))

@@ -4,6 +4,9 @@ gfcring computes on one production path, kept here as oracles.
   - rank_mod_p_array with its _eliminate, the rank of one matrix, one
     Python step per pivot: the per-matrix oracle of linalg.ranks_mod_p;
   - evaluate_theta, the scalar form of curve.evaluation_matrix;
+  - is_on_curve and scan_by_x, the point test and the point scan one x
+    and one point at a time: the oracle of curve._scan, which tests x in
+    blocks;
   - the divisors of x, y_j and dx, and a divisor's degree, which the
     canonical-divisor tests combine into divisor_of_theta;
   - monomial_sort_key and compare_monomials, the term order that
@@ -44,11 +47,11 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from gfcring.curve import AffinePoint, evaluation_matrix
+from gfcring.curve import AffinePoint, _kth_roots, evaluation_matrix
 from gfcring.ideal import (
     _character_blocks,
     _degree2_data,
@@ -131,6 +134,30 @@ def evaluate_theta(params: CurveParams, pt: AffinePoint, t: IndexTuple) -> int:
         if aj:
             val = val * pow(pow(yj, aj, p), p - 2, p) % p
     return val
+
+
+def is_on_curve(params: CurveParams, pt: AffinePoint) -> bool:
+    k, p = params.k, params.p
+    xk = pow(pt.x, k, p)
+    return all(
+        (lam_j + xk + pow(yj, k, p)) % p == 0 and yj % p != 0
+        for lam_j, yj in zip(params.lam, pt.y)
+    )
+
+
+def scan_by_x(params: CurveParams) -> Iterator[AffinePoint]:
+    k, p, zeta = params.k, params.p, params.zeta
+    res_exp = (p - 1) // k
+    for x in range(p):
+        xk = pow(x, k, p)
+        targets = [(-(lam_j + xk)) % p for lam_j in params.lam]
+        if any(c == 0 or pow(c, res_exp, p) != 1 for c in targets):
+            continue
+        root_lists = [_kth_roots(c, k, p, zeta) for c in targets]
+        for ys in itertools.product(*root_lists):
+            pt = AffinePoint(x, ys)
+            assert is_on_curve(params, pt)
+            yield pt
 
 
 def divisor_of_x(n: int) -> tuple[int, ...]:

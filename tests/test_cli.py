@@ -21,7 +21,6 @@ import gfcring
 from gfcring import cli, curve, ideal, indexsets, reps
 from gfcring.cli import main
 from gfcring.ideal import export_ideal
-from gfcring.indexsets import shifted_ci_union
 from gfcring.linalg import ranks_mod_p
 from gfcring.params import make_curve_params
 import references
@@ -160,18 +159,50 @@ def test_verify_scans_each_prime_once(capsys, monkeypatch):
 
 
 def test_verify_builds_standard_set_once(capsys, monkeypatch):
-    # verify and both primes' degree-2 checks share one cached standard set.
+    # verify and both primes' degree-2 checks share one cached standard set,
+    # one mask over the sumset's rows.
     calls = []
+    ci_shifts = indexsets.ci_shifts
 
     def spy(k, n):
         calls.append((k, n))
-        return shifted_ci_union(k, n)
+        return ci_shifts(k, n)
 
     indexsets.standard_set.cache_clear()
-    monkeypatch.setattr(indexsets, "shifted_ci_union", spy)
+    monkeypatch.setattr(indexsets, "ci_shifts", spy)
     code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
     assert code == 0 and rep["passed"]
     assert calls == [(4, 4)]
+
+
+def test_verify_builds_no_index_set(capsys, monkeypatch):
+    # verify reads every index set as lattice rows: no tuple set is built,
+    # with every cache cold.
+    built = []
+
+    def spy(members):
+        built.append(len(members))
+        return index_set(members)
+
+    index_set = indexsets.IndexSet
+    for module in (indexsets, ideal):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    monkeypatch.setattr(indexsets, "IndexSet", spy)
+    code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
+    assert code == 0 and rep["passed"]
+    assert built == []
+
+
+def test_verify_compares_binomial_sums_once_per_curve(capsys):
+    # The binomials' index-sum comparison takes no prime: both primes ask,
+    # and it runs once.
+    ideal._binomials_share_sums.cache_clear()
+    code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
+    assert code == 0 and rep["passed"] and len(rep["primes"]) == 2
+    info = ideal._binomials_share_sums.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_verify_evaluates_through_the_matrix_kernel_only(capsys):
@@ -192,7 +223,7 @@ TEST_ONLY = [
     "index_sum", "binomial_relations", "trinomial_relations", "parse_ideal_json",
     "enumerate_im_by_tuples", "minkowski_di1_by_tuples", "enumerate_ci_by_tuples",
     "shifted_ci_union_by_tuples", "standard_set_by_tuples", "nu_table_by_tuples",
-    "rank_mod_p_array", "_eliminate", "character_blocks_one_by_one",
+    "rank_mod_p_array", "_eliminate", "character_blocks_one_by_one", "is_on_curve", "scan_by_x",
 ]
 
 

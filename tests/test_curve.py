@@ -20,7 +20,6 @@ from gfcring.curve import (
     evaluation_matrix,
     full_rank_oversample,
     apply_group,
-    is_on_curve,
     sample_points,
     suitable_params,
 )
@@ -40,7 +39,9 @@ from references import (
     divisor_of_x,
     divisor_of_y,
     evaluate_theta,
+    is_on_curve,
     rank_mod_p_array,
+    scan_by_x,
 )
 
 GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
@@ -120,6 +121,54 @@ def test_kth_roots_at_a_large_prime():
         roots = curve._kth_roots(pow(123456789, k, p), k, p, zeta)
         assert 123456789 in roots and len(set(roots)) == k
         assert all(pow(y, k, p) == pow(123456789, k, p) for y in roots)
+
+
+LARGE_PRIME = 2147483647  # 2^31 - 1; k | p - 1 for k = 2, 3, 6, 7
+
+
+def scan_cases():
+    """(k, n, p) of small primes at every k = 2..7, and 2^31 - 1 where k | p - 1."""
+    cases = []
+    for k in range(2, 8):
+        n = 3 if k > 2 else 4
+        cases += [(k, n, find_prime_and_root(k, bound)[0]) for bound in (20, 200)]
+        if (LARGE_PRIME - 1) % k == 0:
+            cases.append((k, n, LARGE_PRIME))
+    return cases
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+def test_block_scan_matches_the_scan_by_x(monkeypatch, block):
+    # The same points in the same order, with runs of accepted x that cross
+    # the block edges when a block holds 1 or 3 x.
+    if block:
+        monkeypatch.setattr(curve, "SCAN_BLOCK", block)
+    for k, n, p in scan_cases():
+        pp = make_curve_params(k, n, seed=k, p=p)
+        want = 400 if p == LARGE_PRIME else p * k ** (n - 1)  # a prefix, or every point
+        assert list(islice(curve._scan(pp), want)) == list(islice(scan_by_x(pp), want)), (k, n, p)
+
+
+def test_block_scan_resumes_mid_block(monkeypatch):
+    monkeypatch.setattr(curve, "SCAN_BLOCK", 3)
+    pp = make_curve_params(3, 3, seed=4, p=139)
+    curve._scans.cache_clear()
+    first, _ = sample_points(pp, 7)
+    pts, _ = sample_points(pp, 60)
+    assert pts[:7] == first and pts == list(islice(scan_by_x(pp), 60))
+    curve._scans.cache_clear()
+
+
+def test_block_scan_asserts_each_fiber_on_the_curve(monkeypatch):
+    kth_roots = curve._kth_roots
+
+    def one_root_off(c, k, p, zeta):
+        roots = kth_roots(c, k, p, zeta)
+        return roots[:-1] + [roots[-1] % (p - 1) + 1]
+
+    monkeypatch.setattr(curve, "_kth_roots", one_root_off)
+    with pytest.raises(AssertionError):
+        next(curve._scan(make_curve_params(3, 3, p=103)))
 
 
 def test_is_on_curve_rejects():

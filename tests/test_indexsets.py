@@ -19,7 +19,6 @@ from gfcring.indexsets import (
     enumerate_im,
     enumerate_jd,
     minkowski_di1,
-    shifted_ci_union,
     standard_set,
     standard_set_identity,
     total_degree_d_monomials,
@@ -176,8 +175,8 @@ def test_key_array_sets_match_tuple_references(k, n):
     fibers = minkowski_di1(k, n, 2).members
     assert [(i, fibers[t], fibers[up], fibers[down])
             for i, t, up, down in ci_shifts(k, n).tolist()] == shifts
-    assert shifted_ci_union(k, n) == shifted_ci_union_by_tuples(k, n)
-    assert standard_set(k, n).members == standard_set_by_tuples(k, n)
+    assert {fibers[t] for t in ci_shifts(k, n)[:, 3].tolist()} == shifted_ci_union_by_tuples(k, n)
+    assert list(map(tuple, standard_set(k, n).tolist())) == list(standard_set_by_tuples(k, n))
     assert standard_set_identity(k, n) is (
         standard_set_by_tuples(k, n) == enumerate_im_by_tuples(k, n, 2))
 
@@ -194,7 +193,8 @@ def test_oversize_index_keys_raise_before_allocation():
 def test_shifted_union_covers_low_fibers():
     # the shifted copies collect exactly the sumset points with some a_j <= k-2
     for (k, n) in [(2, 4), (3, 3), (4, 2), (2, 5)]:
-        shifted = shifted_ci_union(k, n)
+        fibers = minkowski_di1(k, n, 2).members
+        shifted = {fibers[t] for t in ci_shifts(k, n)[:, 3].tolist()}
         low = {t for t in minkowski_di1(k, n, 2) if any(aj <= k - 2 for aj in t[1:])}
         assert shifted == low
 
