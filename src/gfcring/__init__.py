@@ -2,7 +2,6 @@
 bases, character multiplicities, and exact degree-2 relation verification."""
 
 from .curve import (
-    AffinePoint,
     InsufficientPointsError,
     apply_group,
     basis_rank_check,

@@ -1,10 +1,10 @@
 """Affine model of the curve over F_p: points, evaluation, divisors.
 
-A point is (x, y_2, ..., y_n) with lam[j-1] + x^k + y_{j+1}^k = 0 for every
-j; points with any y coordinate equal to 0 are branch points and are never
-sampled, since evaluation inverts the y's.  evaluation_matrix is the one
-evaluation kernel: the basis rank checks, the degree-2 point check and the
-equivariance check all use it.
+A point is a row (x, y_2, ..., y_n) of a (P, n) int64 array, with
+lam[j-1] + x^k + y_{j+1}^k = 0 for every j; points with any y coordinate
+equal to 0 are branch points and are never sampled, since evaluation inverts
+the y's.  evaluation_matrix is the one evaluation kernel: the basis rank
+checks, the degree-2 point check and the equivariance check all use it.
 
 Divisors are integer vectors (c_0, c_1, ..., c_n) of coefficients on the
 n+1 branch-point classes D_0 (over x = infinity), D_1 (over x = 0) and D_j
@@ -13,8 +13,6 @@ n+1 branch-point classes D_0 (over x = infinity), D_1 (over x = 0) and D_j
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -35,12 +33,6 @@ class InsufficientPointsError(RuntimeError):
     """The chosen prime does not yield enough affine points; raise the prime."""
 
 
-@dataclass(frozen=True, slots=True)
-class AffinePoint:
-    x: int
-    y: tuple[int, ...]  # (y_2, ..., y_n), all nonzero mod p
-
-
 def _pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
     """base^e mod p elementwise, by square and multiply in int64: exact while
     p^2 < 2^62, as every factor is reduced below p."""
@@ -52,6 +44,18 @@ def _pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _root_constants(r: int, p: int) -> tuple[int, int, int, dict[int, int]]:
+    """(s, alpha, rho^t, log_a) of _rth_root for the prime r dividing p - 1,
+    found once per (r, p): the non-residue rho is searched from 2 upwards."""
+    s, t = 0, p - 1
+    while t % r == 0:
+        s, t = s + 1, t // r
+    rho = next(g for g in range(2, p) if pow(g, (p - 1) // r, p) != 1)
+    a = pow(rho, t * r ** (s - 1), p)
+    return s, pow(r, -1, t), pow(rho, t, p), {pow(a, j, p): j for j in range(r)}
+
+
 def _rth_root(c: int, r: int, p: int) -> int:
     """One solution of Y^r = c, for a prime r dividing p - 1 and c a nonzero
     r-th power residue (Adleman-Manders-Miller).
@@ -61,16 +65,10 @@ def _rth_root(c: int, r: int, p: int) -> int:
     rho generates as rho^t; the error is cancelled one r-adic digit at a time,
     each digit a discrete log among the r powers of an element of order r.
     """
-    s, t = 0, p - 1
-    while t % r == 0:
-        s, t = s + 1, t // r
-    rho = next(g for g in range(2, p) if pow(g, (p - 1) // r, p) != 1)
-    alpha = pow(r, -1, t)
-    a = pow(rho, t * r ** (s - 1), p)
-    log_a = {pow(a, j, p): j for j in range(r)}
+    s, alpha, g, log_a = _root_constants(r, p)
     # Invariant: err * h^-r is the error c^(r*alpha - 1), and err has order
     # dividing r^(s-i) before step i.
-    err, g, h = pow(c, r * alpha - 1, p), pow(rho, t, p), 1
+    err, h = pow(c, r * alpha - 1, p), 1
     for i in range(1, s):
         j = -log_a[pow(err, r ** (s - 1 - i), p)] % r
         gr = pow(g, r, p)
@@ -94,11 +92,10 @@ def _kth_roots(c: int, k: int, p: int, zeta: int) -> list[int]:
     return sorted(root * pow(zeta, t, p) % p for t in range(k))
 
 
-def sample_points(
-    params: CurveParams, count: int
-) -> tuple[list[AffinePoint], bool]:
+def sample_points(params: CurveParams, count: int) -> tuple[np.ndarray, bool]:
     """Deterministically sample up to `count` points with all y_j nonzero
-    (every point of the field when count < 1).
+    (every point of the field when count < 1), as a read-only C-ordered
+    (P, n) int64 array of rows (x, y_2, ..., y_n).
 
     Scans x = 0, 1, 2, ... in blocks of SCAN_BLOCK; an x is kept when every
     -(lam[j-1] + x^k) is a nonzero k-th power residue (its (p-1)/k-th power
@@ -106,43 +103,55 @@ def sample_points(
     are emitted.  Returns (points, shortfall): shortfall is True when the
     whole field was scanned and fewer than `count` points exist.  The scan of
     each of the last few curves is kept and resumed, so a request is a prefix
-    of one scan, copied.  Raises ParameterError before the scan when
-    p^2 >= 2^62, where the scan's int64 powers and evaluation_matrix would
-    wrap.
+    of one scan.  Raises ParameterError before the scan when p^2 >= 2^62,
+    where the scan's int64 powers and evaluation_matrix would wrap.
     """
     require_int64_prime(params.p)
-    points, scan = _scans(params)
-    points.extend(itertools.islice(scan, max(count - len(points), 0)) if count > 0 else scan)
-    points = points[:count] if count > 0 else points[:]
+    blocks, scan = _scans(params)
+    while count < 1 or sum(map(len, blocks)) < count:
+        if (block := next(scan, None)) is None:
+            break
+        blocks.append(block)
+    if len(blocks) > 1:
+        blocks[:] = [np.concatenate(blocks)]
+        blocks[0].flags.writeable = False
+    points = blocks[0][:count] if count > 0 else blocks[0]
     return points, len(points) < count
 
 
 @lru_cache(maxsize=4)
-def _scans(params: CurveParams) -> tuple[list[AffinePoint], Iterator[AffinePoint]]:
-    """(the points scanned so far, the rest of the scan) of one curve."""
-    return [], _scan(params)
+def _scans(params: CurveParams) -> tuple[list[np.ndarray], Iterator[np.ndarray]]:
+    """([the points scanned so far, in one array], the rest of the scan) of
+    one curve."""
+    return [np.empty((0, params.n), dtype=np.int64)], _scan(params)
 
 
 # The x values that one step of the point scan tests at once.
 SCAN_BLOCK = 1 << 10
 
 
-def _scan(params: CurveParams) -> Iterator[AffinePoint]:
-    """The points in sample_points' order.  The k-th roots are taken for the
-    accepted x alone, and each x-fiber is asserted on the curve as one array."""
-    k, p, zeta = params.k, params.p, params.zeta
+def _scan(params: CurveParams) -> Iterator[np.ndarray]:
+    """The points in sample_points' order, one (Q, n) array for each block
+    of x that keeps any.  The k-th roots are taken for the accepted x alone,
+    each x-fiber is laid out in itertools.product order of its roots, and
+    the block is asserted on the curve as one array."""
+    k, n, p, zeta = params.k, params.n, params.p, params.zeta
     lam = np.array([v % p for v in params.lam], dtype=np.int64)
+    pick = np.indices((k,) * (n - 1)).reshape(n - 1, -1).T  # a fiber's root choices
     for lo in range(0, p, SCAN_BLOCK):
         x = np.arange(lo, min(lo + SCAN_BLOCK, p), dtype=np.int64)
         xk = _pow_mod(x, k, p)
         targets = -(lam[:, None] + xk) % p
         # a zero target fails too: its power is 0, as (p-1)/k >= 1
         keep = np.all(_pow_mod(targets, (p - 1) // k, p) == 1, axis=0)
-        for xi, xki, c in zip(x[keep].tolist(), xk[keep].tolist(), targets[:, keep].T.tolist()):
-            ys = list(itertools.product(*(_kth_roots(cj, k, p, zeta) for cj in c)))
-            fiber = np.array(ys, dtype=np.int64)
-            assert np.all(fiber % p != 0) and not np.any((lam + xki + _pow_mod(fiber, k, p)) % p)
-            yield from (AffinePoint(xi, y) for y in ys)
+        if not keep.any():
+            continue
+        roots = np.array([[_kth_roots(c, k, p, zeta) for c in cs]
+                          for cs in targets[:, keep].T.tolist()], dtype=np.int64)
+        ys = roots[:, np.arange(n - 1), pick]  # (x, fiber point, coordinate)
+        assert np.all(ys % p != 0) and not np.any(
+            (lam + xk[keep, None, None] + _pow_mod(ys, k, p)) % p)
+        yield np.column_stack((np.repeat(x[keep], len(pick)), ys.reshape(-1, n - 1)))
 
 
 def suitable_params(
@@ -196,22 +205,25 @@ def suitable_params(
 
 
 def evaluation_matrix(
-    params: CurveParams, points: list[AffinePoint], basis: Sequence[IndexTuple]
+    params: CurveParams, points: np.ndarray, rows: np.ndarray | Sequence[IndexTuple]
 ) -> np.ndarray:
-    """C-ordered int64 (points x basis) matrix of the values
-    x^r * prod y_j^(-a_j) mod p (tensor factor omitted).
+    """C-ordered int64 (points x rows) matrix of the values
+    x^r * prod y_j^(-a_j) mod p (tensor factor omitted) at (P, n) points
+    (x, y_2, ..., y_n) and (F, n) basis rows (r, a_2, ..., a_n).
 
     Builds power tables of x^r and of y_j^(-a), with one Fermat inverse per
     point and coordinate, and gathers one table column per basis element,
     reducing mod p after every product.  Entries stay below p, so each
-    product is exact while p^2 < 2^62.
+    product is exact while p^2 < 2^62.  The basis is read a coordinate at a
+    time, from its intp transpose: intp rows in Fortran order are that
+    exponent table already, so a caller that evaluates one basis at many
+    blocks of points builds it once with np.asfortranarray.
     """
     p, width = params.p, params.n
     require_int64_prime(p)
-    exps = np.array(basis, dtype=np.intp).reshape(-1, width)
-    xs = np.array([pt.x % p for pt in points], dtype=np.int64)
-    inv = _pow_mod(np.array([pt.y for pt in points], dtype=np.int64).reshape(-1, width - 1),
-                   p - 2, p)
+    exps = np.ascontiguousarray(np.asarray(rows, dtype=np.intp).reshape(-1, width).T)
+    points = np.asarray(points, dtype=np.int64).reshape(-1, width)
+    inv = _pow_mod(points[:, 1:], p - 2, p)
 
     def powers(base: np.ndarray, top: int) -> np.ndarray:
         """Columns base^0, ..., base^top mod p."""
@@ -220,26 +232,23 @@ def evaluation_matrix(
             table[:, e] = table[:, e - 1] * base % p
         return table
 
-    # per column: an axis-0 max over C-ordered rows runs about 10x slower
-    top = [int(col.max(initial=0)) for col in exps.T]
-    out = np.take(powers(xs, top[0]), exps[:, 0], axis=1)
+    top = exps.max(axis=1, initial=0).tolist()
+    out = np.take(powers(points[:, 0] % p, top[0]), exps[0], axis=1)
     for j in range(1, width):
-        out *= np.take(powers(inv[:, j - 1], top[j]), exps[:, j], axis=1)
+        out *= np.take(powers(inv[:, j - 1], top[j]), exps[j], axis=1)
         out %= p
     return np.ascontiguousarray(out)
 
 
-def apply_group(params: CurveParams, pt: AffinePoint, g: IndexTuple) -> AffinePoint:
-    """Translate the point by the automorphism indexed by g = (e_1, ..., e_n):
-    x scales by zeta^(e_1) and y_{j+1} by zeta^(e_{j+1})."""
+def apply_group(params: CurveParams, points: np.ndarray, g: IndexTuple) -> np.ndarray:
+    """Translate (P, n) points by the automorphism indexed by g = (e_1, ..., e_n):
+    column j scales by zeta^(e_j), so x by zeta^(e_1) and y_{j+1} by
+    zeta^(e_{j+1})."""
     if len(g) != params.n:
         raise ParameterError(f"group element {g} has length {len(g)}, expected {params.n}")
     p, zeta = params.p, params.zeta
-    x = pt.x * pow(zeta, g[0] % params.k, p) % p
-    ys = tuple(
-        yj * pow(zeta, e % params.k, p) % p for yj, e in zip(pt.y, g[1:])
-    )
-    return AffinePoint(x, ys)
+    scale = np.array([pow(zeta, int(e) % params.k, p) for e in g], dtype=np.int64)
+    return np.asarray(points, dtype=np.int64) % p * scale % p
 
 
 # --- divisors ---------------------------------------------------------------
@@ -273,10 +282,11 @@ def full_rank_oversample(k: int, n: int, m: int) -> int:
     return k ** (n - 1) * fibers
 
 
-# Cells per stack of evaluation blocks.  Past 2^14 cells (128 KiB, where
-# glibc's malloc turns to mmap) the freed stacks leave the heap fragmented
-# for the degree-2 check that follows: (6,4) then peaks at 70.8 MB, not 66.0.
-BASIS_STACK_CELLS = 1 << 12
+# Cells per stack of evaluation blocks.  2^14 ranks the whole check at (4,4),
+# m = 3, in two stacks, and `verify --k 6 --n 4 --seed 1` peaks at 59.5 MB
+# with it, as with 2^12.  2^16 saved 0.2 ms of that check's 7.8 ms but raised
+# its process's peak RSS by 0.7 MB (2 vCPUs, Python 3.11, numpy 2.4).
+BASIS_STACK_CELLS = 1 << 14
 
 
 def basis_rank_check(params: CurveParams, m: int, oversample: int) -> bool:
@@ -285,8 +295,10 @@ def basis_rank_check(params: CurveParams, m: int, oversample: int) -> bool:
     The points form complete x-fibers, whose rows split by the class of a mod
     k (see full_rank_oversample); within a class all points of a fiber give
     one row up to scalars.  So the rank is a sum over the classes, each taken
-    on one point per fiber, and the classes of one size are ranked as one
-    ranks_mod_p stack.  Raises ParameterError when oversample is below
+    on one point per fiber.  Every class is one (fibers x widest class)
+    block, a short or empty one padded with a zero column, which adds no
+    rank, and the blocks are ranked as ranks_mod_p stacks within
+    BASIS_STACK_CELLS cells.  Raises ParameterError when oversample is below
     d_m or not a whole number of fibers, and InsufficientPointsError when the
     prime has fewer points.
     """
@@ -304,20 +316,18 @@ def basis_rank_check(params: CurveParams, m: int, oversample: int) -> bool:
             f"only {len(points)} affine points over p = {p}, "
             f"wanted {oversample}"
         )
-    assert all(len({pt.x for pt in points[i:i + fiber]}) == 1
-               for i in range(0, oversample, fiber))
+    assert np.all(points[:, 0].reshape(-1, fiber) == points[::fiber, :1])  # one x per fiber
     basis = _lattice(k, n, m)[0]
     firsts = evaluation_matrix(params, points[::fiber], basis)
-    # The columns class by class, the classes ordered by size: stacks of
-    # (fibers x size) blocks of one size, each within BASIS_STACK_CELLS.
+    # A row of column indices per class, in basis order; len(basis) names
+    # the zero column appended to firsts.
     cls = np.ravel_multi_index((basis[:, 1:] % k).T, (k,) * (n - 1))
-    size = np.bincount(cls)[cls]
-    order = np.argsort(size * k ** (n - 1) + cls, kind="stable")
-    edges = np.flatnonzero(np.diff(size[order], prepend=0, append=0)).tolist()
-    rank = 0
-    for lo, hi in itertools.pairwise(edges):
-        cols = order[lo:hi].reshape(-1, size[order[lo]])  # a row per class
-        per = max(1, BASIS_STACK_CELLS // cols[0].size // len(firsts))
-        for at in range(0, len(cols), per):
-            rank += int(ranks_mod_p(firsts[:, cols[at:at + per]].transpose(1, 0, 2), p).sum())
+    size = np.bincount(cls, minlength=fiber)
+    order = np.argsort(cls, kind="stable")
+    table = np.full((fiber, size.max(initial=0)), len(basis))
+    table[cls[order], np.arange(len(basis)) - np.repeat(np.cumsum(size) - size, size)] = order
+    firsts = np.pad(firsts, ((0, 0), (0, 1)))
+    per = max(1, BASIS_STACK_CELLS // max(table.shape[1] * len(firsts), 1))
+    rank = sum(int(ranks_mod_p(firsts[:, table[at:at + per]].transpose(1, 0, 2), p).sum())
+               for at in range(0, fiber, per))
     return rank == d_m

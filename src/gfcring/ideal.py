@@ -48,10 +48,11 @@ from math import prod
 
 import numpy as np
 
-from .curve import AffinePoint, InsufficientPointsError, evaluation_matrix, sample_points
+from .curve import InsufficientPointsError, evaluation_matrix, sample_points
 from .indexsets import (
     IndexTuple,
     _lattice,
+    _lookup,
     ci_shifts,
     enumerate_im,
     standard_set,
@@ -153,7 +154,7 @@ def _phi2_entries(params: CurveParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
     value = np.array([e + [0] * (n - len(e)) for e in poly], dtype=np.int64)
     fiber, s = np.divmod(np.flatnonzero(np.arange(n) <= low.sum(axis=1)[:, None]), n)
     raised = keys + k * (low @ np.array([prod(dims[j + 1:]) for j in range(1, n)]))
-    at = np.searchsorted(_lattice(k, n, 2)[1], raised[fiber] + k * prod(dims[1:]) * s)
+    at = _lookup(_lattice(k, n, 2)[1], raised[fiber] + k * prod(dims[1:]) * s)
     return at, fiber, value[(low @ (1 << np.arange(n - 1)))[fiber], s]
 
 
@@ -172,21 +173,24 @@ def _binomials_share_sums(k: int, n: int) -> bool:
 
 
 def _relations_vanish_at(
-    params: CurveParams, rels: tuple[np.ndarray, np.ndarray], points: list[AffinePoint]
+    params: CurveParams, rels: tuple[np.ndarray, np.ndarray], points: np.ndarray
 ) -> bool:
-    """Whether every binomial, and every fiber row at every point, vanishes.
+    """Whether every binomial, and every fiber row at each of the (P, n)
+    points, vanishes.
 
     The binomials are checked by their index sums, with no points.  The
     rows (fibers, coeff), sumset rows and coefficients, are read off
     evaluation matrices of points x sumset rows, a block of points at a
     time, each block's values and terms within CHUNK_CELLS cells (or one
-    point).  The terms are laid out term by term, so the sums add rows.
+    point).  The sumset's exponent table, its intp rows in Fortran order,
+    is built once for all blocks.  The terms are laid out term by term, so
+    the sums add rows.
     """
     if not _binomials_share_sums(params.k, params.n):
         return False
     p = params.p
     fibers, coeff = (np.ascontiguousarray(a.T) for a in (rels[0], rels[1] % p))
-    sumset = _lattice(params.k, params.n, 2, 0)[0]
+    sumset = np.asfortranarray(_lattice(params.k, params.n, 2, 0)[0], dtype=np.intp)
     per = max(1, CHUNK_CELLS // max(fibers.size, len(sumset)))
     return not any(
         np.any((evaluation_matrix(params, points[at:at + per], sumset)[:, fibers] * coeff % p)

@@ -137,6 +137,14 @@ def enumerate_ci(k: int, n: int, i: int) -> IndexSet:
     return IndexSet(tuple(map(fibers.__getitem__, shifts[shifts[:, 0] == i, 1].tolist())))
 
 
+def _lookup(keys: np.ndarray, sought: np.ndarray) -> np.ndarray:
+    """The positions of the sought keys in the sorted keys, each asserted to
+    be there: a key outside them would otherwise name a neighbouring row."""
+    at = np.searchsorted(keys, sought)
+    assert np.array_equal(keys.take(at, mode="clip"), sought), "a sought key is absent"
+    return at
+
+
 def ci_shifts(k: int, n: int) -> np.ndarray:
     """(T, 4) intp rows (i, t, t + (k, 0, ..., 0), t - k*e_i) for each relation
     index i and each t in C_i, in that order: the three fibers of every
@@ -146,7 +154,7 @@ def ci_shifts(k: int, n: int) -> np.ndarray:
     shifts = []
     for i in range(1, n):
         t = np.flatnonzero((rows[:, i] >= k) & low_r)
-        up, down = (np.searchsorted(keys, keys[t] + shift)
+        up, down = (_lookup(keys, keys[t] + shift)
                     for shift in (k * prod(dims[1:]), -k * prod(dims[i + 1:])))
         shifts.append(np.column_stack((np.full_like(t, i), t, up, down)))
     return np.concatenate(shifts)

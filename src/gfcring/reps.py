@@ -179,14 +179,13 @@ def check_equivariance(params: CurveParams) -> bool:
     """
     k, n, p, zeta = params.k, params.n, params.p, params.zeta
     points, _ = sample_points(params, EQUIVARIANCE_POINTS)
-    if not points:
+    if not len(points):
         raise InsufficientPointsError(f"no affine points over p = {p}")
-    moved = [apply_group(params, pt, g) for g in np.eye(n, dtype=int).tolist()
-             for pt in points]
+    moved = [apply_group(params, points, g) for g in np.eye(n, dtype=int)]
     windows = [_lattice(k, n, m)[0] for m in (1, 2, 3)]
     weight = np.repeat([1, 2, 3], [len(rows) for rows in windows])
     basis = np.concatenate(windows)
-    vals = evaluation_matrix(params, points + moved, basis)
+    vals = evaluation_matrix(params, np.concatenate([points, *moved]), basis)
     vals = vals.reshape(n + 1, len(points), len(basis))
     exps = np.column_stack(character_of(k, weight, basis.T))
     exps[:, 0] -= weight

@@ -7,6 +7,9 @@ gfcring computes on one production path, kept here as oracles.
   - is_on_curve and scan_by_x, the point test and the point scan one x
     and one point at a time: the oracle of curve._scan, which tests x in
     blocks;
+  - AffinePoint and apply_group_to_point, a point as Python ints and the
+    scalar form of curve.apply_group, which scales the columns of an array
+    of points;
   - the divisors of x, y_j and dx, and a divisor's degree, which the
     canonical-divisor tests combine into divisor_of_theta;
   - monomial_sort_key and compare_monomials, the term order that
@@ -51,7 +54,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from gfcring.curve import AffinePoint, _kth_roots, evaluation_matrix
+from gfcring.curve import _kth_roots, evaluation_matrix
 from gfcring.ideal import (
     _character_blocks,
     _degree2_data,
@@ -126,26 +129,30 @@ def _eliminate(mat: np.ndarray, p: int) -> int:
 
 # --- curve --------------------------------------------------------------------
 
-def evaluate_theta(params: CurveParams, pt: AffinePoint, t: IndexTuple) -> int:
-    """Value of x^r * prod y_j^(-a_j) at the point (tensor factor omitted)."""
+def evaluate_theta(params: CurveParams, pt: Sequence[int], t: IndexTuple) -> int:
+    """Value of x^r * prod y_j^(-a_j) at the point row (x, y_2, ..., y_n)
+    (tensor factor omitted)."""
     p = params.p
-    val = pow(pt.x, t[0], p)
-    for yj, aj in zip(pt.y, t[1:]):
+    x, *ys = map(int, pt)
+    val = pow(x, t[0], p)
+    for yj, aj in zip(ys, t[1:]):
         if aj:
             val = val * pow(pow(yj, aj, p), p - 2, p) % p
     return val
 
 
-def is_on_curve(params: CurveParams, pt: AffinePoint) -> bool:
+def is_on_curve(params: CurveParams, pt: Sequence[int]) -> bool:
     k, p = params.k, params.p
-    xk = pow(pt.x, k, p)
+    x, *ys = map(int, pt)
+    xk = pow(x, k, p)
     return all(
         (lam_j + xk + pow(yj, k, p)) % p == 0 and yj % p != 0
-        for lam_j, yj in zip(params.lam, pt.y)
+        for lam_j, yj in zip(params.lam, ys)
     )
 
 
-def scan_by_x(params: CurveParams) -> Iterator[AffinePoint]:
+def scan_by_x(params: CurveParams) -> Iterator[tuple[int, ...]]:
+    """The point rows (x, y_2, ..., y_n) of curve._scan, one x at a time."""
     k, p, zeta = params.k, params.p, params.zeta
     res_exp = (p - 1) // k
     for x in range(p):
@@ -155,9 +162,26 @@ def scan_by_x(params: CurveParams) -> Iterator[AffinePoint]:
             continue
         root_lists = [_kth_roots(c, k, p, zeta) for c in targets]
         for ys in itertools.product(*root_lists):
-            pt = AffinePoint(x, ys)
+            pt = (x, *ys)
             assert is_on_curve(params, pt)
             yield pt
+
+
+@dataclass(frozen=True, slots=True)
+class AffinePoint:
+    x: int
+    y: tuple[int, ...]  # (y_2, ..., y_n), all nonzero mod p
+
+
+def apply_group_to_point(params: CurveParams, pt: AffinePoint, g: IndexTuple) -> AffinePoint:
+    """Translate the point by the automorphism indexed by g = (e_1, ..., e_n):
+    x scales by zeta^(e_1) and y_{j+1} by zeta^(e_{j+1})."""
+    p, zeta = params.p, params.zeta
+    x = pt.x * pow(zeta, g[0] % params.k, p) % p
+    ys = tuple(
+        yj * pow(zeta, e % params.k, p) % p for yj, e in zip(pt.y, g[1:])
+    )
+    return AffinePoint(x, ys)
 
 
 def divisor_of_x(n: int) -> tuple[int, ...]:
@@ -416,7 +440,7 @@ def character_blocks_one_by_one(
 
 
 def relations_vanish_at_by_monomials(
-    params: CurveParams, rels: tuple[np.ndarray, np.ndarray], points: list[AffinePoint]
+    params: CurveParams, rels: tuple[np.ndarray, np.ndarray], points: np.ndarray
 ) -> bool:
     """Whether every binomial and every fiber row of rels = (fibers, coeff),
     sumset rows and their coefficients, evaluates to zero at every point.

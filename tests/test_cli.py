@@ -224,6 +224,7 @@ TEST_ONLY = [
     "enumerate_im_by_tuples", "minkowski_di1_by_tuples", "enumerate_ci_by_tuples",
     "shifted_ci_union_by_tuples", "standard_set_by_tuples", "nu_table_by_tuples",
     "rank_mod_p_array", "_eliminate", "character_blocks_one_by_one", "is_on_curve", "scan_by_x",
+    "AffinePoint", "apply_group_to_point",
 ]
 
 

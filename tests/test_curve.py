@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from gfcring import curve
 from gfcring.curve import (
-    AffinePoint,
     InsufficientPointsError,
     basis_rank_check,
     divisor_of_theta,
@@ -34,6 +33,8 @@ from gfcring.params import (
 )
 from gfcring.reps import check_equivariance
 from references import (
+    AffinePoint,
+    apply_group_to_point,
     divisor_degree,
     divisor_of_dx,
     divisor_of_x,
@@ -50,14 +51,15 @@ GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
 def test_sample_points_on_curve_and_deterministic():
     pp = make_curve_params(3, 3, p=103)
     pts, short = sample_points(pp, 40)
-    assert len(pts) == 40 and not short
+    assert pts.shape == (40, 3) and pts.dtype == np.int64 and pts.flags.c_contiguous
+    assert not short and not pts.flags.writeable  # a view of the kept scan
     assert all(is_on_curve(pp, q) for q in pts)
-    assert all(all(y % pp.p != 0 for y in q.y) for q in pts)
+    assert np.all(pts[:, 1:] % pp.p != 0)
     again, _ = sample_points(pp, 40)
-    assert pts == again
+    assert np.array_equal(pts, again)
     # prefix property: asking for fewer yields a prefix of the same scan
     prefix, _ = sample_points(pp, 7)
-    assert prefix == pts[:7]
+    assert np.array_equal(prefix, pts[:7])
 
 
 def test_sample_points_shortfall():
@@ -72,7 +74,7 @@ def test_sample_points_shortfall():
     # with every coordinate nonzero; the shortfall flag must say so.
     pp = make_curve_params(3, 4, p=127)
     pts, short = sample_points(pp, 1)
-    assert short and pts == []
+    assert short and pts.shape == (0, 4)
 
 
 def test_suitable_params_prime_policy():
@@ -137,6 +139,11 @@ def scan_cases():
     return cases
 
 
+def by_x(params, count):
+    """The first `count` point rows of scan_by_x, as lists."""
+    return [list(q) for q in islice(scan_by_x(params), count)]
+
+
 @pytest.mark.parametrize("block", [None, 1, 3])
 def test_block_scan_matches_the_scan_by_x(monkeypatch, block):
     # The same points in the same order, with runs of accepted x that cross
@@ -146,16 +153,24 @@ def test_block_scan_matches_the_scan_by_x(monkeypatch, block):
     for k, n, p in scan_cases():
         pp = make_curve_params(k, n, seed=k, p=p)
         want = 400 if p == LARGE_PRIME else p * k ** (n - 1)  # a prefix, or every point
-        assert list(islice(curve._scan(pp), want)) == list(islice(scan_by_x(pp), want)), (k, n, p)
+        rows = []
+        for block_rows in curve._scan(pp):
+            assert block_rows.dtype == np.int64 and block_rows.shape[1] == n
+            rows += block_rows.tolist()
+            if len(rows) >= want:
+                break
+        assert rows[:want] == by_x(pp, want), (k, n, p)
 
 
 def test_block_scan_resumes_mid_block(monkeypatch):
+    # Every request, longer or shorter than the last, reads a prefix of the
+    # kept scan; count 0 reads the whole field.
     monkeypatch.setattr(curve, "SCAN_BLOCK", 3)
     pp = make_curve_params(3, 3, seed=4, p=139)
     curve._scans.cache_clear()
-    first, _ = sample_points(pp, 7)
-    pts, _ = sample_points(pp, 60)
-    assert pts[:7] == first and pts == list(islice(scan_by_x(pp), 60))
+    for count in (7, 60, 30, 61, 0):
+        pts, short = sample_points(pp, count)
+        assert pts.tolist() == by_x(pp, count or pp.p * 9) and not short, count
     curve._scans.cache_clear()
 
 
@@ -173,22 +188,22 @@ def test_block_scan_asserts_each_fiber_on_the_curve(monkeypatch):
 
 def test_is_on_curve_rejects():
     pp = make_curve_params(3, 3, p=103)
-    pts, _ = sample_points(pp, 1)
-    q = pts[0]
-    assert is_on_curve(pp, q)
-    assert not is_on_curve(pp, AffinePoint((q.x + 1) % pp.p, q.y))
-    assert not is_on_curve(pp, AffinePoint(q.x, (0,) + q.y[1:]))
+    x, *ys = sample_points(pp, 1)[0][0].tolist()
+    assert is_on_curve(pp, (x, *ys))
+    assert not is_on_curve(pp, ((x + 1) % pp.p, *ys))
+    assert not is_on_curve(pp, (x, 0, *ys[1:]))
 
 
 def test_evaluate_theta_manual():
     pp = make_curve_params(3, 3, p=103)
     pts, _ = sample_points(pp, 5)
     q = pts[2]
+    x, y2, y3 = q.tolist()
     t = (1, 2, 1)
     expected = (
-        q.x
-        * pow(pow(q.y[0], 2, pp.p), pp.p - 2, pp.p)
-        * pow(q.y[1], pp.p - 2, pp.p)
+        x
+        * pow(pow(y2, 2, pp.p), pp.p - 2, pp.p)
+        * pow(y3, pp.p - 2, pp.p)
     ) % pp.p
     assert evaluate_theta(pp, q, t) == expected
     # r = 0 and a = 0 gives the constant 1
@@ -204,7 +219,7 @@ def test_no_result_depends_on_which_primitive_root_is_zeta(k, n):
     pp = next(suitable_params(k, n, full_rank_oversample(k, n, 2), seed=1))
 
     def results(params):
-        return (sample_points(params, 3 * fiber), check_equivariance(params),
+        return (sample_points(params, 3 * fiber)[0].tolist(), check_equivariance(params),
                 *(basis_rank_check(params, m, full_rank_oversample(k, n, m) - short)
                   for m in (1, 2) for short in (0, fiber)
                   if full_rank_oversample(k, n, m) - short >= dim_vm(k, n, m)))
@@ -240,10 +255,10 @@ def test_evaluation_matrix_layout_and_edge_cases():
     assert mat.dtype == np.int64 and mat.flags.c_contiguous
     assert mat.shape == (20, len(basis))
     assert evaluation_matrix(pp, pts, []).shape == (20, 0)
-    assert evaluation_matrix(pp, [], basis).shape == (0, len(basis))
+    assert evaluation_matrix(pp, pts[:0], basis).shape == (0, len(basis))
     # x = 0 (and every y = 1): 0^0 = 1 in the r = 0 columns, 0 elsewhere
     window = enumerate_im(3, 3, 1).members
-    row = evaluation_matrix(pp, [AffinePoint(0, (1, 1))], window)[0].tolist()
+    row = evaluation_matrix(pp, np.array([[0, 1, 1]]), window)[0].tolist()
     assert row == [int(t[0] == 0) for t in window]
     assert 0 in row and 1 in row
 
@@ -252,8 +267,7 @@ def test_evaluation_matrix_is_exact_below_the_int64_limit():
     # 2^31 - 1 is prime and 1 mod 3: products of residues reach ~2^62
     p = 2**31 - 1
     pp = make_curve_params(3, 3, p=p)
-    pts = [AffinePoint(p - 1, (p - 2, p - 3)), AffinePoint(p - 7, (123456789, p - 1)),
-           AffinePoint(2, (p - 1, 3))]
+    pts = np.array([[p - 1, p - 2, p - 3], [p - 7, 123456789, p - 1], [2, p - 1, 3]])
     basis = enumerate_im(3, 3, 3).members
     expected = [[evaluate_theta(pp, q, t) for t in basis] for q in pts]
     assert evaluation_matrix(pp, pts, basis).tolist() == expected
@@ -264,22 +278,26 @@ def test_evaluation_matrix_is_exact_below_the_int64_limit():
 
 
 def test_apply_group():
-    pp = make_curve_params(3, 3, p=103)
-    pts, _ = sample_points(pp, 10)
+    # All points at once, against the scalar reference one point at a time;
+    # at 2^31 - 1 the products of residues come close to 2^62.
     rng = random.Random(3)
-    for _ in range(25):
-        q = pts[rng.randrange(len(pts))]
-        g = tuple(rng.randrange(3) for _ in range(3))
-        moved = apply_group(pp, q, g)
-        assert is_on_curve(pp, moved)
-        assert moved.x == q.x * pow(pp.zeta, g[0], pp.p) % pp.p
-        # composition law: acting twice equals acting by the sum
-        h = tuple(rng.randrange(3) for _ in range(3))
-        lhs = apply_group(pp, moved, h)
-        rhs = apply_group(pp, q, tuple((a + b) % 3 for a, b in zip(g, h)))
-        assert lhs == rhs
-    with pytest.raises(ValueError):
-        apply_group(pp, pts[0], (1, 1))  # wrong arity
+    for k, n, p in [(3, 3, 103), (4, 4, 2833), (3, 3, 2147483647)]:
+        pp = make_curve_params(k, n, seed=1, p=p)
+        pts, _ = sample_points(pp, 30)
+        assert len(pts) == 30
+        for _ in range(10):
+            g = tuple(rng.randrange(-k, 2 * k) for _ in range(n))
+            moved = apply_group(pp, pts, g)
+            scalar = (apply_group_to_point(pp, AffinePoint(x, tuple(ys)), g)
+                      for x, *ys in pts.tolist())
+            assert moved.tolist() == [[q.x, *q.y] for q in scalar]
+            assert all(is_on_curve(pp, q) for q in moved)
+            # composition law: acting twice equals acting by the sum
+            h = tuple(rng.randrange(k) for _ in range(n))
+            assert np.array_equal(apply_group(pp, moved, h), apply_group(
+                pp, pts, tuple((a + b) % k for a, b in zip(g, h))))
+        with pytest.raises(ValueError):
+            apply_group(pp, pts, (1,) * (n - 1))  # wrong arity
 
 
 def test_divisor_frozen_values():
@@ -406,3 +424,52 @@ def test_blocked_basis_rank_equals_dense_rank(curve_kn, min_bound, seed):
             assert full == (count >= need)
         with pytest.raises(ParameterError):
             basis_rank_check(pp, m, need + 1)
+
+
+def test_basis_rank_check_ranks_every_class_in_two_stacks():
+    # (4,4), m = 3: 64 classes of up to 22 columns on 22 fibers, padded to
+    # one width, fit in two stacks within BASIS_STACK_CELLS.
+    need = full_rank_oversample(4, 4, 3)
+    pp = next(suitable_params(4, 4, need, seed=0))
+    shapes = []
+
+    def spy(stack, p):
+        shapes.append(stack.shape)
+        return ranks_mod_p(stack, p)
+
+    with mock.patch.object(curve, "ranks_mod_p", spy):
+        assert basis_rank_check(pp, 3, need)
+    assert len(shapes) <= 2 and sum(b for b, _, _ in shapes) == 4 ** 3
+    assert all(b * rows * cols <= curve.BASIS_STACK_CELLS for b, rows, cols in shapes)
+
+
+@pytest.mark.parametrize("k, n, m", [(3, 3, 2), (3, 4, 1), (4, 3, 3)])
+def test_a_deficiency_in_one_class_fails_the_basis_check(monkeypatch, k, n, m):
+    # One column copied onto another of its class (the same a mod k): the
+    # class loses one rank, and the padded stacks' ranks still add up to the
+    # rank of the dense matrix over every point.
+    need = full_rank_oversample(k, n, m)
+    pp = next(suitable_params(k, n, need, seed=2))
+    basis = enumerate_im(k, n, m).members
+    by_class = {}
+    for col, t in enumerate(basis):
+        by_class.setdefault(tuple(a % k for a in t[1:]), []).append(col)
+    src, dst = next(cols for cols in by_class.values() if len(cols) > 1)[:2]
+    evaluate = curve.evaluation_matrix
+
+    def copied(params, points, rows):
+        out = evaluate(params, points, rows)
+        out[:, dst] = out[:, src]
+        return out
+
+    ranks = []
+
+    def spy(stack, p):
+        ranks.append(ranks_mod_p(stack, p))
+        return ranks[-1]
+
+    monkeypatch.setattr(curve, "evaluation_matrix", copied)
+    monkeypatch.setattr(curve, "ranks_mod_p", spy)
+    assert not basis_rank_check(pp, m, need)
+    dense = rank_mod_p_array(copied(pp, sample_points(pp, need)[0], basis), pp.p)
+    assert sum(map(sum, ranks)) == dense == len(basis) - 1

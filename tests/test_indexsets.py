@@ -6,9 +6,10 @@ for reps.mu_table, which counts in the group ring of (Z/k)^n instead."""
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
-from gfcring import indexsets
+from gfcring import ideal, indexsets
 from gfcring.indexsets import (
     IndexSet,
     IndexTuple,
@@ -23,7 +24,7 @@ from gfcring.indexsets import (
     standard_set_identity,
     total_degree_d_monomials,
 )
-from gfcring.params import ParameterError, dim_vm, genus, is_nonhyperelliptic
+from gfcring.params import ParameterError, dim_vm, genus, is_nonhyperelliptic, make_curve_params
 from gfcring.reps import all_labels, character_of, mu_table, nu_table, syzygy_table
 from references import (
     enumerate_ci_by_tuples,
@@ -187,6 +188,26 @@ def test_oversize_index_keys_raise_before_allocation():
     for call in (lambda: indexsets._lattice(k, n, 1), lambda: enumerate_im(k, n, 1),
                  lambda: minkowski_di1(k, n, 2), lambda: nu_table(k, n, 1, closed=False)):
         with pytest.raises(ParameterError, match="int64"):
+            call()
+
+
+def test_key_lookups_assert_the_key_they_find(monkeypatch):
+    # A lookup one row off would name a neighbouring fiber: the trinomials'
+    # shifts and phi2's raised fibers must trip an assertion instead.
+    class OneRowOff:
+        """numpy, with searchsorted one position past each key."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def searchsorted(self, keys, sought):
+            return np.searchsorted(keys, sought) + 1
+
+    pp = make_curve_params(3, 3, p=103)
+    assert len(ci_shifts(3, 3)) and len(ideal._phi2_entries(pp)[0])
+    monkeypatch.setattr(indexsets, "np", OneRowOff())
+    for call in (lambda: ci_shifts(3, 3), lambda: ideal._phi2_entries(pp)):
+        with pytest.raises(AssertionError, match="absent"):
             call()
 
 

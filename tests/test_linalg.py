@@ -57,6 +57,20 @@ def test_fortran_ordered_input_is_eliminated_in_c_order(monkeypatch):
     assert layouts == [True, True]
 
 
+def test_appended_zero_columns_leave_every_rank_unchanged():
+    # The padding of curve.basis_rank_check's stacks: members of full rank,
+    # of lower rank and all zero, with zero columns appended.
+    rng = np.random.default_rng(11)
+    stack = rng.integers(0, 101, size=(5, 7, 6))
+    stack[1] = 0
+    stack[3, :, 2] = stack[3, :, 0]
+    stack[4, 3:] = 0
+    padded = np.concatenate([stack, np.zeros((5, 7, 4), dtype=stack.dtype)], axis=2)
+    want = [rank_mod_p_array(member, 101) for member in stack]
+    assert want == [6, 0, 6, 5, 3]
+    assert ranks_mod_p(padded, 101).tolist() == ranks_mod_p(stack, 101).tolist() == want
+
+
 def test_rank_of_products():
     rng = np.random.default_rng(7)
     for p in (101, 103, 2833):

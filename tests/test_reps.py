@@ -181,7 +181,7 @@ def test_check_equivariance_catches_a_wrong_character(monkeypatch, corrupt):
     # The check tests character_of itself, on every window member, so either
     # corruption fails it; at (5,3) all 25 sampled points lie in one x-fiber.
     curves = {(k, n): next(suitable_params(k, n, 25)) for k, n in [(3, 3), (4, 2), (5, 3)]}
-    assert len({pt.x for pt in sample_points(curves[5, 3], 25)[0]}) == 1
+    assert len(set(sample_points(curves[5, 3], 25)[0][:, 0].tolist())) == 1
     monkeypatch.setattr(reps, "character_of", corrupt)
     for pp in curves.values():
         assert not check_equivariance(pp)
