@@ -23,14 +23,14 @@ read off the curve's parameters.
 
 verify_degree2_kernel writes the trinomials once, as the sumset rows of their
 three fibers and their coefficients, and both kernel checks read these
-arrays.  The symbolic check builds the (Z/k)^n character blocks of phi2,
-from its closed form, and of the relations' parts (a binomial's fiber
-coordinates are zero), stacks the blocks of one shape, ranks each stack in
-one call and multiplies them one phi2 row at a time; every rank is a sum of
-block ranks.  The independent pointwise check matches each binomial run's
+arrays.  The symbolic check joins each relation's terms with phi2's entries
+at their fibers, from its closed form.  Its (Z/k)^n character ranks are
+certified, not eliminated, so the span check rests on it (see
+_character_blocks).  The pointwise check, which matches each binomial run's
 index sums to its fiber and evaluates the trinomials at sampled points with
-curve.evaluation_matrix.  The verdict is a plain dict,
-which verify prints per prime, character labels joined to strings.
+curve.evaluation_matrix, and verify's comparison of the ranks with
+syzygy_table stay independent of both.  The verdict is a plain dict, which
+verify prints per prime, character labels joined to strings.
 
 export_ideal writes the generator arrays as the JSON text that
 json.dumps(payload, indent=2) gives, byte for byte, without running the
@@ -43,7 +43,7 @@ join.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import pairwise, zip_longest
+from itertools import zip_longest
 from math import prod
 
 import numpy as np
@@ -204,89 +204,85 @@ def _character_blocks(
     params: CurveParams, rels: tuple[np.ndarray, np.ndarray]
 ) -> tuple[bool, int, dict[IndexTuple, int]]:
     """(whether every relation maps to zero, rank of phi2, span ranks by
-    character of the binomials and the relations, nonzero ones only), in one
-    pass over the character blocks.
+    character of the binomials and the relations, nonzero ones only), each
+    rank certified per (Z/k)^n character h, with no elimination.
 
     Each relation comes in fiber coordinates, a row of (fibers, coeff) that
-    names a fiber at most once, where every binomial M - tau(t) is zero.
-    phi2 moves coordinates by multiples of k, so each fiber's phi2 column
-    lies in its own character's rows, and a relation vanishes iff each
-    character's part of it is in the kernel of that character's phi2 block.
-    The product is reduced per term, so it is exact for every p that the
-    ranks accept.  The binomials span every within-fiber difference,
-    sum(|fiber| - 1) per character; the relations add the rank of their
-    parts.  The characters whose blocks have one shape (phi2 rows, fibers,
-    parts) are stacked, in chunks of at most CHUNK_CELLS cells or one
-    character: one scatter and one ranks_mod_p call per chunk and stack.
+    names a fiber at most once, where every binomial M - tau(t) is zero.  A
+    fiber's phi2 column, at most n entries, lies in its character's rows.
+    A relation vanishes iff its terms share one character and their join
+    with their columns, each product reduced mod p, sums to zero mod p at
+    every window row; the join takes relations a chunk at a time, within
+    CHUNK_CELLS products.  A window member is a fiber with no low
+    coordinate, so its column is the unit vector at its own row:
+    rank(phi2_h) is h's window count.  The binomials span every within-fiber
+    difference, sum(|fiber| - 1) per character; the relations add the rank
+    of their parts under h.  That rank is at least h's count of distinct
+    leading fibers, in the order of -sum(a), then sumset row (a trinomial's
+    is its down-fiber t - k*e_i, coefficient 1), and, when they vanish, at
+    most (fibers of h) - rank(phi2_h), the kernel's dimension.  A block is
+    ranked by ranks_mod_p only where a unit column fails, the bounds miss,
+    or a relation does not vanish; a passing run ranks none.
     """
     k, n, p = params.k, params.n, params.p
     _, start, stop = _degree2_data(k, n)
     fibers, coeff = rels
     sumset, keys, _ = _lattice(k, n, 2, 0)
     char = np.ravel_multi_index(character_of(k, 2, sumset.T), (k,) * n)
-
-    def local(of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(each position's index among those of its label; each label's count)."""
-        order = np.argsort(of, kind="stable")
-        count = np.bincount(of, minlength=k ** n)
-        at = np.empty_like(order)
-        at[order] = np.arange(len(of)) - np.repeat(np.cumsum(count) - count, count)
-        return at, count
-
-    def parts(term: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """local() of each term's part, its relation's terms under its character."""
-        key = char[fibers.flat[term]] * len(fibers) + term // 3
-        order = np.argsort(key, kind="stable")
-        first = np.diff(key[order], prepend=-1) != 0
-        at, count = local(key[order][first] // len(fibers))
-        part = np.empty_like(order)
-        part[order] = at[np.cumsum(first) - 1]
-        return part, count
-
-    col_at, n_cols = local(char)
-    row_at, n_rows = local(char[np.searchsorted(keys, _lattice(k, n, 2)[1])])
-    term = np.flatnonzero(coeff % p)  # flat positions of the nonzero coefficients
-    part, n_parts = parts(term)
-    # The present characters grouped by shape, ascending within a group, the
-    # largest first: smaller ones reuse their freed memory (smallest first
-    # peaks about 9 MB higher at (2,9)).
-    shape = (n_rows * (n_cols.max() + 1) + n_cols) * (n_parts.max() + 1) + n_parts
-    cells = n_cols * (n_rows + n_parts)
-    order = np.flatnonzero(n_cols)
-    order = order[np.lexsort((shape[order], -cells[order]))]
-    group = np.flatnonzero(np.diff(shape[order], prepend=-1))
-    within = np.arange(len(order)) - np.repeat(group, np.diff(group, append=len(order)))
-    edges = np.r_[np.flatnonzero(within % np.maximum(1, CHUNK_CELLS // cells[order]) == 0),
-                  len(order)]
-    pos = np.zeros(k ** n, dtype=np.intp)  # each character's place in order
-    pos[order] = np.arange(len(order))
-
-    def by_chunk(label: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
-        """The arrays sorted by the place of label, then each chunk's start."""
-        at = np.argsort(pos[label], kind="stable")
-        return [a[at] for a in arrays] + [np.searchsorted(pos[label][at], edges)]
-
+    wkeys = _lattice(k, n, 2)[1]
+    window = _lookup(keys, wkeys)  # each window member's fiber
     row, col, value = _phi2_entries(params)
-    row, col, value, e = by_chunk(char[col], row, col, value)
-    term, part, t = by_chunk(char[fibers.flat[term]], term, part)
-    vanish, phi2_rank = True, 0
-    dims = np.bincount(char, stop - start - 1, k ** n).astype(np.int64)
-    for c, (lo, hi) in enumerate(pairwise(edges.tolist())):
-        h, at, f = order[lo], slice(e[c], e[c + 1]), fibers.flat[term[t[c]:t[c + 1]]]
-        phi2 = np.zeros((hi - lo, n_rows[h], n_cols[h]), dtype=np.int64)
-        phi2[pos[char[col[at]]] - lo, row_at[row[at]], col_at[col[at]]] = value[at]
-        block = np.zeros((hi - lo, n_parts[h], n_cols[h]), dtype=np.int64)
-        block[pos[char[f]] - lo, part[t[c]:t[c + 1]], col_at[f]] = (
-            coeff.flat[term[t[c]:t[c + 1]]] % p)
-        phi2_rank += int(ranks_mod_p(phi2, p).sum())
-        dims[order[lo:hi]] += ranks_mod_p(block, p)
-        image = np.empty_like(block)  # one phi2 row's image at a time
-        vanish = vanish and not any(
-            np.any(np.remainder(np.multiply(block, phi2[:, None, r], out=image), p,
-                                out=image).sum(axis=2) % p) for r in range(n_rows[h]))
+
+    def ranked(h: int, at: np.ndarray, rows: int, fiber: np.ndarray, entry: np.ndarray) -> int:
+        """The rank of h's block of `rows` rows by its fibers, entry at (at, fiber)."""
+        cols = np.flatnonzero(char == h)
+        block = np.zeros((1, rows, len(cols)), dtype=np.int64)
+        block[0, at, np.searchsorted(cols, fiber)] = entry
+        return int(ranks_mod_p(block, p)[0])
+
+    # phi2: each window fiber's column, one nonzero entry, 1 at its own row.
+    unit = (wkeys[row] == keys[col]) & (value == 1)
+    phi2_ranks = np.bincount(char[window], minlength=k ** n)
+    failed = window[(np.bincount(col[value != 0], minlength=len(sumset))[window] != 1)
+                    | (np.bincount(col[unit], minlength=len(sumset))[window] != 1)]
+    for h in np.flatnonzero(np.bincount(char[failed], minlength=k ** n)).tolist():
+        at = np.flatnonzero(char[col] == h)
+        rows = np.flatnonzero(char[window] == h)
+        phi2_ranks[h] = ranked(h, np.searchsorted(rows, row[at]), len(rows), col[at], value[at])
+
+    # (a) and the leading fibers, a chunk of relations at a time.
+    # -sum(a), then the sumset row, as one key; sum(a) < 2kn, so it is >= 0
+    height = (2 * k * n - sumset[:, 1:].sum(axis=1)) * len(sumset) + np.arange(len(sumset))
+    first = np.searchsorted(col, np.arange(len(sumset) + 1))  # each fiber's entries
+    lead = np.zeros(len(sumset), dtype=bool)
+    redo = np.zeros(k ** n, dtype=bool)  # the characters of relations that do not vanish
+    per = max(1, CHUNK_CELLS // (n * fibers.shape[1]))
+    for lo in range(0, len(fibers), per):
+        f, c = fibers[lo:lo + per], coeff[lo:lo + per] % p
+        under = np.where(c != 0, char[f], -1)
+        top = under.max(axis=1)
+        bad = np.any((c != 0) & (under != top[:, None]), axis=1)  # under two characters
+        lead[f[top >= 0, np.where(c != 0, height[f], -1)[top >= 0].argmax(axis=1)]] = True
+        r, j = np.nonzero(c)
+        size = first[f[r, j] + 1] - first[f[r, j]]
+        e = np.repeat(first[f[r, j]] - np.cumsum(size) + size, size) + np.arange(size.sum())
+        key = np.repeat(r, size) * len(window) + row[e]
+        order = np.argsort(key)
+        run = np.flatnonzero(np.diff(key[order], prepend=-1))
+        image = np.add.reduceat((np.repeat(c[r, j], size) * value[e] % p)[order], run) % p
+        bad[key[order[run[image != 0]]] // len(window)] = True
+        redo[under[bad][under[bad] >= 0]] = True
+
+    ranks = np.bincount(char[lead], minlength=k ** n)
+    missed = redo | (ranks != np.bincount(char, minlength=k ** n) - phi2_ranks)
+    for h in np.flatnonzero(missed).tolist():
+        r, j = np.nonzero((coeff % p != 0) & (char[fibers] == h))
+        new = np.diff(r, prepend=-1) != 0  # a relation's first term under h
+        ranks[h] = ranked(h, np.cumsum(new) - 1, new.sum(), fibers[r, j], coeff[r, j] % p)
+    dims = np.bincount(char, stop - start - 1, k ** n).astype(np.int64) + ranks
     nonzero = np.flatnonzero(dims)
     label = zip(*(a.tolist() for a in np.unravel_index(nonzero, (k,) * n)))
-    return vanish, phi2_rank, dict(zip(label, dims[nonzero].tolist()))
+    return not redo.any(), int(phi2_ranks.sum()), dict(zip(label, dims[nonzero].tolist()))
 
 
 # --- the verification report ---------------------------------------------------
@@ -308,12 +304,12 @@ def verify_degree2_kernel(params: CurveParams) -> dict:
     sorted labels whose rank is nonzero; passed, the five flags' conjunction.
 
     (a) each trinomial's fiber row, built once, maps to zero in the weight-2
-        basis (against each character's phi2 block, exactly mod p; a
-        binomial's row is zero), every binomial's monomials share an index
-        sum, and every trinomial row vanishes at KERNEL_POINTS curve points;
+        basis (joined with phi2's entries, exactly mod p; a binomial's row
+        is zero), every binomial's monomials share an index sum, and every
+        trinomial row vanishes at KERNEL_POINTS curve points;
     (b) the relation span has rank dim S_2 - dim V_2 (with the evaluation
         matrix itself of full rank dim V_2), both ranks summed over the
-        character blocks;
+        character blocks, where (a) and two bounds certify them;
     (c) the surviving-fiber count from the shifted C_i sets equals both the
         weight-2 window size and dim S_2 - span rank;
     (d) each trinomial's order-maximal term is its lam_i-term, the first of

@@ -1,9 +1,9 @@
 """Dense linear algebra over a prime field F_p.
 
-ranks_mod_p ranks a (B, R, C) stack of same-shape blocks: the character
-blocks of verify's degree-2 check (at (2,10) the largest has 6921 rows and
-1793 columns) and the a mod k classes of curve.basis_rank_check, each padded
-with zero columns to the widest class, as a zero column adds no rank.
+ranks_mod_p ranks a (B, R, C) stack of same-shape blocks: the a mod k
+classes of curve.basis_rank_check, each padded with zero columns to the
+widest class, as a zero column adds no rank, and the degree-2 character
+blocks whose ranks ideal._character_blocks cannot certify, on failing runs.
 Gaussian elimination on int64 numpy arrays takes one Python step per column
 for the whole stack.  Callers keep a stack within CHUNK_CELLS cells, or one
 block.

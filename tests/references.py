@@ -22,8 +22,9 @@ gfcring computes on one production path, kept here as oracles.
     the dense evaluation map whose character blocks verify_degree2_kernel
     ranks;
   - span_rank_by_character, the per-character ranks without the checks;
-  - character_blocks_one_by_one, ideal._character_blocks one character
-    block at a time, each ranked on its own;
+  - character_blocks_one_by_one, ideal._character_blocks by elimination:
+    every character block ranked on its own and multiplied by its phi2
+    block, the oracle of the certified ranks and of the sparse join;
   - relations_vanish_at_by_monomials, the degree-2 point check that
     multiplies every monomial's window values at every point;
   - member_im, the window test behind enumerate_im;

@@ -22,7 +22,7 @@ from gfcring import cli, curve, ideal, indexsets, reps
 from gfcring.cli import main
 from gfcring.ideal import export_ideal
 from gfcring.linalg import ranks_mod_p
-from gfcring.params import make_curve_params
+from gfcring.params import dim_vm, make_curve_params
 import references
 
 
@@ -126,19 +126,30 @@ def test_verify_single_curve(capsys):
 
 
 def test_verify_ranks_only_character_blocks(capsys, monkeypatch):
-    # Every rank verify takes is of one character block, a few dozen rows at
-    # most, never of the dense phi2 or basis evaluation matrix.
-    shapes = []
+    # A passing verify certifies every degree-2 rank and eliminates none:
+    # the only ranks it takes are of the basis classes, stacks of a few
+    # dozen rows at most, never the dense basis evaluation matrix.
+    shapes = {curve: [], ideal: []}
+    for module, seen in shapes.items():
+        def spy(stack, p, seen=seen):
+            seen.append(stack.shape)
+            return ranks_mod_p(stack, p)
 
-    def spy(stack, p):
-        shapes.append(stack.shape)
-        return ranks_mod_p(stack, p)
-
-    monkeypatch.setattr(curve, "ranks_mod_p", spy)
-    monkeypatch.setattr(ideal, "ranks_mod_p", spy)
+        monkeypatch.setattr(module, "ranks_mod_p", spy)
     code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
     assert code == 0 and rep["passed"]
-    assert shapes and max(rows for _, rows, _ in shapes) <= 30
+    assert shapes[ideal] == []
+    assert shapes[curve] and max(rows for _, rows, _ in shapes[curve]) <= 30
+
+
+def test_verify_k_2_n_9_is_frozen(capsys):
+    # Two independent routes agree at both primes: the certified span rank is
+    # dim S_2 - d2, and the per-character dims are syzygy_table's mu - nu.
+    code, rep, _ = run_json(capsys, "verify", "--k", "2", "--n", "9", "--seed", "1")
+    assert code == 0 and rep["passed"] and rep["per_character_ok"]
+    assert rep["primes"] == [11863, 11867]
+    for deg2 in rep["degree2"].values():
+        assert deg2["span_rank"] == deg2["dim_s2"] - dim_vm(2, 9, 2) == 293761
 
 
 def test_verify_scans_each_prime_once(capsys, monkeypatch):

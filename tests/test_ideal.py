@@ -27,9 +27,11 @@ from gfcring.ideal import (
     variable_name,
     verify_degree2_kernel,
 )
-from gfcring.indexsets import enumerate_ci, enumerate_im, minkowski_di1
+from gfcring.indexsets import _lattice, enumerate_ci, enumerate_im, minkowski_di1
+from gfcring.linalg import ranks_mod_p
 from gfcring.params import ParameterError, dim_vm, make_curve_params
 from gfcring.reps import character_of, nu_table, syzygy_table
+import references
 from references import (
     Relation,
     binomial_relations,
@@ -425,9 +427,19 @@ def test_sparse_kernel_check_matches_dense_oracle(k, n, p):
     def symbolic(pp, rels):
         return _character_blocks(pp, fiber_rows(pp, rels))[0]
 
+    # The certified ranks are the oracle's on every case, and the cross-fiber
+    # binomial's terms lie under two characters, which fails check (a).
     pp = make_curve_params(k, n, p=p)
+    char = sumset_characters(k, n)
+    crossed = False
     for rels, expected in kernel_cases(pp):
-        assert symbolic(pp, rels) == dense(pp, rels) == expected
+        rows = fiber_rows(pp, rels)
+        got, want = _character_blocks(pp, rows), character_blocks_one_by_one(pp, rows)
+        assert got == want and list(got[2]) == list(want[2])
+        assert got[0] == dense(pp, rels) == expected
+        labels = np.where(rows[1] % p != 0, char[rows[0]], -1)
+        crossed |= bool(np.any((labels >= 0) & (labels != labels.max(axis=1)[:, None])))
+    assert crossed
 
     # (3,4) has no affine points over 127, so the pointwise check runs at the
     # first prime from p on with 50 points (p itself for the other curves).
@@ -460,8 +472,8 @@ def test_symbolic_kernel_check_is_exact_at_the_largest_prime():
 
 @pytest.mark.parametrize("k,n", [(2, 5), (2, 7), (3, 3), (3, 4), (4, 2), (4, 4), (5, 3)])
 def test_character_blocks_match_the_one_by_one_oracle(k, n):
-    # Stacking the blocks by shape changes no verdict and no rank: the same
-    # triple, per_character in the same order, at two primes; and with one
+    # Certifying the ranks changes no verdict and no rank: the same triple,
+    # per_character in the same order, at two primes; and with one
     # trinomial coefficient off by one, both find a relation that does not
     # vanish.  (4,2) has no trinomials at all.
     for pp in itertools.islice(suitable_params(k, n, seed=1), 2):
@@ -476,8 +488,71 @@ def test_character_blocks_match_the_one_by_one_oracle(k, n):
             assert got == want and list(got[2]) == list(want[2]) and got[0] == vanish
 
 
+def spy_on_ranks(monkeypatch):
+    """The shapes of the stacks that ideal hands ranks_mod_p, in call order."""
+    shapes = []
+
+    def spy(stack, p):
+        shapes.append(stack.shape)
+        return ranks_mod_p(stack, p)
+
+    monkeypatch.setattr(ideal, "ranks_mod_p", spy)
+    return shapes
+
+
+def sumset_characters(k, n):
+    """Each sumset row's character, raveled as _character_blocks ravels it."""
+    return np.ravel_multi_index(character_of(k, 2, _lattice(k, n, 2, 0)[0].T), (k,) * n)
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (4, 4)])
+def test_a_missing_trinomial_ranks_its_character_alone(k, n, monkeypatch):
+    # Without a trinomial whose down-fiber t - k*e_i no other trinomial
+    # shares, that character's distinct leading fibers fall one short of its
+    # kernel bound: its relation block alone is ranked, and the triple is
+    # the oracle's, one less at that character.
+    pp = next(suitable_params(k, n, seed=1))
+    fibers, coeff = ideal._trinomial_rows(pp)
+    drop = np.flatnonzero(np.bincount(fibers[:, 2])[fibers[:, 2]] == 1)[0]
+    rows = np.delete(fibers, drop, axis=0), np.delete(coeff, drop, axis=0)
+    char = sumset_characters(k, n)
+    h = char[fibers[drop, 2]]
+    full = _character_blocks(pp, (fibers, coeff))
+    shapes = spy_on_ranks(monkeypatch)
+    got, want = _character_blocks(pp, rows), character_blocks_one_by_one(pp, rows)
+    assert got == want and list(got[2]) == list(want[2]) and got[0]
+    assert shapes == [(1, np.sum(char[rows[0][:, 0]] == h), np.sum(char == h))]
+    label = tuple(map(int, np.unravel_index(h, (k,) * n)))
+    assert {**got[2], label: got[2][label] + 1} == full[2]
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (4, 4)])
+def test_a_phi2_column_off_the_unit_ranks_its_character_alone(k, n, monkeypatch):
+    # A window fiber's phi2 column doubled fails its unit-vector certificate:
+    # that character's phi2 block is ranked, and so is its relation block,
+    # as the relations through that fiber no longer vanish.  The triple is
+    # the oracle's, read off the same entries.
+    pp = next(suitable_params(k, n, seed=1))
+    rows = ideal._trinomial_rows(pp)
+    row, col, value = ideal._phi2_entries(pp)
+    window = np.searchsorted(_lattice(k, n, 2, 0)[1], _lattice(k, n, 2)[1])
+    used = np.flatnonzero(np.isin(col, window) & np.isin(col, rows[0]))
+    doubled = value.copy()
+    doubled[used[len(used) // 2]] = 2
+    for module in (ideal, references):
+        monkeypatch.setattr(module, "_phi2_entries", lambda params: (row, col, doubled))
+    char = sumset_characters(k, n)
+    h = char[col[used[len(used) // 2]]]
+    shapes = spy_on_ranks(monkeypatch)
+    got, want = _character_blocks(pp, rows), character_blocks_one_by_one(pp, rows)
+    assert got == want and list(got[2]) == list(want[2]) and not got[0]
+    assert shapes == [(1, np.sum(char[window] == h), np.sum(char == h)),
+                      (1, np.sum(char[rows[0][:, 0]] == h), np.sum(char == h))]
+
+
 def test_symbolic_check_keeps_no_three_dimensional_product():
-    # The image is taken one phi2 row at a time: a (relations x fibers x
+    # The image is a join of each relation's terms with their fibers' phi2
+    # entries, a chunk of relations at a time: a (relations x fibers x
     # phi2 rows) product at (2,7) would peak above 4 MiB here.
     pp = make_curve_params(2, 7, seed=1)
     rows = ideal._trinomial_rows(pp)
