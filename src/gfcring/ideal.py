@@ -12,9 +12,10 @@ Two relation families span the degree-2 kernel of the evaluation map:
     for every relation index i and t in the corresponding C_i set,
 the latter vanishing because lam_i + x^k + y_{i+1}^k = 0 on the curve.
 
-The monomials are one (N, 2) array of window-index pairs in term order, sorted
-by one integer key per index sum, and each fiber is one run of its rows, tau
-first, named by its row in the sumset minkowski_di1(k, n, 2).  The generators
+The monomials are one (N, 2) array of window-index pairs, sorted by their
+index sums' keys in the sumset's mixed radix, and each fiber is one run of
+its rows in term order, tau first: the runs follow the rows of the sumset
+minkowski_di1(k, n, 2), and one offsets array names them.  The generators
 are window-index arrays read off these runs, with no field in them:
 generate_binomials gives each binomial as a run's row after the first and
 that first row, tau; generate_trinomials gives each trinomial as its relation
@@ -29,7 +30,8 @@ certified, not eliminated, so the span check rests on it (see
 _character_blocks).  The pointwise check, which matches each binomial run's
 index sums to its fiber and evaluates the trinomials at sampled points with
 curve.evaluation_matrix, and verify's comparison of the ranks with
-syzygy_table stay independent of both.  The verdict is a plain dict, which
+syzygy_table stay independent of both.  Of the monomials, verify reads only
+the run lengths and that index-sum check.  The verdict is a plain dict, which
 verify prints per prime, character labels joined to strings.
 
 export_ideal writes the generator arrays as the JSON text that
@@ -65,39 +67,32 @@ from .reps import character_of
 
 
 @lru_cache(maxsize=None)
-def _degree2_data(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(the degree-2 monomials in term order, as an (N, 2) int32 array of
-    degree-1 window indices i <= j; start, stop: the fiber at row f of
-    minkowski_di1(k, n, 2) is the run [start[f], stop[f]) of rows, tau
-    first).  Treat all three as immutable.  The runs, read off one sorted
-    integer key per index sum, must be the sumset's closed form exactly."""
+def _degree2_data(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, edges), both read-only: the degree-2 monomials as (N, 2) int32
+    degree-1 window indices i <= j, the fiber at row f of minkowski_di1(k, n, 2)
+    being the run pairs[edges[f]:edges[f + 1]], in term order, tau first.  The
+    runs, read off one sorted integer key per index sum, must be the sumset's
+    closed form exactly."""
     window = _lattice(k, n, 1)[0].astype(np.int32)
-    # The term order without its constant degree: a sum's key has base-(2k-1)
-    # digits -r, a_2, ..., a_n (an a-coordinate of a sum is at most 2(k-1)), and
-    # a pair's key is the sum of its members' keys.  A stable sort keeps each
-    # fiber's pairs in (i, j) order, the last clause, as the window is sorted.
-    # |key| < (2k-1)^(n-1) * (r_max + 1): far below 2^63 for any window in memory.
-    # Pairs are laid out row by row, (i, i..W-1) for each i: the triu order.
-    w = (2 * k - 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    w[0] = -w[0]
-    wkey = window @ w
+    _, keys, dims = _lattice(k, n, 2, 0)
+    # No digit of a sum carries in the sumset's mixed radix, so a pair's key is
+    # the sum of its members' keys.  A stable sort keeps each fiber's pairs in
+    # (i, j) order, its term order, as the window is sorted.  Pairs are laid
+    # out row by row, (i, i..W-1) for each i: the triu order.
+    wkey = np.ravel_multi_index(window.T, dims)
     rows = range(len(window))
     key = np.concatenate([wkey[a] + wkey[a:] for a in rows])
     order = np.argsort(key, kind="stable")
     key.sort()  # in place: the sorted values are those of key[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    stops = np.r_[starts[1:], len(key)]
+    edges = np.flatnonzero(np.r_[True, key[1:] != key[:-1], True])
+    assert np.array_equal(key[edges[:-1]], keys)
     del key
     i = np.repeat(np.arange(len(window), dtype=np.int32), np.arange(len(window), 0, -1))[order]
     j = np.concatenate([np.arange(a, len(window), dtype=np.int32) for a in rows])[order]
     del order
-    # No digit of a sum carries in the sumset's mixed radix, so a run's key
-    # there is the sum of its first pair's keys.
-    skey = np.ravel_multi_index(window.T, _lattice(k, n, 2, 0)[2])
-    sums = skey[i[starts]] + skey[j[starts]]
-    run = np.argsort(sums)
-    assert np.array_equal(sums[run], _lattice(k, n, 2, 0)[1])
-    return np.stack((i, j), axis=1), starts[run], stops[run]
+    pairs = np.stack((i, j), axis=1)
+    pairs.flags.writeable = edges.flags.writeable = False
+    return pairs, edges
 
 
 def generate_binomials(k: int, n: int) -> np.ndarray:
@@ -105,12 +100,10 @@ def generate_binomials(k: int, n: int) -> np.ndarray:
     z_i*z_j - z_i'*z_j': every row of every fiber run after the first, paired
     with the first, tau; fibers in sorted order.  B is dim S_2 minus the
     number of fibers."""
-    pairs, first, stop = _degree2_data(k, n)
-    size = stop - first - 1
-    tau_row = np.repeat(first, size)
-    # the b-th binomial overall is row b - (binomials before its fiber) + 1 of its run
-    row = tau_row + 1 + np.arange(len(tau_row)) - np.repeat(np.cumsum(size) - size, size)
-    return np.concatenate((pairs[row], pairs[tau_row]), axis=1)
+    pairs, edges = _degree2_data(k, n)
+    heads = edges[:-1]
+    return np.concatenate((np.delete(pairs, heads, axis=0),
+                           np.repeat(pairs[heads], np.diff(edges) - 1, axis=0)), axis=1)
 
 
 def _trinomial_rows(params: CurveParams) -> tuple[np.ndarray, np.ndarray]:
@@ -127,10 +120,10 @@ def generate_trinomials(k: int, n: int) -> np.ndarray:
     lam_i*z_a*z_b + z_c*z_d + z_e*z_f: the relation index i, then the window
     indices of the taus of its fibers t, t+(k,0,..), t-k*e_i, in
     _trinomial_rows order.  The coefficient lam_i is lam[i-1] mod p."""
-    pairs, start, _ = _degree2_data(k, n)
+    pairs, edges = _degree2_data(k, n)
     shifts = ci_shifts(k, n)
     return np.column_stack((shifts[:, 0].astype(np.int32),
-                            pairs[start[shifts[:, 1:]]].reshape(-1, 6)))
+                            pairs[edges[shifts[:, 1:]]].reshape(-1, 6)))
 
 
 # --- rewriting into the weight-2 basis ---------------------------------------
@@ -166,10 +159,9 @@ def _binomials_share_sums(k: int, n: int) -> bool:
     once per curve."""
     window = _lattice(k, n, 1)[0].astype(np.int32)
     sumset = _lattice(k, n, 2, 0)[0]
-    pairs, start, stop = _degree2_data(k, n)
-    run = np.argsort(start)  # the fibers in the order of their runs
-    return all(np.array_equal(w[pairs[:, 0]] + w[pairs[:, 1]], np.repeat(t, (stop - start)[run]))
-               for w, t in zip(window.T, sumset[run].T.astype(np.int32)))
+    pairs, edges = _degree2_data(k, n)
+    return all(np.array_equal(w[pairs[:, 0]] + w[pairs[:, 1]], np.repeat(t, np.diff(edges)))
+               for w, t in zip(window.T, sumset.T.astype(np.int32)))
 
 
 def _relations_vanish_at(
@@ -225,7 +217,6 @@ def _character_blocks(
     or a relation does not vanish; a passing run ranks none.
     """
     k, n, p = params.k, params.n, params.p
-    _, start, stop = _degree2_data(k, n)
     fibers, coeff = rels
     sumset, keys, _ = _lattice(k, n, 2, 0)
     char = np.ravel_multi_index(character_of(k, 2, sumset.T), (k,) * n)
@@ -279,7 +270,8 @@ def _character_blocks(
         r, j = np.nonzero((coeff % p != 0) & (char[fibers] == h))
         new = np.diff(r, prepend=-1) != 0  # a relation's first term under h
         ranks[h] = ranked(h, np.cumsum(new) - 1, new.sum(), fibers[r, j], coeff[r, j] % p)
-    dims = np.bincount(char, stop - start - 1, k ** n).astype(np.int64) + ranks
+    binomials = np.diff(_degree2_data(k, n)[1]) - 1  # per fiber, sumset rows ascending
+    dims = np.bincount(char, binomials, k ** n).astype(np.int64) + ranks
     nonzero = np.flatnonzero(dims)
     label = zip(*(a.tolist() for a in np.unravel_index(nonzero, (k,) * n)))
     return not redo.any(), int(phi2_ranks.sum()), dict(zip(label, dims[nonzero].tolist()))
@@ -318,8 +310,8 @@ def verify_degree2_kernel(params: CurveParams) -> dict:
     """
     k, n, p = params.k, params.n, params.p
     d2 = dim_vm(k, n, 2)
-    pairs, start, _ = _degree2_data(k, n)
-    dim_s2 = len(pairs)
+    size = np.diff(_degree2_data(k, n)[1])  # the fiber sizes, sumset rows ascending
+    dim_s2 = int(size.sum())
     assert dim_s2 == total_degree_d_monomials(k, n, 2)
     rows = _trinomial_rows(params)
 
@@ -345,14 +337,16 @@ def verify_degree2_kernel(params: CurveParams) -> dict:
         and standard_count == dim_s2 - span_rank
     )
 
-    # (d) initial terms of trinomials: the runs lie in term order.
-    top = start[rows[0]]
+    # (d) initial terms of trinomials.  The term order compares fibers by
+    # (-r, a), that is by row - r*F, as the sumset rows ascend in a at each r.
+    term_key = np.arange(len(size)) - _lattice(k, n, 2, 0)[0][:, 0] * len(size)
+    top = term_key[rows[0]]
     trinomial_initial_ok = bool(np.all(top[:, :1] > top[:, 1:]))
 
     report = {
         "p": p,
         "dim_s2": dim_s2,
-        "n_binomials": dim_s2 - len(start),
+        "n_binomials": dim_s2 - len(size),
         "n_trinomials": len(top),
         "phi2_rank": phi2_rank,
         "ker_dim": dim_s2 - phi2_rank,

@@ -174,8 +174,10 @@ def check_equivariance(params: CurveParams) -> bool:
     evaluation omits.  The three windows are one stack of lattice rows with a
     weight per row, their labels one character_of call on its columns.  The
     generators suffice, as apply_group scales each coordinate by a power of
-    zeta and the exponent is linear in g.  Raises InsufficientPointsError
-    when the prime has no points.
+    zeta and the exponent is linear in g.  zeta must have order k, its
+    powers zeta^0..zeta^(k-1) distinct: a root of lower order moves the
+    points and predicts their scaling alike, and passes vacuously.  Raises
+    InsufficientPointsError when the prime has no points.
     """
     k, n, p, zeta = params.k, params.n, params.p, params.zeta
     points, _ = sample_points(params, EQUIVARIANCE_POINTS)
@@ -189,5 +191,7 @@ def check_equivariance(params: CurveParams) -> bool:
     vals = vals.reshape(n + 1, len(points), len(basis))
     exps = np.column_stack(character_of(k, weight, basis.T))
     exps[:, 0] -= weight
-    scale = np.array([pow(zeta, e, p) for e in range(k)], dtype=np.int64)[exps % k]
-    return all(np.array_equal(vals[j + 1], vals[0] * scale[:, j] % p) for j in range(n))
+    powers = [pow(zeta, e, p) for e in range(k)]
+    scale = np.array(powers, dtype=np.int64)[exps % k]
+    return len(set(powers)) == k and all(
+        np.array_equal(vals[j + 1], vals[0] * scale[:, j] % p) for j in range(n))

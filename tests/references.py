@@ -13,7 +13,8 @@ gfcring computes on one production path, kept here as oracles.
   - the divisors of x, y_j and dx, and a divisor's degree, which the
     canonical-divisor tests combine into divisor_of_theta;
   - monomial_sort_key and compare_monomials, the term order that
-    ideal._degree2_data sorts the degree-2 monomials by;
+    ideal._degree2_data keeps within each fiber and verify's check (d)
+    reads off the fibers;
   - degree2_monomials, the rows of ideal._degree2_data as tuples of
     window members, which export and verify read as index arrays;
   - reduce_stepwise, the weight-2 rewriting one curve equation at a time,
@@ -218,13 +219,13 @@ def index_sum(mono: MonomialKey) -> IndexTuple:
 
 def tau(k: int, n: int, t: IndexTuple) -> MonomialKey:
     """The order-minimal degree-2 monomial with index-sum t."""
-    pairs, start, _ = _degree2_data(k, n)
+    pairs, edges = _degree2_data(k, n)
     fibers = minkowski_di1(k, n, 2).members
     f = bisect.bisect_left(fibers, tuple(t))
     if fibers[f:f + 1] != (tuple(t),):
         raise ParameterError(f"{t} is not a sum of two degree-1 window members")
     window = enumerate_im(k, n, 1).members
-    i, j = pairs[start[f]].tolist()
+    i, j = pairs[edges[f]].tolist()
     return window[i], window[j]
 
 
@@ -371,15 +372,16 @@ def reduce_to_basis(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]
 def phi2_matrix(params: CurveParams) -> np.ndarray:
     """Evaluation matrix of degree-2 monomials in the weight-2 basis.
 
-    Rows follow the sorted weight-2 window, columns follow the term order on
-    monomials; column M holds the basis expansion of the element at M's
-    index-sum.  Full row rank (= dim V_2) is the surjectivity statement.
+    Rows follow the sorted weight-2 window, columns the rows of
+    ideal._degree2_data: the fibers in sumset order, each in term order;
+    column M holds the basis expansion of the element at M's index-sum.
+    Full row rank (= dim V_2) is the surjectivity statement.
     """
     k, n = params.k, params.n
-    pairs, start, stop = _degree2_data(k, n)
+    pairs, edges = _degree2_data(k, n)
     mat = np.zeros((len(enumerate_im(k, n, 2)), len(pairs)), dtype=np.int64)
     for r, f, c in zip(*(a.tolist() for a in _phi2_entries(params))):
-        mat[r, start[f]:stop[f]] = c
+        mat[r, edges[f]:edges[f + 1]] = c
     return mat
 
 
@@ -407,7 +409,7 @@ def character_blocks_one_by_one(
     parts.
     """
     k, n, p = params.k, params.n, params.p
-    _, start, stop = _degree2_data(k, n)
+    size = np.diff(_degree2_data(k, n)[1])
     fibers, coeff = rels
     row, col, value = _phi2_entries(params)
     term = np.flatnonzero(coeff % p)  # flat positions of the nonzero coefficients
@@ -434,7 +436,7 @@ def character_blocks_one_by_one(
         block = np.zeros((new.sum(), len(cols)), dtype=np.int64)
         block[np.cumsum(new) - 1, np.searchsorted(cols, fibers.flat[at])] = coeff.flat[at] % p
         vanish = vanish and not any(np.any((block * r % p).sum(axis=1) % p) for r in phi2)
-        dim = int((stop - start - 1)[cols].sum()) + rank_mod_p_array(block, p)
+        dim = int((size - 1)[cols].sum()) + rank_mod_p_array(block, p)
         if dim:
             dims[tuple(map(int, np.unravel_index(h, (k,) * n)))] = dim
     return vanish, phi2_rank, dims
@@ -449,20 +451,19 @@ def relations_vanish_at_by_monomials(
     The degree-1 window is evaluated once as a (points x variables) matrix.
     The binomials stay implicit: at each point every monomial's value
     vals[i]*vals[j] must equal that of its fiber's first row, so a row reads
-    fiber f at prod[start[f]], checked as one int64 expression.  The scan
+    fiber f at prod[edges[f]], checked as one int64 expression.  The scan
     stops at the first point where a check fails; one point at a time keeps
     the working set at a few monomial-sized arrays.
     """
     p = params.p
     window = enumerate_im(params.k, params.n, 1).members
-    pairs, start, stop = _degree2_data(params.k, params.n)
-    runs = np.argsort(start)
-    first = np.repeat(start[runs], (stop - start)[runs])
+    pairs, edges = _degree2_data(params.k, params.n)
+    first = np.repeat(edges[:-1], np.diff(edges))
     mono_i, mono_j = pairs.T.astype(np.intp)  # an intp index is not converted per gather
     fibers, coeff = rels
     for vals in evaluation_matrix(params, points, window):
         prod = vals[mono_i] * vals[mono_j] % p
-        terms = prod[start[fibers]] * (coeff % p) % p
+        terms = prod[edges[fibers]] * (coeff % p) % p
         if np.any(prod != prod[first]) or np.any(terms.sum(axis=1) % p):
             return False
     return True

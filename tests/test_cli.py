@@ -433,6 +433,7 @@ REFERENCE = os.path.join(os.path.dirname(__file__), "reference")
     ("verify --k 2 --n 5 --seed 1", 0, "verify_k_2_n_5_seed_1"),
     ("verify --k 2 --n 7 --seed 1", 0, "verify_k_2_n_7_seed_1"),
     ("verify --k 4 --n 4 --seed 1", 0, "verify_k_4_n_4_seed_1"),
+    ("verify --k 5 --n 3 --seed 1", 0, "verify_k_5_n_3_seed_1"),
     ("verify --k 3 --n 4 --seed 5 --prime 2147483647", 0,
      "verify_k_3_n_4_seed_5_prime_2147483647"),
     ("verify --grid --kmax 3 --nmax 4 --mmax 2 --seed 1", 0,

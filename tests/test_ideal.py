@@ -606,29 +606,36 @@ def sorted_key_route(k, n):
 def test_fiber_runs_match_the_sorted_key_route(k, n):
     expected = sorted_key_route(k, n)
     monos = degree2_monomials(k, n)
-    _, start, stop = ideal._degree2_data(k, n)
+    edges = ideal._degree2_data(k, n)[1].tolist()
     fibers = minkowski_di1(k, n, 2).members
-    runs = np.argsort(start).tolist()
-    assert monos == tuple(itertools.chain.from_iterable(expected.values()))
-    assert [fibers[f] for f in runs] == list(expected)
-    assert {fibers[f]: monos[start[f]:stop[f]] for f in runs} == expected
+    assert monos == tuple(itertools.chain.from_iterable(expected[t] for t in fibers))
+    assert {t: monos[a:b] for t, a, b in zip(fibers, edges, edges[1:])} == expected
+    # check (d)'s key, sumset row - r*F, orders the fibers as the term order does
+    term_key = np.arange(len(fibers)) - np.array([t[0] for t in fibers]) * len(fibers)
+    assert [fibers[f] for f in np.argsort(term_key)] == list(expected)
+
+
+def test_degree2_data_is_read_only():
+    # The arrays are cached per curve: a write would reach every later
+    # verify or export of that curve.
+    pairs, edges = ideal._degree2_data(3, 3)
+    with pytest.raises(ValueError):
+        pairs[0, 0] = 1
+    with pytest.raises(ValueError):
+        edges[0] = 1
 
 
 def test_point_check_finds_a_monomial_filed_under_a_neighbouring_fiber(monkeypatch):
     pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
     pts, _ = sample_points(pp, KERNEL_POINTS)
-    pairs, start, stop = ideal._degree2_data(3, 4)
+    pairs, edges = ideal._degree2_data(3, 4)
     none = fiber_rows(pp, [])
     assert _relations_vanish_at(pp, none, pts)
     # Move the first row of some fiber with two or more monomials into the
-    # run of the fiber before it in term order.
-    order = np.argsort(start)
-    at = next(pos for pos, f in enumerate(order[1:], 1) if stop[f] - start[f] > 1)
-    before, after = order[at - 1], order[at]
-    moved_start, moved_stop = start.copy(), stop.copy()
-    moved_stop[before] += 1
-    moved_start[after] += 1
-    monkeypatch.setattr(ideal, "_degree2_data", lambda k, n: (pairs, moved_start, moved_stop))
+    # run of the fiber before it.
+    moved = edges.copy()
+    moved[np.flatnonzero(np.diff(edges[1:]) > 1)[0] + 1] += 1
+    monkeypatch.setattr(ideal, "_degree2_data", lambda k, n: (pairs, moved))
     # the comparison's verdict is cached per curve: run it uncached
     monkeypatch.setattr(ideal, "_binomials_share_sums", ideal._binomials_share_sums.__wrapped__)
     assert not _relations_vanish_at(pp, none, pts)

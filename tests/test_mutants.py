@@ -1,12 +1,12 @@
-"""A mutation slice of the degree-2 checks: named defects, applied by
+"""A mutation slice of verify's checks: named defects, applied by
 monkeypatch, and the report flags that each one turns false in verify.
 
 The span rank of check (b) is certified, not eliminated: the relations that
 vanish in the symbolic check (a) bound each character's rank from above.
-These defects break the relations or the multiplication map, and each is
-still caught.  Each failing report, its ranks included, equals the one
-made when every character block is eliminated on its own
-(references.character_blocks_one_by_one).
+These defects break the relations, the multiplication map, the root of
+unity or the closed-form nu, and each is still caught.  Each failing report,
+its ranks included, equals the one made when every character block is
+eliminated on its own (references.character_blocks_one_by_one).
 """
 
 import json
@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 import references
-from gfcring import ideal
+from gfcring import ideal, reps
+from gfcring import params as parameters
 from gfcring.cli import main
 from gfcring.indexsets import _lattice, ci_shifts
 
 trinomial_rows, phi2_entries = ideal._trinomial_rows, ideal._phi2_entries
+find_prime_and_root, nu_closed = parameters.find_prime_and_root, reps.nu_closed
 
 
 def next_lambda(params):
@@ -45,10 +47,32 @@ def off_by_one(params):
     return fibers, coeff
 
 
+def lam_on_up(params):
+    """lam_i on the up-fiber t+(k,0,..) instead of on t: the fiber columns
+    permuted to (1, 0, 2)."""
+    fibers, coeff = trinomial_rows(params)
+    return fibers[:, [1, 0, 2]], coeff
+
+
+def zeta_one(k, min_bound):
+    """The prime with 1 as its root of unity, of order 1, not k."""
+    return find_prime_and_root(k, min_bound)[0], 1
+
+
+def nu_plus(k, n, m, h):
+    """The closed-form nu one too high."""
+    return nu_closed(k, n, m, h) + 1
+
+
+# Each defect: the modules whose binding it replaces, the name, the mutant.
+TRINOMIALS = (ideal, references), "_trinomial_rows"
 DEFECTS = {
-    "next_lambda": ("_trinomial_rows", next_lambda),
-    "unsigned_phi2": ("_phi2_entries", unsigned_phi2),
-    "off_by_one": ("_trinomial_rows", off_by_one),
+    "next_lambda": (*TRINOMIALS, next_lambda),
+    "unsigned_phi2": ((ideal, references), "_phi2_entries", unsigned_phi2),
+    "off_by_one": (*TRINOMIALS, off_by_one),
+    "lam_on_up": (*TRINOMIALS, lam_on_up),
+    "zeta_one": ((parameters,), "find_prime_and_root", zeta_one),
+    "nu_plus": ((reps,), "nu_closed", nu_plus),
 }
 
 
@@ -68,8 +92,12 @@ def false_flags(report):
 
 
 # The flags that each defect turns false.  The point check misses the sign
-# of phi2, which it never reads; the symbolic check catches every defect.
-# One coefficient off by one at (2,5) also raises a character's span rank.
+# of phi2, which it never reads; the symbolic check catches every defect of
+# the relations or of phi2.  One coefficient off by one at (2,5) also raises
+# a character's span rank.  lam_i on the up-fiber is the one defect that
+# check (d) catches too.  A root of unity of order 1 moves no point, and
+# only the equivariance check, which asks for k distinct powers, sees it.
+# nu one too high shows only in the comparison of the span with mu - nu.
 KERNEL = ["passed", "point_kernel_ok", "symbolic_kernel_ok"]
 FALSE_FLAGS = {
     ("next_lambda", 3, 3): KERNEL,
@@ -79,14 +107,20 @@ FALSE_FLAGS = {
     ("off_by_one", 3, 3): KERNEL,
     ("off_by_one", 2, 5): ["passed", "per_character_ok", "point_kernel_ok", "span_rank_ok",
                            "standard_count_ok", "symbolic_kernel_ok"],
+    ("lam_on_up", 3, 3): KERNEL + ["trinomial_initial_ok"],
+    ("lam_on_up", 2, 5): KERNEL + ["trinomial_initial_ok"],
+    ("zeta_one", 3, 3): ["equivariance_ok", "passed"],
+    ("zeta_one", 2, 5): ["equivariance_ok", "passed"],
+    ("nu_plus", 3, 3): ["passed", "per_character_ok"],
+    ("nu_plus", 2, 5): ["passed", "per_character_ok"],
 }
 
 
 @pytest.mark.parametrize("defect", DEFECTS)
 @pytest.mark.parametrize("k,n", [(3, 3), (2, 5)])
 def test_each_defect_is_caught(capsys, monkeypatch, k, n, defect):
-    name, mutant = DEFECTS[defect]
-    for module in (ideal, references):
+    modules, name, mutant = DEFECTS[defect]
+    for module in modules:
         monkeypatch.setattr(module, name, mutant)
     code, out = verify(capsys, k, n)
     assert code == 1 and false_flags(json.loads(out)) == FALSE_FLAGS[defect, k, n]
