@@ -23,7 +23,7 @@ from .curve import (
     full_rank_oversample,
     suitable_params,
 )
-from .ideal import MIN_VERIFY_POINTS, export_ideal, verify_degree2_kernel
+from .ideal import MIN_VERIFY_POINTS, SlicedText, export_ideal, verify_degree2_kernel
 from .indexsets import count_im, enumerate_im, standard_set_identity, total_degree_d_monomials
 from .params import (
     CurveParams,
@@ -231,13 +231,22 @@ def cmd_export(args: argparse.Namespace) -> dict:
 # --- rendering / entry ----------------------------------------------------------
 
 # Characters per write: a text-mode write encodes a copy of what it is given,
-# so slicing bounds that copy instead of doubling a whole export in memory.
+# so slicing bounds that copy.  An export's slices are joined from its
+# pieces (ideal.SlicedText), one write at a time.
 WRITE_SLICE = 1 << 20
 
 
-def _write_sliced(fh, text: str) -> None:
-    for start in range(0, len(text), WRITE_SLICE):
-        fh.write(text[start:start + WRITE_SLICE])
+def _write_sliced(fh, text: str | SlicedText) -> None:
+    """Write text, WRITE_SLICE characters a write but the last."""
+    if isinstance(text, str):
+        slices = (text[start:start + WRITE_SLICE] for start in range(0, len(text), WRITE_SLICE))
+    else:
+        slices = text.slices(WRITE_SLICE)
+    # A slice is freed only once the next one is built, so its memory takes
+    # the next encoded copy; freed first, it would go back to the system,
+    # and each write would touch fresh pages.
+    for piece in slices:
+        fh.write(piece)
 
 
 def _fmt_scalar(v) -> str:

@@ -37,9 +37,11 @@ verify prints per prime, character labels joined to strings.
 export_ideal writes the generator arrays as the JSON text that
 json.dumps(payload, indent=2) gives, byte for byte, without running the
 encoder: each variable is laid out once as an indented fragment (a name, in
-cas-text), each relation family is one template whose holes take those
-fragments, and the whole text is one gather of these shared pieces and one
-join.
+cas-text), and each relation family is one template whose holes take those
+fragments, each joined once to every literal of the template before it.
+The text is one gather of these shared pieces, a SlicedText: its length is
+summed from the pieces' lengths, and it is joined a slice at a time as it is
+written, so no more than a slice of it is ever built.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import zip_longest
 from math import prod
+from typing import Iterator
 
 import numpy as np
 
@@ -383,31 +386,90 @@ def _json_block(brackets: str, items: list[str], depth: int) -> str:
     return f'{brackets[0]}{pad}{("," + pad).join(items)}\n{"  " * depth}{brackets[1]}'
 
 
-def _write(pieces: list[str], frame: str, runs: list[tuple[str, np.ndarray, str]]) -> str:
+# Pieces a SlicedText reads at a time (2^8 to 2^12 time the (4,4) export
+# alike), and the characters of a slice when it is iterated.
+SLICE_PIECES = 1 << 12
+SLICE_CHARS = 1 << 20
+
+
+class SlicedText:
+    """A text held as a gather of shared pieces: len() is its character
+    count, summed from the pieces' lengths, and slices(size) yields the text
+    in order, each slice one join of the pieces it spans."""
+
+    def __init__(self, pieces: list[str], idx: np.ndarray) -> None:
+        self._pieces = np.array(pieces, dtype=object)
+        self._idx = idx
+        self._lens = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+        self._len = int(np.bincount(idx, minlength=len(pieces)) @ self._lens)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[str]:
+        return self.slices(SLICE_CHARS)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal to the str it spells, compared a slice at a time."""
+        if not isinstance(other, str):
+            return NotImplemented
+        at = 0
+        for part in self:
+            if not other.startswith(part, at):
+                return False
+            at += len(part)
+        return at == len(other)
+
+    def slices(self, size: int) -> Iterator[str]:
+        """The text, size characters a slice but the last.  The pieces are
+        read SLICE_PIECES at a time, with their character ends; a piece
+        across a slice's end is cut there, its rest opening the next."""
+        held, done = [], 0  # the parts of the next slice; the characters read
+        for start in range(0, len(self._idx), SLICE_PIECES):
+            run = self._idx[start:start + SLICE_PIECES]
+            ends = done + np.cumsum(self._lens[run])
+            first = 0  # the run's first piece not yet in a slice
+            for end in range(done - done % size + size, int(ends[-1]) + 1, size):
+                last = int(np.searchsorted(ends, end))  # the piece that holds the slice's end
+                parts = held + self._pieces[run[first:last + 1]].tolist()
+                piece = parts[-1]
+                cut = len(piece) - int(ends[last] - end)
+                parts[-1] = piece[:cut]
+                yield "".join(parts)
+                held, first = [piece[cut:]], last + 1
+            held += self._pieces[run[first:]].tolist()
+            done = int(ends[-1])
+        if done % size:
+            yield "".join(held)
+
+
+def _write(fills: list[str], frame: str, runs: list[tuple[str, np.ndarray, str]]) -> SlicedText:
     """frame with its holes filled in order by runs (template, slots, sep):
-    template once per row of slots, its holes taking the pieces the row names,
-    sep between rows.  One gather of the shared pieces and one join."""
-    idx = []
+    template once per row of slots, its holes taking the fills the row names,
+    sep between rows.  Each literal of a template is laid out once before
+    each fill, the first one after the last literal and sep too, so a row
+    gathers one piece per hole."""
+    pieces, idx = [], []
     for part, run in zip_longest(frame.split(HOLE), runs):
         idx.append([len(pieces)])
         pieces.append(part)
-        if run:
+        if run and len(run[1]):
             template, slots, sep = run
-            lits = template.split(HOLE)
+            *lits, last = template.split(HOLE)
             base = len(pieces)
-            pieces += [lits[0], sep + lits[0], *lits[1:]]
-            rows = np.empty((len(slots), 2 * len(lits) - 1), dtype=np.intp)
-            rows[:, 0] = base + 1
-            rows[:1, 0] = base  # no sep before the first row
-            rows[:, 1::2] = slots
-            rows[:, 2::2] = np.arange(base + 2, base + len(lits) + 1)
-            idx.append(rows.ravel())
-    return "".join(np.array(pieces, dtype=object)[np.concatenate(idx)].tolist())
+            pieces += [lit + fill for lit in (last + sep + lits[0], *lits) for fill in fills]
+            rows = slots + (base + len(fills) * np.arange(1, len(lits) + 1))
+            rows[1:, 0] -= len(fills)  # the last literal and sep before every row but the first
+            idx += [rows.ravel(), [len(pieces)]]
+            pieces.append(last)
+    return SlicedText(pieces, np.concatenate(idx))
 
 
-def export_ideal(params: CurveParams, fmt: str) -> str:
+def export_ideal(params: CurveParams, fmt: str) -> SlicedText:
     """Serialize the generators: "json" (machine round-trip) or "cas-text"
-    (one generator per line, pasteable into a computer algebra system)."""
+    (one generator per line, pasteable into a computer algebra system).
+    Every step that can raise runs before it returns; the text is joined
+    only as the result is iterated."""
     k, n, p = params.k, params.n, params.p
     variables = enumerate_im(k, n, 1).members
     bins = generate_binomials(k, n)
@@ -418,8 +480,8 @@ def export_ideal(params: CurveParams, fmt: str) -> str:
     if fmt == "json":
         # Assembled from text (see the module docstring): with an indent,
         # json.dumps runs its pure-Python encoder over every number.
-        pieces = [_json_block("[]", [str(c) for c in t], 5) for t in variables]
-        pieces += [str(v % p) for v in params.lam]  # the trinomials' lam_i coefficients
+        fills = [_json_block("[]", [str(c) for c in t], 5) for t in variables]
+        fills += [str(v % p) for v in params.lam]  # the trinomials' lam_i coefficients
 
         def relation(coeffs: list) -> str:
             return _json_block("[]", [_json_block("{}", [
@@ -442,7 +504,7 @@ def export_ideal(params: CurveParams, fmt: str) -> str:
             '"binomials": ' + listed(bins),
             '"trinomials": ' + listed(taus),
         ], 0)
-        return _write(pieces, frame, [
+        return _write(fills, frame, [
             (relation([1, -1]), bins, sep),
             (relation([HOLE, 1, 1]), np.column_stack((width + index - 1, taus)), sep),
         ])
@@ -450,9 +512,9 @@ def export_ideal(params: CurveParams, fmt: str) -> str:
     if fmt == "cas-text":
         # A monomial is two slots: its first variable's name, then "*" and
         # the second's name, or "^2" for a square.
-        pieces = [variable_name(t) for t in variables]
-        pieces += ["*" + name for name in pieces] + ["^2"]
-        pieces += [f"l{i}*" for i in range(1, n)]
+        fills = [variable_name(t) for t in variables]
+        fills += ["*" + name for name in fills] + ["^2"]
+        fills += [f"l{i}*" for i in range(1, n)]
 
         def monomials(rows: np.ndarray) -> np.ndarray:
             out = rows.astype(np.intp)
@@ -469,11 +531,11 @@ def export_ideal(params: CurveParams, fmt: str) -> str:
             "ring R = (0, "
             + ", ".join(f"l{i + 1}" for i in range(n - 1))
             + "), ("
-            + ", ".join(pieces[:width])
+            + ", ".join(fills[:width])
             + "), dp;",
             "// generators:",
         ]) + "\n" + HOLE + HOLE
-        return _write(pieces, frame, [
+        return _write(fills, frame, [
             (HOLE * 2 + " - " + HOLE * 2 + "\n", monomials(bins), ""),
             (HOLE * 3 + (" + " + HOLE * 2) * 2 + "\n",
              np.column_stack((2 * width + index, monomials(taus))), ""),

@@ -124,7 +124,9 @@ def mu_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
     i = 1..d of psi^i * h_{d-i} gives h_d exactly; psi^i buckets the members
     by i times their character, so it depends on i mod k only, and the terms
     i = i0, i0 + k, ... are one convolution with the running sum of h_m over
-    m = d - i0 (mod k).  Every partial sum is nonnegative and at most
+    m = d - i0 (mod k).  The term i = d, h_0 being the identity, is psi^d
+    itself, and a sum with no degree m in 0 < m < d is skipped: degree 2
+    takes one convolution.  Every partial sum is nonnegative and at most
     d * comb(g + d - 1, d): ParameterError before any allocation when that
     reaches 2^63, or when d exceeds MAX_MU_DEGREE.
     """
@@ -144,12 +146,12 @@ def mu_table(k: int, n: int, d: int) -> dict[IndexTuple, int]:
     psi = [np.bincount(np.ravel_multi_index(i * chars % k, (k,) * n),
                        minlength=k ** n).reshape(k, -1) for i in range(k)]
     diff = _cayley_difference(k, n - 1)
-    h = np.eye(1, k ** n, dtype=np.int64).reshape(k, -1)  # the identity, h_0
-    sums = [np.zeros_like(h) for _ in range(k)]  # sums[s]: h_m over m < j, m = s mod k
-    for j in range(1, d + 1):
+    h = psi[1]  # h_1
+    sums = [np.zeros_like(h) for _ in range(k)]  # sums[s]: h_m over 0 < m < j, m = s mod k
+    for j in range(2, d + 1):
         sums[(j - 1) % k] += h
-        h = sum(_convolve(psi[i % k], sums[(j - i) % k], diff)
-                for i in range(1, min(j, k) + 1)) // j
+        h = (psi[j % k] + sum(_convolve(psi[i % k], sums[(j - i) % k], diff)
+                              for i in range(1, min(j - 1, k) + 1))) // j
     vals = dict(zip(all_labels(k, n), h.ravel().tolist()))
     assert sum(vals.values()) == total_degree_d_monomials(k, n, d)
     return vals

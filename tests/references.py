@@ -42,7 +42,9 @@ gfcring computes on one production path, kept here as oracles.
   - tau and index_sum, a fiber's order-minimal monomial and a monomial's
     fiber, as tuples;
   - parse_ideal_json, the json export read back as Relations: its
-    round-trip oracle.
+    round-trip oracle;
+  - encoder_export and cas_text_export, both export formats written from
+    the Relations, the json one by json.dumps.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from gfcring.ideal import (
     _trinomial_rows,
     generate_binomials,
     generate_trinomials,
+    variable_name,
 )
 from gfcring.indexsets import IndexTuple, _lattice, enumerate_im, minkowski_di1
 from gfcring.linalg import require_int64_prime
@@ -307,6 +310,46 @@ def parse_ideal_json(text: str) -> dict:
         "binomials": [rebuild(r, "binomial", 2) for r in data["binomials"]],
         "trinomials": [rebuild(r, "trinomial", 3) for r in data["trinomials"]],
     }
+
+
+def encoder_export(params: CurveParams) -> str:
+    """The json export through json.dumps(indent=2), from the Relations."""
+    def rel_json(rel):
+        return [{"coeff": c, "factors": [list(f) for f in mono]} for c, mono in rel.terms]
+
+    return json.dumps(
+        {
+            "k": params.k,
+            "n": params.n,
+            "p": params.p,
+            "lambda": list(params.lam),
+            "variables": [list(t) for t in enumerate_im(params.k, params.n, 1).members],
+            "binomials": [rel_json(r) for r in binomial_relations(params.k, params.n)],
+            "trinomials": [rel_json(r) for r in trinomial_relations(params)],
+        },
+        indent=2,
+    )
+
+
+def cas_text_export(params: CurveParams) -> str:
+    """The cas-text export line by line, from the Relations."""
+    k, n = params.k, params.n
+    names = [variable_name(t) for t in enumerate_im(k, n, 1).members]
+    bins, tris = binomial_relations(k, n), trinomial_relations(params)
+
+    def product(mono: MonomialKey) -> str:
+        a, b = map(variable_name, mono)
+        return f"{a}^2" if a == b else f"{a}*{b}"
+
+    return "\n".join([
+        f"// k={k} n={n} p={params.p}",
+        "// lambda parameters: " + " ".join(f"l{i}={v}" for i, v in enumerate(params.lam, 1)),
+        f"// variables ({len(names)}), binomials ({len(bins)}), trinomials ({len(tris)})",
+        f"ring R = (0, {', '.join(f'l{i}' for i in range(1, n))}), ({', '.join(names)}), dp;",
+        "// generators:",
+        *(f"{product(rel.terms[0][1])} - {product(rel.terms[1][1])}" for rel in bins),
+        *(f"l{rel.index}*" + " + ".join(product(mono) for _, mono in rel.terms) for rel in tris),
+    ]) + "\n"
 
 
 def monomial_sort_key(mono: MonomialKey):

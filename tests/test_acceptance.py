@@ -204,11 +204,11 @@ def test_criterion_8_property_suites():
     # JSON export round-trip
     for (k, n) in [(2, 4), (3, 3)]:
         pp = make_curve_params(k, n)
-        text = export_ideal(pp, "json")
+        text = "".join(export_ideal(pp, "json"))
         data = parse_ideal_json(text)
         ok = ok and data["binomials"] == binomial_relations(k, n)
         ok = ok and data["trinomials"] == trinomial_relations(pp)
-        ok = ok and json.loads(text) == json.loads(export_ideal(pp, "json"))
+        ok = ok and json.loads(text) == json.loads("".join(export_ideal(pp, "json")))
 
     elapsed = time.perf_counter() - t0
     _report(8, ok, elapsed, 30.0, "divisors, order axioms, tau section, round-trip")

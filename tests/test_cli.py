@@ -9,6 +9,7 @@ import pkgutil
 import resource
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
@@ -494,6 +495,43 @@ def test_output_is_written_in_slices(monkeypatch, tmp_path):
     assert stdout.getvalue() == report.read_text() and len(stdout.sizes) > 1
 
 
+@pytest.mark.parametrize("pieces", [1, ideal.SLICE_PIECES])
+@pytest.mark.parametrize("size", [1, 7, 4096, 1 << 30])
+@pytest.mark.parametrize("k, n", [(3, 3), (2, 5)])
+def test_streamed_export_is_the_reference_text(monkeypatch, tmp_path, k, n, size, pieces):
+    # Whatever the write size and however many pieces the export reads at a
+    # time, with pieces cut across writes and empty pieces read alone, stdout
+    # and --out carry the reference text, WRITE_SLICE characters a write but
+    # the last.
+    monkeypatch.setattr(cli, "WRITE_SLICE", size)
+    monkeypatch.setattr(ideal, "SLICE_PIECES", pieces)
+    pp = make_curve_params(k, n, seed=1)
+    for fmt, text in (("json", references.encoder_export(pp)),
+                      ("cas-text", references.cas_text_export(pp))):
+        argv = ["export", "--k", str(k), "--n", str(n), "--seed", "1", "--format", fmt]
+        stdout = RecordedStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0 and stdout.getvalue() == text
+        assert stdout.sizes == [size] * (len(text) // size) + [len(text) % size] * (len(text) % size > 0)
+        path = tmp_path / f"ideal.{fmt}"
+        assert main([*argv, "--out", str(path)]) == 0 and path.read_text() == text
+
+
+def test_export_memory_is_bounded_by_a_slice(capsys, tmp_path):
+    # The 12.6 MB (4,4) text is never held whole: the export peaks at a few
+    # of its slices and the index rows it gathers them by.
+    path = tmp_path / "ideal.json"
+    argv = ["export", "--k", "4", "--n", "4", "--seed", "1", "--out", str(path)]
+    assert main(argv) == 0  # the cached index sets and fiber runs
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
+
+
 def test_export_rejects_pretty(capsys):
     code, _, err = run(
         capsys, "export", "--k", "3", "--n", "3", "--format", "pretty"
@@ -593,6 +631,13 @@ def test_grid_error_names_the_curve(capsys):
                          "--mmax", "2", "--prime", "109")
     assert_one_json_error_line(code, out, err)
     assert json.loads(err)["error"].startswith("(k, n) = (3, 4): p = 109 yields only 81 points")
+
+
+def test_failing_export_writes_no_file(capsys, tmp_path):
+    # Every step of an export that can raise runs before --out is opened.
+    path = tmp_path / "ideal.json"
+    assert_one_json_error_line(*run(capsys, "export", "--k", "2", "--n", "56", "--out", str(path)))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("argv, bound", [

@@ -4,7 +4,8 @@ monkeypatch, and the report flags that each one turns false in verify.
 The span rank of check (b) is certified, not eliminated: the relations that
 vanish in the symbolic check (a) bound each character's rank from above.
 These defects break the relations, the multiplication map, the root of
-unity or the closed-form nu, and each is still caught.  Each failing report,
+unity, the closed-form nu, the inverses of the evaluation map or the
+character labels, and each is still caught.  Each failing report,
 its ranks included, equals the one made when every character block is
 eliminated on its own (references.character_blocks_one_by_one).
 """
@@ -15,13 +16,14 @@ import numpy as np
 import pytest
 
 import references
-from gfcring import ideal, reps
+from gfcring import curve, ideal, reps
 from gfcring import params as parameters
 from gfcring.cli import main
 from gfcring.indexsets import _lattice, ci_shifts
 
 trinomial_rows, phi2_entries = ideal._trinomial_rows, ideal._phi2_entries
 find_prime_and_root, nu_closed = parameters.find_prime_and_root, reps.nu_closed
+pow_mod, character_of = curve._pow_mod, reps.character_of
 
 
 def next_lambda(params):
@@ -64,6 +66,17 @@ def nu_plus(k, n, m, h):
     return nu_closed(k, n, m, h) + 1
 
 
+def inverse_exponent(base, e, p):
+    """p - 3 in place of the Fermat exponent p - 2 of evaluation_matrix's
+    inverses; no other power the package takes has exponent p - 2."""
+    return pow_mod(base, e - 1 if e == p - 2 else e, p)
+
+
+def character_sign(k, m, t):
+    """+a in place of -a in a character's trailing components."""
+    return ((t[0] + m) % k, *(aj % k for aj in t[1:]))
+
+
 # Each defect: the modules whose binding it replaces, the name, the mutant.
 TRINOMIALS = (ideal, references), "_trinomial_rows"
 DEFECTS = {
@@ -73,6 +86,8 @@ DEFECTS = {
     "lam_on_up": (*TRINOMIALS, lam_on_up),
     "zeta_one": ((parameters,), "find_prime_and_root", zeta_one),
     "nu_plus": ((reps,), "nu_closed", nu_plus),
+    "inverse_exponent": ((curve,), "_pow_mod", inverse_exponent),
+    "character_sign": ((reps, ideal, references), "character_of", character_sign),
 }
 
 
@@ -91,14 +106,20 @@ def false_flags(report):
     return sorted(flags)
 
 
-# The flags that each defect turns false.  The point check misses the sign
-# of phi2, which it never reads; the symbolic check catches every defect of
-# the relations or of phi2.  One coefficient off by one at (2,5) also raises
-# a character's span rank.  lam_i on the up-fiber is the one defect that
-# check (d) catches too.  A root of unity of order 1 moves no point, and
-# only the equivariance check, which asks for k distinct powers, sees it.
-# nu one too high shows only in the comparison of the span with mu - nu.
+# The flags that each defect turns false, per curve.  The point check misses
+# the sign of phi2, which it never reads; the symbolic check catches every
+# defect of the relations or of phi2.  One coefficient off by one at (2,5)
+# also raises a character's span rank.  lam_i on the up-fiber is the one
+# defect that check (d) catches too.  A root of unity of order 1 moves no
+# point, and only the equivariance check, which asks for k distinct powers,
+# sees it.  nu one too high shows only in the comparison of the span with
+# mu - nu.  Wrong inverses move the values at points, which the point and
+# equivariance checks read and the symbolic check does not.  Labels with +a
+# misplace the span's characters, in the equivariance check and against
+# mu - nu; at k = 2, -a = a, so that mutant is the program itself: EQUIVALENT,
+# no flag false, and (4,3) stands in as its second curve.
 KERNEL = ["passed", "point_kernel_ok", "symbolic_kernel_ok"]
+EQUIVALENT = []
 FALSE_FLAGS = {
     ("next_lambda", 3, 3): KERNEL,
     ("next_lambda", 2, 5): KERNEL,
@@ -113,16 +134,21 @@ FALSE_FLAGS = {
     ("zeta_one", 2, 5): ["equivariance_ok", "passed"],
     ("nu_plus", 3, 3): ["passed", "per_character_ok"],
     ("nu_plus", 2, 5): ["passed", "per_character_ok"],
+    ("inverse_exponent", 3, 3): ["equivariance_ok", "passed", "point_kernel_ok"],
+    ("inverse_exponent", 2, 5): ["equivariance_ok", "passed", "point_kernel_ok"],
+    ("character_sign", 3, 3): ["equivariance_ok", "passed", "per_character_ok"],
+    ("character_sign", 2, 5): EQUIVALENT,
+    ("character_sign", 4, 3): ["equivariance_ok", "passed", "per_character_ok"],
 }
 
 
-@pytest.mark.parametrize("defect", DEFECTS)
-@pytest.mark.parametrize("k,n", [(3, 3), (2, 5)])
+@pytest.mark.parametrize("k,n,defect", [(k, n, defect) for defect, k, n in FALSE_FLAGS])
 def test_each_defect_is_caught(capsys, monkeypatch, k, n, defect):
     modules, name, mutant = DEFECTS[defect]
     for module in modules:
         monkeypatch.setattr(module, name, mutant)
     code, out = verify(capsys, k, n)
-    assert code == 1 and false_flags(json.loads(out)) == FALSE_FLAGS[defect, k, n]
+    flags = FALSE_FLAGS[defect, k, n]
+    assert (code, false_flags(json.loads(out))) == (1 if flags else 0, flags)
     monkeypatch.setattr(ideal, "_character_blocks", references.character_blocks_one_by_one)
     assert verify(capsys, k, n) == (code, out)

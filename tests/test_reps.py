@@ -1,12 +1,14 @@
 """Character labels, multiplicity formulas, and the equivariance oracle."""
 
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
 
 from gfcring import reps
 from gfcring.curve import sample_points, suitable_params
+from gfcring.indexsets import enumerate_im
 from gfcring.params import ParameterError, dim_vm, is_nonhyperelliptic, make_curve_params
 from gfcring.reps import (
     all_labels,
@@ -115,6 +117,17 @@ def test_mu_table_matches_dfs_mu():
         table = mu_table(k, n, d)
         for h in all_labels(k, n)[::5]:
             assert table[h] == mu(k, n, d, h), (k, n, d, h)
+
+
+@pytest.mark.parametrize("k, n, top", [(3, 3, 7), (2, 4, 6)])
+def test_mu_table_matches_a_brute_count(k, n, top):
+    # Sym^d counted multiset by multiset, through d = k, 2k and 2k + 1, the
+    # degrees at which the recurrence drops its h_0 and empty-sum terms
+    chars = [character_of(k, 1, t) for t in enumerate_im(k, n, 1).members]
+    for d in range(1, top + 1):
+        brute = Counter(tuple(sum(c) % k for c in zip(*multiset))
+                        for multiset in itertools.combinations_with_replacement(chars, d))
+        assert mu_table(k, n, d) == {h: brute[h] for h in all_labels(k, n)}, d
 
 
 @pytest.mark.usefixtures("hang_guard")
