@@ -16,16 +16,7 @@ from .ideal import (
     generate_trinomials,
     verify_degree2_kernel,
 )
-from .indexsets import (
-    IndexSet,
-    count_im,
-    count_partitions,
-    enumerate_ci,
-    enumerate_im,
-    enumerate_jd,
-    minkowski_di1,
-    standard_set_identity,
-)
+from .indexsets import IndexSet, count_im, enumerate_im, standard_set_identity
 from .params import (
     CurveParams,
     ParameterError,
@@ -34,12 +25,6 @@ from .params import (
     genus,
     make_curve_params,
 )
-from .reps import (
-    mu,
-    mu_table,
-    nu_closed,
-    nu_table,
-    syzygy_table,
-)
+from .reps import mu_table, nu_closed, nu_table, syzygy_table
 
 __version__ = "0.1.0"

@@ -59,12 +59,13 @@ def _curve_params(
 
 def cmd_info(args: argparse.Namespace) -> dict:
     require_nonhyperelliptic(args.k, args.n)
-    return {
-        "k": args.k,
-        "n": args.n,
-        "genus": genus(args.k, args.n),
-        "dims": {str(m): dim_vm(args.k, args.n, m) for m in range(1, 7)},
-    }
+    dims = {str(m): dim_vm(args.k, args.n, m) for m in range(1, 7)}
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and dims["6"] >= 10 ** limit:  # the largest integer of the report
+        raise ParameterError(f"curve ({args.k}, {args.n}) has dimensions of more than {limit} "
+                             "digits, the limit sys.get_int_max_str_digits() sets on "
+                             "printing an integer")
+    return {"k": args.k, "n": args.n, "genus": genus(args.k, args.n), "dims": dims}
 
 
 def cmd_basis(args: argparse.Namespace) -> dict:
@@ -131,6 +132,7 @@ def cmd_multiplicities(args: argparse.Namespace) -> dict:
 
 def _verify_one(args: argparse.Namespace) -> dict:
     k, n = args.k, args.n
+    require_nonhyperelliptic(k, n)
     # Enough points for the degree-2 point check, the equivariance check and
     # complete-fiber coverage of both evaluation-rank checks (points arrive in
     # x-fibers; m = 2 needs more than m = 1 on every curve here).

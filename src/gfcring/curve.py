@@ -104,9 +104,14 @@ def sample_points(params: CurveParams, count: int) -> tuple[np.ndarray, bool]:
     whole field was scanned and fewer than `count` points exist.  The scan of
     each of the last few curves is kept and resumed, so a request is a prefix
     of one scan.  Raises ParameterError before the scan when p^2 >= 2^62,
-    where the scan's int64 powers and evaluation_matrix would wrap.
+    where the scan's int64 powers and evaluation_matrix would wrap, or when
+    the k^(n-1) root choices of an x-fiber take 2^63 bytes or more.
     """
     require_int64_prime(params.p)
+    k, n = params.k, params.n
+    if (n - 1) * k ** (n - 1) * np.dtype(np.intp).itemsize >= 1 << 63:
+        raise ParameterError(f"the {k}^{n - 1} points of an x-fiber of curve ({k}, {n}) "
+                             "need 2^63 bytes or more")
     blocks, scan = _scans(params)
     while count < 1 or sum(map(len, blocks)) < count:
         if (block := next(scan, None)) is None:

@@ -15,7 +15,7 @@ the latter vanishing because lam_i + x^k + y_{i+1}^k = 0 on the curve.
 The monomials are one (N, 2) array of window-index pairs, sorted by their
 index sums' keys in the sumset's mixed radix, and each fiber is one run of
 its rows in term order, tau first: the runs follow the rows of the sumset
-minkowski_di1(k, n, 2), and one offsets array names them.  The generators
+_lattice(k, n, 2, 0), and one offsets array names them.  The generators
 are window-index arrays read off these runs, with no field in them:
 generate_binomials gives each binomial as a run's row after the first and
 that first row, tau; generate_trinomials gives each trinomial as its relation
@@ -72,7 +72,7 @@ from .reps import character_of
 @lru_cache(maxsize=None)
 def _degree2_data(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(pairs, edges), both read-only: the degree-2 monomials as (N, 2) int32
-    degree-1 window indices i <= j, the fiber at row f of minkowski_di1(k, n, 2)
+    degree-1 window indices i <= j, the fiber at row f of _lattice(k, n, 2, 0)
     being the run pairs[edges[f]:edges[f + 1]], in term order, tau first.  The
     runs, read off one sorted integer key per index sum, must be the sumset's
     closed form exactly."""

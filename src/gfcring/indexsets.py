@@ -10,7 +10,7 @@ forms: (N, n) int64 rows in (r, a) order, and per row one int64 mixed-radix
 key led by r, so keys ascend with the rows.  Where a key, or the bytes of the
 a-coordinate grid it lays out first, would reach 2^63, it raises ParameterError.
 ci_shifts gives the trinomials' fibers as sumset rows, and standard_set is a
-mask over those rows; the tuple sets built from them share the sumset's tuples.
+mask over those rows; enumerate_im alone gives its rows as tuples.
 
 A "relation index" i runs over 1..n-1; relation i involves lam[i-1] and
 shifts the a-coordinate at 0-based position i-1, i.e. flat position i.
@@ -103,40 +103,6 @@ def count_im(k: int, n: int, m: int) -> int:
     return sum(c * max(0, base + s - 2 * m + 1) for s, c in enumerate(hist))
 
 
-@lru_cache(maxsize=None)
-def minkowski_di1(k: int, n: int, d: int) -> IndexSet:
-    """The d-fold sumset of the degree-1 window with itself.
-
-    d <= 2 is built from its closed form {0 <= a_j <= d(k-1), 0 <= r <= |a| - 2d},
-    which ideal._degree2_data checks against the degree-2 monomials at d = 2;
-    each larger d adds the window once to the cached (d-1)-fold set.
-    """
-    if d < 1:
-        raise ParameterError(f"need d >= 1, got {d}")
-    if d <= 2:
-        members = tuple(zip(*_lattice(k, n, d, 0)[0].T.tolist()))
-    else:
-        members = sorted({tuple(x + y for x, y in zip(s, t))
-                          for s in minkowski_di1(k, n, d - 1) for t in enumerate_im(k, n, 1)})
-    return IndexSet(tuple(members))
-
-
-@lru_cache(maxsize=None)
-def enumerate_ci(k: int, n: int, i: int) -> IndexSet:
-    """The relation family C_i in closed form: the points of the 2-fold sumset
-    with k <= a_i <= 2k-2 and r <= |a| - (k+4).
-
-    These are exactly the sumset points t for which t + (k, 0, ..., 0) and
-    t - k*e_i also lie in the sumset (e_i = unit vector at flat position i,
-    the a-coordinate tied to relation index i); ci_shifts lays out both
-    shifts of every member.
-    """
-    if not 1 <= i <= n - 1:
-        raise ParameterError(f"relation index must be in 1..{n - 1}, got {i}")
-    shifts, fibers = ci_shifts(k, n), minkowski_di1(k, n, 2).members  # shared, not copied
-    return IndexSet(tuple(map(fibers.__getitem__, shifts[shifts[:, 0] == i, 1].tolist())))
-
-
 def _lookup(keys: np.ndarray, sought: np.ndarray) -> np.ndarray:
     """The positions of the sought keys in the sorted keys, each asserted to
     be there: a key outside them would otherwise name a neighbouring row."""
@@ -148,7 +114,12 @@ def _lookup(keys: np.ndarray, sought: np.ndarray) -> np.ndarray:
 def ci_shifts(k: int, n: int) -> np.ndarray:
     """(T, 4) intp rows (i, t, t + (k, 0, ..., 0), t - k*e_i) for each relation
     index i and each t in C_i, in that order: the three fibers of every
-    trinomial, each a row of the sumset minkowski_di1(k, n, 2)."""
+    trinomial, each a row of the sumset _lattice(k, n, 2, 0).
+
+    C_i in closed form is the sumset points with k <= a_i and r <= |a| - (k+4):
+    exactly those t for which t + (k, 0, ..., 0) and t - k*e_i also lie in the
+    sumset (e_i = unit vector at flat position i, the a-coordinate tied to
+    relation index i)."""
     rows, keys, dims = _lattice(k, n, 2, 0)
     low_r = rows[:, 0] <= rows[:, 1:].sum(axis=1) - (k + 4)
     shifts = []
@@ -185,53 +156,7 @@ def standard_set_identity(k: int, n: int) -> bool:
     return np.array_equal(standard_set(k, n), _lattice(k, n, 2)[0])
 
 
-# --- partition counting ------------------------------------------------------
-
-def count_partitions(k: int, n: int, d: int, t: IndexTuple) -> int:
-    """Number of d-element multisets of the degree-1 window summing to t.
-
-    Depth-first over the sorted window with non-decreasing element indices,
-    so each multiset is counted exactly once.
-    """
-    if d < 1:
-        raise ParameterError(f"need d >= 1, got {d}")
-    items = enumerate_im(k, n, 1).members
-    hi_a = k - 1
-    hi_r = (n - 1) * (k - 1) - 2  # largest r of any window member
-
-    def go(remaining: int, target: IndexTuple, lo: int) -> int:
-        if remaining == 0:
-            return 1 if all(c == 0 for c in target) else 0
-        if any(c < 0 for c in target):
-            return 0
-        if target[0] > remaining * hi_r or any(c > remaining * hi_a for c in target[1:]):
-            return 0
-        total = 0
-        for idx in range(lo, len(items)):
-            v = items[idx]
-            total += go(remaining - 1, tuple(x - y for x, y in zip(target, v)), idx)
-        return total
-
-    return go(d, tuple(t), 0)
-
-
 def total_degree_d_monomials(k: int, n: int, d: int) -> int:
     """dim of the degree-d symmetric power of a g-dimensional space."""
     g = dim_vm(k, n, 1)
     return comb(g + d - 1, d)
-
-
-def enumerate_jd(k: int, n: int, d: int, h: IndexTuple) -> IndexSet:
-    """Members t of the d-fold sumset with (r + d, -a) = h mod k.
-
-    h is a flat character label (h_1, h_2, ..., h_n); the J sets over all
-    k^n labels partition the sumset.
-    """
-    if len(h) != n:
-        raise ParameterError(f"character label {h} has length {len(h)}, expected {n}")
-    hh = tuple(x % k for x in h)
-    return IndexSet(tuple(
-        t for t in minkowski_di1(k, n, d)
-        if (t[0] + d) % k == hh[0]
-        and all((-aj) % k == hj for aj, hj in zip(t[1:], hh[1:]))
-    ))

@@ -9,8 +9,8 @@ Multiplicities:
   - nu(m, h): copies of the character h in the weight-m differentials;
     counted brute-force on the index window, or by the closed formula.
   - mu(d, h): copies of h in Sym^d of the degree-1 characters (characters
-    add under multiplication); mu_table works in the group ring of (Z/k)^n,
-    mu counts partitions over the stratum J_h of the d-fold sumset.
+    add under multiplication), all k^n at once by mu_table in the group ring
+    of (Z/k)^n.
   - syzygy(d, h) = mu - nu: copies of h among degree-d relations.
 
 check_equivariance tests character_of on the generators' action through
@@ -24,14 +24,7 @@ import itertools
 import numpy as np
 
 from .curve import InsufficientPointsError, apply_group, evaluation_matrix, sample_points
-from .indexsets import (
-    IndexTuple,
-    _lattice,
-    _window,
-    count_partitions,
-    enumerate_jd,
-    total_degree_d_monomials,
-)
+from .indexsets import IndexTuple, _lattice, _window, total_degree_d_monomials
 from .params import CurveParams, ParameterError, dim_vm
 
 
@@ -64,12 +57,6 @@ def nu_closed(k: int, n: int, m: int, h) -> int:
     ceil_term = -((-(tot + m)) // k)  # ceil((tot + m) / k) with exact ints
     val = (n - 1) * (m - 1) - ceil_term - sum((m - 1 - hj) // k for hj in rest) + 1
     return val * (val > 0)  # max(0, val), label by label
-
-
-def mu(k: int, n: int, d: int, h: IndexTuple) -> int:
-    """Multiplicity of h in the degree-d part of the polynomial ring:
-    total number of degree-d monomials whose index-sum lies in J_h."""
-    return sum(count_partitions(k, n, d, t) for t in enumerate_jd(k, n, d, h))
 
 
 def nu_table(k: int, n: int, m: int, closed: bool = True) -> dict[IndexTuple, int]:

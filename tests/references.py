@@ -35,6 +35,10 @@ gfcring computes on one production path, kept here as oracles.
   - nu_table_by_tuples, both nu routes one label or one window member at a
     time;
   - action_exponent, the scalar form of reps.character_of's action;
+  - count_partitions, the depth-first count of a d-fold sum's multisets of
+    window members, and mu, its total over J_h, the d-fold direct sums
+    (sumset_by_direct_sums) of character h: the per-label oracle of
+    reps.mu_table, which counts in the group ring of (Z/k)^n;
   - syzygy_multiplicity, mu - nu per label through the DFS mu;
   - Relation (with MonomialKey), the generators as formal sums of monomials
     of window tuples, built by binomial_relations and trinomial_relations
@@ -68,10 +72,10 @@ from gfcring.ideal import (
     generate_trinomials,
     variable_name,
 )
-from gfcring.indexsets import IndexTuple, _lattice, enumerate_im, minkowski_di1
+from gfcring.indexsets import IndexTuple, _lattice, enumerate_im
 from gfcring.linalg import require_int64_prime
 from gfcring.params import CurveParams, ParameterError
-from gfcring.reps import all_labels, character_of, mu, nu_closed
+from gfcring.reps import all_labels, character_of, nu_closed
 
 
 # --- linalg -------------------------------------------------------------------
@@ -223,7 +227,7 @@ def index_sum(mono: MonomialKey) -> IndexTuple:
 def tau(k: int, n: int, t: IndexTuple) -> MonomialKey:
     """The order-minimal degree-2 monomial with index-sum t."""
     pairs, edges = _degree2_data(k, n)
-    fibers = minkowski_di1(k, n, 2).members
+    fibers = minkowski_di1_by_tuples(k, n)
     f = bisect.bisect_left(fibers, tuple(t))
     if fibers[f:f + 1] != (tuple(t),):
         raise ParameterError(f"{t} is not a sum of two degree-1 window members")
@@ -402,7 +406,7 @@ def reduce_to_basis(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]
     has at most 1 + (number of low coordinates) terms and every output index
     lies in the weight-2 window.
     """
-    fibers = minkowski_di1(params.k, params.n, 2).members
+    fibers = minkowski_di1_by_tuples(params.k, params.n)
     f = bisect.bisect_left(fibers, tuple(t))
     if fibers[f:f + 1] != (tuple(t),):
         raise ParameterError(f"{t} is not a 2-fold sumset point")
@@ -580,6 +584,51 @@ def action_exponent(k: int, m: int, t: IndexTuple, g: IndexTuple) -> int:
     if len(g) != len(t):
         raise ParameterError(f"length mismatch: t={t}, g={g}")
     return (g[0] * (t[0] + m) - sum(aj * ej for aj, ej in zip(t[1:], g[1:]))) % k
+
+
+@lru_cache(maxsize=None)
+def sumset_by_direct_sums(k: int, n: int, d: int) -> tuple[IndexTuple, ...]:
+    """The d-fold sumset of the degree-1 window: the sums of its d-element
+    multisets, sorted."""
+    window = enumerate_im(k, n, 1).members
+    return tuple(sorted({tuple(map(sum, zip(*multiset)))
+                         for multiset in itertools.combinations_with_replacement(window, d)}))
+
+
+def count_partitions(k: int, n: int, d: int, t: IndexTuple) -> int:
+    """Number of d-element multisets of the degree-1 window summing to t.
+
+    Depth-first over the sorted window with non-decreasing element indices,
+    so each multiset is counted exactly once.
+    """
+    if d < 1:
+        raise ParameterError(f"need d >= 1, got {d}")
+    items = enumerate_im(k, n, 1).members
+    hi_a = k - 1
+    hi_r = (n - 1) * (k - 1) - 2  # largest r of any window member
+
+    def go(remaining: int, target: IndexTuple, lo: int) -> int:
+        if remaining == 0:
+            return 1 if all(c == 0 for c in target) else 0
+        if any(c < 0 for c in target):
+            return 0
+        if target[0] > remaining * hi_r or any(c > remaining * hi_a for c in target[1:]):
+            return 0
+        total = 0
+        for idx in range(lo, len(items)):
+            v = items[idx]
+            total += go(remaining - 1, tuple(x - y for x, y in zip(target, v)), idx)
+        return total
+
+    return go(d, tuple(t), 0)
+
+
+def mu(k: int, n: int, d: int, h: IndexTuple) -> int:
+    """Multiplicity of h in the degree-d part of the polynomial ring: the
+    number of degree-d monomials whose index sum lies in J_h, the d-fold
+    sums t with character_of(k, d, t) = h."""
+    return sum(count_partitions(k, n, d, t) for t in sumset_by_direct_sums(k, n, d)
+               if character_of(k, d, t) == h)
 
 
 def syzygy_multiplicity(k: int, n: int, d: int, h: IndexTuple) -> int:

@@ -16,7 +16,6 @@ from gfcring.ideal import export_ideal, verify_degree2_kernel
 from gfcring.indexsets import (
     count_im,
     enumerate_im,
-    minkowski_di1,
     standard_set,
     standard_set_identity,
 )
@@ -32,6 +31,7 @@ from references import (
     binomial_relations,
     compare_monomials,
     index_sum,
+    minkowski_di1_by_tuples,
     parse_ideal_json,
     span_rank_by_character,
     tau,
@@ -196,7 +196,7 @@ def test_criterion_8_property_suites():
 
     # tau is an injective section of the fiber map
     for (k, n) in KERNEL_CURVES:
-        fibers = minkowski_di1(k, n, 2).members
+        fibers = minkowski_di1_by_tuples(k, n)
         images = {tau(k, n, t) for t in fibers}
         ok = ok and len(images) == len(fibers)
         ok = ok and all(index_sum(tau(k, n, t)) == t for t in fibers)

@@ -27,7 +27,7 @@ from gfcring.ideal import (
     variable_name,
     verify_degree2_kernel,
 )
-from gfcring.indexsets import _lattice, enumerate_ci, enumerate_im, minkowski_di1
+from gfcring.indexsets import _lattice, enumerate_im
 from gfcring.linalg import ranks_mod_p
 from gfcring.params import ParameterError, dim_vm, make_curve_params
 from gfcring.reps import character_of, nu_table, syzygy_table
@@ -38,8 +38,10 @@ from references import (
     character_blocks_one_by_one,
     compare_monomials,
     degree2_monomials,
+    enumerate_ci_by_tuples,
     evaluate_theta,
     index_sum,
+    minkowski_di1_by_tuples,
     monomial_sort_key,
     parse_ideal_json,
     phi2_matrix,
@@ -112,7 +114,7 @@ def test_tau_frozen_examples():
 
 def test_tau_is_a_section():
     for (k, n) in [(2, 4), (3, 3), (4, 2), (2, 5)]:
-        fibers = minkowski_di1(k, n, 2).members
+        fibers = minkowski_di1_by_tuples(k, n)
         images = set()
         for t in fibers:
             mono = tau(k, n, t)
@@ -141,7 +143,7 @@ def test_tau_is_order_minimal():
 def test_binomial_generation():
     for (k, n), (n_bi, _) in RELATION_COUNTS.items():
         bins = binomial_relations(k, n)
-        assert len(bins) == len(degree2_monomials(k, n)) - len(minkowski_di1(k, n, 2))
+        assert len(bins) == len(degree2_monomials(k, n)) - len(_lattice(k, n, 2, 0)[0])
         assert len(bins) == n_bi
         seen = set()
         for rel in bins:
@@ -169,13 +171,13 @@ def test_generator_arrays_are_window_indices_of_the_taus():
                for i, a, b, c, d, e, f in tris.tolist()]
         assert got == [(i, tau(k, n, t), tau(k, n, (t[0] + k, *t[1:])),
                         tau(k, n, (*t[:i], t[i] - k, *t[i + 1:])))
-                       for i in range(1, n) for t in enumerate_ci(k, n, i)]
+                       for i in range(1, n) for t in enumerate_ci_by_tuples(k, n, i)]
 
 
 def test_trinomial_generation():
     pp = make_curve_params(3, 3, p=103)
     tris = trinomial_relations(pp)
-    assert len(tris) == sum(len(enumerate_ci(3, 3, i)) for i in (1, 2)) == 8
+    assert len(tris) == sum(len(enumerate_ci_by_tuples(3, 3, i)) for i in (1, 2)) == 8
     for rel in tris:
         assert rel.kind == "trinomial"
         (c0, m0), (c1, m1), (c2, m2) = rel.terms
@@ -269,7 +271,7 @@ def test_reduce_to_basis_identity_on_window():
 def test_reduce_to_basis_output_in_window():
     pp = make_curve_params(3, 4, p=547)
     window = set(enumerate_im(3, 4, 2).members)
-    for t in minkowski_di1(3, 4, 2):
+    for t in minkowski_di1_by_tuples(3, 4):
         combo = reduce_to_basis(pp, t)
         assert combo
         assert all(s in window for s in combo)
@@ -284,8 +286,8 @@ def test_reduce_to_basis_evaluation_oracle():
     pp = make_curve_params(3, 3, p=103)
     pts, _ = sample_points(pp, 20)
     rng = random.Random(17)
-    fibers = rng.sample(list(minkowski_di1(3, 3, 2).members), 30)
-    fibers += rng.choices(list(minkowski_di1(3, 3, 2).members), k=20)
+    fibers = rng.sample(minkowski_di1_by_tuples(3, 3), 30)
+    fibers += rng.choices(minkowski_di1_by_tuples(3, 3), k=20)
     for t in fibers:
         combo = reduce_to_basis(pp, t)
         for q in pts:
@@ -309,7 +311,7 @@ def test_phi2_closed_form_matches_the_stepwise_rewrite(k, n, p):
         if v:
             closed.setdefault(f, {})[window[r]] = v
     assert closed == {f: reduce_stepwise(pp, t)
-                      for f, t in enumerate(minkowski_di1(k, n, 2).members)}
+                      for f, t in enumerate(minkowski_di1_by_tuples(k, n))}
 
 
 def test_phi2_matrix_frozen_shapes_and_ranks():
@@ -377,7 +379,7 @@ def fiber_rows(pp, rels):
     its index sums and their summed coefficients, padded to three with zero
     coefficients.  The relation -> fiber route, summing every monomial's
     indices, is an oracle for the fiber runs that verify reads."""
-    at = {t: f for f, t in enumerate(minkowski_di1(pp.k, pp.n, 2).members)}
+    at = {t: f for f, t in enumerate(minkowski_di1_by_tuples(pp.k, pp.n))}
     fibers = np.zeros((len(rels), 3), dtype=np.intp)
     coeff = np.zeros((len(rels), 3), dtype=np.int64)
     for r, rel in enumerate(rels):
@@ -607,7 +609,7 @@ def test_fiber_runs_match_the_sorted_key_route(k, n):
     expected = sorted_key_route(k, n)
     monos = degree2_monomials(k, n)
     edges = ideal._degree2_data(k, n)[1].tolist()
-    fibers = minkowski_di1(k, n, 2).members
+    fibers = minkowski_di1_by_tuples(k, n)
     assert monos == tuple(itertools.chain.from_iterable(expected[t] for t in fibers))
     assert {t: monos[a:b] for t, a, b in zip(fibers, edges, edges[1:])} == expected
     # check (d)'s key, sumset row - r*F, orders the fibers as the term order does
@@ -739,7 +741,7 @@ def enumerated_generators(pp):
     tris = [(i, ((pp.lam[i - 1] % pp.p, fibers[t][0]),
                  (1, fibers[(t[0] + k, *t[1:])][0]),
                  (1, fibers[(*t[:i], t[i] - k, *t[i + 1:])][0])))
-            for i in range(1, n) for t in enumerate_ci(k, n, i)]
+            for i in range(1, n) for t in enumerate_ci_by_tuples(k, n, i)]
     return bins, tris
 
 

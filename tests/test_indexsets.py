@@ -1,7 +1,9 @@
 """Window enumeration, sumsets, relation sets, and partition counting.
 
+The sumsets are read as _lattice rows and the sets C_i as ci_shifts rows.
 partition_count_table, the lattice dynamic program, lives here as the oracle
-for reps.mu_table, which counts in the group ring of (Z/k)^n instead."""
+for reps.mu_table, which counts in the group ring of (Z/k)^n instead, and
+for the depth-first count_partitions of tests/references.py."""
 
 import random
 from math import comb
@@ -15,11 +17,7 @@ from gfcring.indexsets import (
     IndexTuple,
     ci_shifts,
     count_im,
-    count_partitions,
-    enumerate_ci,
     enumerate_im,
-    enumerate_jd,
-    minkowski_di1,
     standard_set,
     standard_set_identity,
     total_degree_d_monomials,
@@ -27,12 +25,14 @@ from gfcring.indexsets import (
 from gfcring.params import ParameterError, dim_vm, genus, is_nonhyperelliptic, make_curve_params
 from gfcring.reps import all_labels, character_of, mu_table, nu_table, syzygy_table
 from references import (
+    count_partitions,
     enumerate_ci_by_tuples,
     enumerate_im_by_tuples,
     member_im,
     minkowski_di1_by_tuples,
     shifted_ci_union_by_tuples,
     standard_set_by_tuples,
+    sumset_by_direct_sums,
 )
 
 GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
@@ -40,8 +40,8 @@ GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
 SMALL_CURVES = [(k, n) for k in range(2, 6) for n in range(2, 6) if is_nonhyperelliptic(k, n)]
 DIRECT_SUM_CURVES = GRID + [(5, 3), (2, 7)]
 
-# (k, n) -> |I1 + I1|, the size of minkowski_di1's closed form; the closed
-# form itself is compared with the direct pairwise sums on DIRECT_SUM_CURVES.
+# (k, n) -> |I1 + I1|, the size of the sumset's closed form; the closed form
+# itself is compared with the direct pairwise sums on DIRECT_SUM_CURVES.
 SUMSET_SIZES = {
     (2, 4): 15,
     (3, 3): 35,
@@ -52,6 +52,18 @@ SUMSET_SIZES = {
     (2, 5): 102,
     (5, 2): 15,
 }
+
+
+def sumset(k: int, n: int, d: int = 2) -> list[IndexTuple]:
+    """The d-fold sumset's closed-form rows, {0 <= a_j <= d(k-1),
+    0 <= r <= |a| - 2d}, as tuples in row order."""
+    return [tuple(t) for t in indexsets._lattice(k, n, d, 0)[0].tolist()]
+
+
+def ci_members(k: int, n: int, i: int) -> list[IndexTuple]:
+    """C_i as tuples: the sumset rows that ci_shifts names for relation index i."""
+    fibers, shifts = sumset(k, n), ci_shifts(k, n)
+    return [fibers[t] for t in shifts[shifts[:, 0] == i, 1].tolist()]
 
 
 def test_member_im():
@@ -95,19 +107,22 @@ def test_count_im_agrees_with_enumeration():
 
 def test_minkowski_sumset_sizes():
     for (k, n), size in SUMSET_SIZES.items():
-        assert len(minkowski_di1(k, n, 2)) == size
+        assert len(sumset(k, n)) == size
 
 
 def test_minkowski_d1_is_window():
-    assert minkowski_di1(3, 3, 1).members == enumerate_im(3, 3, 1).members
+    # The closed form at d = 1 and the 1-fold direct sums are the window.
+    for (k, n) in GRID:
+        window = enumerate_im(k, n, 1).members
+        assert tuple(sumset(k, n, 1)) == sumset_by_direct_sums(k, n, 1) == window, (k, n)
 
 
 def test_minkowski_strictly_contains_window():
     # The 2-fold sumset strictly contains the weight-2 window.
     for (k, n) in GRID:
-        m2 = minkowski_di1(k, n, 2)
+        m2 = sumset(k, n)
         i2 = enumerate_im(k, n, 2)
-        assert set(i2.members) <= set(m2.members)
+        assert set(i2.members) <= set(m2)
         if n > 2:
             assert len(m2) > len(i2)
         else:
@@ -115,33 +130,37 @@ def test_minkowski_strictly_contains_window():
 
 
 def test_minkowski_d3_by_direct_sum():
-    # d = 2 is built from its closed form; compare it with the pairwise sums.
+    # The sumsets are laid out from their closed form; compare it with the
+    # pairwise sums, and at d = 3 with the sums of three members.
     for (k, n) in DIRECT_SUM_CURVES:
         window = enumerate_im(k, n, 1).members
         pairs = {tuple(x + y for x, y in zip(s, t)) for s in window for t in window}
-        assert set(minkowski_di1(k, n, 2).members) == pairs, (k, n)
+        assert set(sumset(k, n)) == pairs, (k, n)
     items = enumerate_im(3, 3, 1).members
     direct = {
         tuple(x + y + z for x, y, z in zip(s, t, u))
         for s in items for t in items for u in items
     }
-    assert set(minkowski_di1(3, 3, 3).members) == direct
+    assert set(sumset(3, 3, 3)) == direct == set(sumset_by_direct_sums(3, 3, 3))
 
 
 def test_ci_sizes_frozen():
-    assert [len(enumerate_ci(2, 4, i)) for i in (1, 2, 3)] == [1, 1, 1]
-    assert [len(enumerate_ci(3, 3, i)) for i in (1, 2)] == [4, 4]
-    assert [len(enumerate_ci(3, 4, i)) for i in (1, 2, 3)] == [89, 89, 89]
-    assert [len(enumerate_ci(2, 5, i)) for i in (1, 2, 3, 4)] == [15, 15, 15, 15]
-    assert len(enumerate_ci(4, 2, 1)) == 0
-    assert len(enumerate_ci(5, 2, 1)) == 0
+    def sizes(k, n):
+        return np.bincount(ci_shifts(k, n)[:, 0], minlength=n)[1:].tolist()
+
+    assert sizes(2, 4) == [1, 1, 1]
+    assert sizes(3, 3) == [4, 4]
+    assert sizes(3, 4) == [89, 89, 89]
+    assert sizes(2, 5) == [15, 15, 15, 15]
+    assert sizes(4, 2) == [0]
+    assert sizes(5, 2) == [0]
 
 
 def test_ci_membership():
-    c1 = enumerate_ci(3, 3, 1)
-    assert (0, 4, 4) in c1.members
+    c1 = ci_members(3, 3, 1)
+    assert (0, 4, 4) in c1
     # every member keeps its shifted neighbours inside the sumset
-    m2 = set(minkowski_di1(3, 3, 2).members)
+    m2 = set(sumset(3, 3))
     for t in c1:
         assert (t[0] + 3, t[1], t[2]) in m2
         assert (t[0], t[1] - 3, t[2]) in m2
@@ -149,31 +168,24 @@ def test_ci_membership():
     # C_i is built from its closed form; compare it with the definition: the
     # sumset points t with t + (k, 0, ..., 0) and t - k*e_i in the sumset.
     for (k, n) in DIRECT_SUM_CURVES:
-        m2 = minkowski_di1(k, n, 2).members
+        m2 = sumset(k, n)
         in_m2 = set(m2)
         for i in range(1, n):
-            defn = tuple(
+            defn = [
                 t for t in m2
                 if (t[0] + k, *t[1:]) in in_m2 and (*t[:i], t[i] - k, *t[i + 1:]) in in_m2
-            )
-            assert enumerate_ci(k, n, i).members == defn, (k, n, i)
-    with pytest.raises(ValueError):
-        enumerate_ci(3, 3, 0)
-    with pytest.raises(ValueError):
-        enumerate_ci(3, 3, 3)
+            ]
+            assert ci_members(k, n, i) == defn, (k, n, i)
 
 
 @pytest.mark.parametrize("k, n", SMALL_CURVES)
 def test_key_array_sets_match_tuple_references(k, n):
     for m in (1, 2, 3):
         assert enumerate_im(k, n, m).members == enumerate_im_by_tuples(k, n, m), m
-    assert minkowski_di1(k, n, 2).members == minkowski_di1_by_tuples(k, n)
-    shifts = []
-    for i in range(1, n):
-        ci = enumerate_ci_by_tuples(k, n, i)
-        assert enumerate_ci(k, n, i).members == ci, i
-        shifts += [(i, t, (t[0] + k, *t[1:]), (*t[:i], t[i] - k, *t[i + 1:])) for t in ci]
-    fibers = minkowski_di1(k, n, 2).members
+    fibers = sumset(k, n)
+    assert tuple(fibers) == minkowski_di1_by_tuples(k, n)
+    shifts = [(i, t, (t[0] + k, *t[1:]), (*t[:i], t[i] - k, *t[i + 1:]))
+              for i in range(1, n) for t in enumerate_ci_by_tuples(k, n, i)]
     assert [(i, fibers[t], fibers[up], fibers[down])
             for i, t, up, down in ci_shifts(k, n).tolist()] == shifts
     assert {fibers[t] for t in ci_shifts(k, n)[:, 3].tolist()} == shifted_ci_union_by_tuples(k, n)
@@ -186,7 +198,8 @@ def test_oversize_index_keys_raise_before_allocation():
     # At (2^16, 6) the weight-1 keys span 327674 * 65536^5 > 2^63 values.
     k, n = 1 << 16, 6
     for call in (lambda: indexsets._lattice(k, n, 1), lambda: enumerate_im(k, n, 1),
-                 lambda: minkowski_di1(k, n, 2), lambda: nu_table(k, n, 1, closed=False)):
+                 lambda: indexsets._lattice(k, n, 2, 0),
+                 lambda: nu_table(k, n, 1, closed=False)):
         with pytest.raises(ParameterError, match="int64"):
             call()
 
@@ -214,9 +227,9 @@ def test_key_lookups_assert_the_key_they_find(monkeypatch):
 def test_shifted_union_covers_low_fibers():
     # the shifted copies collect exactly the sumset points with some a_j <= k-2
     for (k, n) in [(2, 4), (3, 3), (4, 2), (2, 5)]:
-        fibers = minkowski_di1(k, n, 2).members
+        fibers = sumset(k, n)
         shifted = {fibers[t] for t in ci_shifts(k, n)[:, 3].tolist()}
-        low = {t for t in minkowski_di1(k, n, 2) if any(aj <= k - 2 for aj in t[1:])}
+        low = {t for t in fibers if any(aj <= k - 2 for aj in t[1:])}
         assert shifted == low
 
 
@@ -229,8 +242,8 @@ def test_standard_set_identity_on_grid():
 def test_unshifted_removal_is_not_the_window():
     # Removing the C_i sets themselves (without the shift) leaves the wrong
     # fiber count, so the shifted convention is load-bearing.
-    m2 = set(minkowski_di1(3, 3, 2).members)
-    unshifted = set(enumerate_ci(3, 3, 1)) | set(enumerate_ci(3, 3, 2))
+    m2 = set(sumset(3, 3))
+    unshifted = set(ci_members(3, 3, 1)) | set(ci_members(3, 3, 2))
     assert len(m2 - unshifted) == 31  # != 27 = |I2|
     assert len(standard_set(3, 3)) == 27
 
@@ -250,7 +263,7 @@ def test_partition_totals():
     for (k, n) in [(2, 4), (3, 3), (4, 2)]:
         g = dim_vm(k, n, 1)
         for d in (2, 3):
-            total = sum(count_partitions(k, n, d, t) for t in minkowski_di1(k, n, d))
+            total = sum(count_partitions(k, n, d, t) for t in sumset(k, n, d))
             assert total == comb(g + d - 1, d)
             assert total_degree_d_monomials(k, n, d) == comb(g + d - 1, d)
 
@@ -333,8 +346,8 @@ def test_partition_table_matches_per_point_counts():
     # bulk dynamic program vs the depth-first oracle, every target at once
     for (k, n, d) in [(2, 4, 2), (2, 4, 3), (3, 3, 2), (3, 3, 3), (4, 2, 3)]:
         table = partition_count_table(k, n, d)
-        assert set(table) == set(minkowski_di1(k, n, d).members)
-        for t in minkowski_di1(k, n, d):
+        assert set(table) == set(sumset(k, n, d))
+        for t in table:
             assert table[t] == count_partitions(k, n, d, t), (k, n, d, t)
 
 
@@ -353,19 +366,6 @@ def test_partition_spot_checks_random_targets():
     targets = rng.sample(sorted(table), 12)
     for t in targets:
         assert table[t] == count_partitions(3, 4, 2, t)
-
-
-def test_enumerate_jd():
-    assert enumerate_jd(2, 4, 1, (1, 1, 1, 1)).members == ((0, 1, 1, 1),)
-    # the J sets partition the d-fold sumset
-    import itertools
-    for (k, n, d) in [(3, 3, 2), (2, 4, 2)]:
-        seen = []
-        for h in itertools.product(range(k), repeat=n):
-            seen.extend(enumerate_jd(k, n, d, h).members)
-        assert sorted(seen) == list(minkowski_di1(k, n, d).members)
-    with pytest.raises(ValueError):
-        enumerate_jd(3, 3, 2, (1, 1))  # label arity
 
 
 def test_index_set_rejects_unsorted_or_repeated_members():

@@ -14,13 +14,12 @@ from gfcring.reps import (
     all_labels,
     character_of,
     check_equivariance,
-    mu,
     mu_table,
     nu_closed,
     nu_table,
     syzygy_table,
 )
-from references import action_exponent, nu_table_by_tuples, syzygy_multiplicity
+from references import action_exponent, mu, nu_table_by_tuples, syzygy_multiplicity
 
 GRID = [(2, 4), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
 
