@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Iterator, NoReturn
+from typing import Iterator, NoReturn, Sequence
 
 from .curve import (
     InsufficientPointsError,
@@ -325,12 +325,20 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("info", "basis", "multiplicities", "verify", "export")
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The gfcring parser.  When argv leads with a command, only that
+    command's subparser is built, as parsing reads no other; for anything
+    else (top-level help, no command, an unknown one) all of them are, so
+    that help and errors list every command."""
     parser = _Parser(
         prog="gfcring",
         description="Canonical-ring computations for the k-th power Fermat-type curve family",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    built = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
 
     def add_command(name: str, help_text: str, run, with_curve_spec: bool = False,
                     curve_required: bool = True) -> argparse.ArgumentParser:
@@ -350,36 +358,43 @@ def build_parser() -> argparse.ArgumentParser:
                             help="explicit prime, or 'auto' (default)")
         return sp
 
-    add_command("info", "genus and graded dimensions", cmd_info)
+    if "info" in built:
+        add_command("info", "genus and graded dimensions", cmd_info)
 
-    sp = add_command("basis", "weight-m basis with divisors", cmd_basis)
-    sp.add_argument("--m", type=int, default=1)
+    if "basis" in built:
+        sp = add_command("basis", "weight-m basis with divisors", cmd_basis)
+        sp.add_argument("--m", type=int, default=1)
 
-    sp = add_command("multiplicities", "character multiplicity tables", cmd_multiplicities)
-    sp.add_argument("--kind", default="nu", choices=["nu", "mu", "syzygy"])
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--char", type=_int_list, default=None,
-                    help="restrict rows to one label, e.g. 1,0,1")
+    if "multiplicities" in built:
+        sp = add_command("multiplicities", "character multiplicity tables", cmd_multiplicities)
+        sp.add_argument("--kind", default="nu", choices=["nu", "mu", "syzygy"])
+        sp.add_argument("--m", type=int, default=None)
+        sp.add_argument("--d", type=int, default=None)
+        sp.add_argument("--char", type=_int_list, default=None,
+                        help="restrict rows to one label, e.g. 1,0,1")
 
-    sp = add_command("verify", "run the verification pipeline",
-                     lambda args: (_verify_grid if args.grid else _verify_one)(args),
-                     with_curve_spec=True, curve_required=False)
-    sp.add_argument("--grid", action="store_true",
-                    help="aggregate the property suite over a (k, n) grid")
-    sp.add_argument("--kmax", type=int, default=4)
-    sp.add_argument("--nmax", type=int, default=4)
-    sp.add_argument("--mmax", type=int, default=3)
+    if "verify" in built:
+        sp = add_command("verify", "run the verification pipeline",
+                         lambda args: (_verify_grid if args.grid else _verify_one)(args),
+                         with_curve_spec=True, curve_required=False)
+        sp.add_argument("--grid", action="store_true",
+                        help="aggregate the property suite over a (k, n) grid")
+        sp.add_argument("--kmax", type=int, default=4)
+        sp.add_argument("--nmax", type=int, default=4)
+        sp.add_argument("--mmax", type=int, default=3)
 
-    add_command("export", "serialize the degree-2 generators", cmd_export,
-                with_curve_spec=True)
+    if "export" in built:
+        add_command("export", "serialize the degree-2 generators", cmd_export,
+                    with_curve_spec=True)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         report = args.run(args)
         _emit(report, args)
     except (ParameterError, InsufficientPointsError, OSError, MemoryError) as exc:

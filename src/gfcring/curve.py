@@ -14,6 +14,7 @@ n+1 branch-point classes D_0 (over x = infinity), D_1 (over x = 0) and D_j
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -278,34 +279,32 @@ def full_rank_oversample(k: int, n: int, m: int) -> int:
     window [(m-1)(k-1), m(k-1)] holds k consecutive integers, so the classes
     are singletons and a fiber separates exactly the characters.
     Within the class of a fixed a the elements differ only by the contiguous
-    exponents r = 0..|a|-2m, and distinct fiber abscissas give a nonsingular
-    Vandermonde block, so F complete fibers yield rank sum(min(F, |a|-2m+1)).
-    Full rank d_m therefore needs F = max |a| - 2m + 1 = m[(k-1)(n-1)-2] + 1
-    fibers -- no fewer, and never more.
+    exponents r = 0..|a|-2m, so on one point per fiber the class is the block
+    diag(w) V: w_f = prod y_j^(-a_j) is nonzero and V is the Vandermonde
+    matrix of the distinct fiber abscissas.  F complete fibers therefore yield
+    rank sum(min(F, |a|-2m+1)), which basis_rank_check certifies from that
+    structure.  Full rank d_m therefore needs F = max |a| - 2m + 1 =
+    m[(k-1)(n-1)-2] + 1 fibers -- no fewer, and never more.
     """
     fibers = m * ((k - 1) * (n - 1) - 2) + 1
     return k ** (n - 1) * fibers
 
 
-# Cells per stack of evaluation blocks.  2^14 ranks the whole check at (4,4),
-# m = 3, in two stacks, and `verify --k 6 --n 4 --seed 1` peaks at 59.5 MB
-# with it, as with 2^12.  2^16 saved 0.2 ms of that check's 7.8 ms but raised
-# its process's peak RSS by 0.7 MB (2 vCPUs, Python 3.11, numpy 2.4).
+# Cells per stack of the evaluation blocks that fail their certificate in
+# basis_rank_check, which a passing check never forms.  2^14 ranked all 64
+# classes at (4,4), m = 3, in two stacks, and `verify --k 6 --n 4 --seed 1`
+# peaked at 59.5 MB with it, as with 2^12; 2^16 raised that check's peak RSS
+# by 0.7 MB (2 vCPUs, Python 3.11, numpy 2.4).
 BASIS_STACK_CELLS = 1 << 14
 
 
 def basis_rank_check(params: CurveParams, m: int, oversample: int) -> bool:
     """True iff the weight-m basis evaluated at `oversample` points has rank d_m.
 
-    The points form complete x-fibers, whose rows split by the class of a mod
-    k (see full_rank_oversample); within a class all points of a fiber give
-    one row up to scalars.  So the rank is a sum over the classes, each taken
-    on one point per fiber.  Every class is one (fibers x widest class)
-    block, a short or empty one padded with a zero column, which adds no
-    rank, and the blocks are ranked as ranks_mod_p stacks within
-    BASIS_STACK_CELLS cells.  Raises ParameterError when oversample is below
-    d_m or not a whole number of fibers, and InsufficientPointsError when the
-    prime has fewer points.
+    The rank is _basis_rank's: certified class by class, and eliminated only
+    where a class fails its certificate.  Raises ParameterError when
+    oversample is below d_m or not a whole number of fibers, and
+    InsufficientPointsError when the prime has fewer points.
     """
     k, n, p = params.k, params.n, params.p
     d_m = dim_vm(k, n, m)
@@ -321,18 +320,60 @@ def basis_rank_check(params: CurveParams, m: int, oversample: int) -> bool:
             f"only {len(points)} affine points over p = {p}, "
             f"wanted {oversample}"
         )
+    return _basis_rank(params, m, points) == d_m
+
+
+def _basis_rank(params: CurveParams, m: int, points: np.ndarray) -> int:
+    """Rank over F_p of the weight-m basis evaluated at (P, n) points that
+    form complete x-fibers, in sample_points' layout.
+
+    The fibers' rows split by the class of a mod k (see full_rank_oversample);
+    within a class all points of a fiber give one row up to scalars.  So the
+    rank is a sum over the classes, each taken on one point per fiber, and a
+    class is certified to be diag(w) V, of rank min(F, width), when
+    - it has exactly one r = 0 column, with no zero entry (w);
+    - every other column's (r - 1, a) column is in the basis and equals that
+      column times x mod p, so the class is one a with r = 0..width-1;
+    - the F fiber abscissas ascend, so they are distinct; only a class of
+      width >= 2 needs this.  sample_points' fibers ascend, and the test
+      needs no sort: a process's first np.sort raised the peak RSS of this
+      check by 0.37 MB (numpy 2.4).
+    Only the classes that fail are eliminated: one (F x widest failing
+    class) block each, a short one padded with zero columns, which add no
+    rank, ranked as ranks_mod_p stacks within BASIS_STACK_CELLS cells.
+    """
+    k, n, p = params.k, params.n, params.p
+    fiber = k ** (n - 1)
     assert np.all(points[:, 0].reshape(-1, fiber) == points[::fiber, :1])  # one x per fiber
-    basis = _lattice(k, n, m)[0]
+    basis, keys, dims = _lattice(k, n, m)
     firsts = evaluation_matrix(params, points[::fiber], basis)
-    # A row of column indices per class, in basis order; len(basis) names
-    # the zero column appended to firsts.
+    x = points[::fiber, 0] % p
     cls = np.ravel_multi_index((basis[:, 1:] % k).T, (k,) * (n - 1))
     size = np.bincount(cls, minlength=fiber)
+    # The certificate, column by column: at r = 0 no zero entry, above it
+    # one x-step from the (r - 1, a) column.
+    root = basis[:, 0] == 0
+    down = keys - prod(dims[1:])
+    prev = np.searchsorted(keys, down)
+    stepped = firsts.take(prev, axis=1, mode="clip")
+    stepped *= x[:, None]
+    stepped %= p
+    ok = np.where(root, np.all(firsts != 0, axis=0),
+                  (keys.take(prev, mode="clip") == down) & np.all(stepped == firsts, axis=0))
+    failed = (np.bincount(cls[~ok], minlength=fiber) > 0) | (
+        np.bincount(cls[root], minlength=fiber) != np.minimum(size, 1))
+    if not np.all(x[1:] > x[:-1]):  # sample_points' fibers ascend in x
+        failed |= size > 1
+    rank = int(np.minimum(size[~failed], len(x)).sum())
+    if not failed.any():
+        return rank
+    # A row of column indices per failing class, in basis order; len(basis)
+    # names the zero column appended to firsts.
     order = np.argsort(cls, kind="stable")
-    table = np.full((fiber, size.max(initial=0)), len(basis))
+    table = np.full((fiber, size.max()), len(basis))
     table[cls[order], np.arange(len(basis)) - np.repeat(np.cumsum(size) - size, size)] = order
+    table = table[failed, :size[failed].max()]
     firsts = np.pad(firsts, ((0, 0), (0, 1)))
     per = max(1, BASIS_STACK_CELLS // max(table.shape[1] * len(firsts), 1))
-    rank = sum(int(ranks_mod_p(firsts[:, table[at:at + per]].transpose(1, 0, 2), p).sum())
-               for at in range(0, fiber, per))
-    return rank == d_m
+    return rank + sum(int(ranks_mod_p(firsts[:, table[at:at + per]].transpose(1, 0, 2), p).sum())
+                      for at in range(0, len(table), per))

@@ -1,9 +1,11 @@
 """Dense linear algebra over a prime field F_p.
 
 ranks_mod_p ranks a (B, R, C) stack of same-shape blocks: the a mod k
-classes of curve.basis_rank_check, each padded with zero columns to the
-widest class, as a zero column adds no rank, and the degree-2 character
-blocks whose ranks ideal._character_blocks cannot certify, on failing runs.
+classes that fail the scaled-Vandermonde certificate of curve._basis_rank,
+each padded with zero columns to the widest of them, as a zero column adds
+no rank, and the degree-2 character blocks whose ranks
+ideal._character_blocks cannot certify.  Only a failing run reaches it: a
+passing verify certifies every rank it takes.
 Gaussian elimination on int64 numpy arrays takes one Python step per column
 for the whole stack.  Callers keep a stack within CHUNK_CELLS cells, or one
 block.

@@ -49,7 +49,7 @@ def test_benchmark_workloads_pass_their_oracles(tmp_path):
     rec = spawn("kernel-5-3", tmp_path, trace=True)
     assert CHECKS["kernel-5-3"](rec["exit"], rec["output"], tmp_path)[0] == []
     names = {span[0] for span in rec["spans"]}
-    assert {"cli.main", "ideal.verify_degree2_kernel", "linalg.ranks_mod_p"} <= names
+    assert {"cli.main", "ideal.verify_degree2_kernel", "curve.basis_rank_check"} <= names
 
 
 def test_traced_export_counts_the_bytes_it_wrote(tmp_path):

@@ -1,5 +1,6 @@
 """Command-line surface: reports, exit codes, formats, and file output."""
 
+import argparse
 import hashlib
 import importlib
 import io
@@ -22,7 +23,6 @@ import gfcring
 from gfcring import cli, curve, ideal, indexsets, reps
 from gfcring.cli import main
 from gfcring.ideal import export_ideal
-from gfcring.linalg import ranks_mod_p
 from gfcring.params import dim_vm, make_curve_params
 import references
 
@@ -126,21 +126,15 @@ def test_verify_single_curve(capsys):
         assert d2["span_rank"] == 3
 
 
-def test_verify_ranks_only_character_blocks(capsys, monkeypatch):
-    # A passing verify certifies every degree-2 rank and eliminates none:
-    # the only ranks it takes are of the basis classes, stacks of a few
-    # dozen rows at most, never the dense basis evaluation matrix.
-    shapes = {curve: [], ideal: []}
-    for module, seen in shapes.items():
-        def spy(stack, p, seen=seen):
-            seen.append(stack.shape)
-            return ranks_mod_p(stack, p)
-
-        monkeypatch.setattr(module, "ranks_mod_p", spy)
+def test_verify_eliminates_nothing(capsys, monkeypatch):
+    # A passing verify certifies every rank it takes, the degree-2 ranks and
+    # the basis classes alike, and calls ranks_mod_p nowhere.
+    calls = []
+    for module in (curve, ideal):
+        monkeypatch.setattr(module, "ranks_mod_p", lambda stack, p: calls.append(stack.shape))
     code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
     assert code == 0 and rep["passed"]
-    assert shapes[ideal] == []
-    assert shapes[curve] and max(rows for _, rows, _ in shapes[curve]) <= 30
+    assert calls == []
 
 
 def test_verify_k_2_n_9_is_frozen(capsys):
@@ -453,6 +447,52 @@ def test_reference_output(capsys, argv, code, name):
     with open(os.path.join(REFERENCE, name + ".txt")) as fh:
         expected = fh.read()
     assert run(capsys, *argv.split())[:2] == (code, expected)
+
+
+# The help texts at 80 columns, recorded once: the top-level help lists
+# every command, though a command's own parse builds only that command.
+@pytest.mark.parametrize("argv, name", [
+    ([], "help"), *(([command], command + "_help") for command in cli.COMMANDS)])
+def test_help_is_the_reference_text(capsys, monkeypatch, argv, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    with open(os.path.join(REFERENCE, name + ".txt")) as fh:
+        expected = fh.read()
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["export", "--k", "4", "--n", "4"], ["export"]),
+    (["info", "--help"], ["info"]),
+    ([], list(cli.COMMANDS)),
+    (["--help"], list(cli.COMMANDS)),
+    (["verif"], list(cli.COMMANDS)),
+    (["--k", "3", "verify"], list(cli.COMMANDS)),
+])
+def test_parser_builds_only_the_command_argv_names(argv, built):
+    parser = cli.build_parser(argv)
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == built
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--k", "3", "--n", "3", "--seed", "1"],
+    ["export", "--k", "3", "--n", "3"],
+])
+def test_a_fresh_run_never_imports_numpy_ma(argv):
+    # numpy imports numpy.ma lazily, on first use by np.unique for one: some
+    # 20 ms of a fresh process, more than such a run's whole computation.
+    src = os.path.dirname(os.path.dirname(gfcring.__file__))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "gfcring", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported
+    assert not [name for name in imported if name == "numpy.ma" or name.startswith("numpy.ma.")]
 
 
 # The (4,4) export is 12.6 MB of JSON: its sha256 and length, recorded

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from contextlib import contextmanager
 from itertools import islice
 from unittest import mock
 
@@ -393,44 +394,9 @@ def test_basis_rank_grid_two_primes():
                 )
 
 
-@settings(max_examples=20)  # enough draws to reach every curve
-@given(
-    curve_kn=st.sampled_from([(2, 4), (3, 3), (3, 4), (4, 3), (5, 3)]),
-    min_bound=st.integers(100, 3000),
-    seed=st.integers(0, 2**31),
-)
-def test_blocked_basis_rank_equals_dense_rank(curve_kn, min_bound, seed):
-    # One fiber fewer than the bound (rank-deficient), the bound, one more.
-    k, n = curve_kn
-    fiber = k ** (n - 1)
-    most = max(full_rank_oversample(k, n, m) for m in (1, 2, 3)) + fiber
-    pp = next(suitable_params(k, n, most, seed=seed, min_bound=min_bound))
-    ranks = []
-
-    def spy(stack, p):
-        ranks.append(ranks_mod_p(stack, p))
-        return ranks[-1]
-
-    for m in (1, 2, 3):
-        basis = enumerate_im(k, n, m).members
-        need = full_rank_oversample(k, n, m)
-        for count in (need - fiber, need, need + fiber):
-            pts, _ = sample_points(pp, count)
-            dense = rank_mod_p_array(evaluation_matrix(pp, pts, basis), pp.p)
-            ranks.clear()
-            with mock.patch.object(curve, "ranks_mod_p", spy):
-                full = basis_rank_check(pp, m, count)
-            assert sum(map(sum, ranks)) == dense and full == (dense == len(basis)), (m, count)
-            assert full == (count >= need)
-        with pytest.raises(ParameterError):
-            basis_rank_check(pp, m, need + 1)
-
-
-def test_basis_rank_check_ranks_every_class_in_two_stacks():
-    # (4,4), m = 3: 64 classes of up to 22 columns on 22 fibers, padded to
-    # one width, fit in two stacks within BASIS_STACK_CELLS.
-    need = full_rank_oversample(4, 4, 3)
-    pp = next(suitable_params(4, 4, need, seed=0))
+@contextmanager
+def stacks_ranked():
+    """The shapes of the stacks curve hands ranks_mod_p, which still ranks them."""
     shapes = []
 
     def spy(stack, p):
@@ -438,23 +404,121 @@ def test_basis_rank_check_ranks_every_class_in_two_stacks():
         return ranks_mod_p(stack, p)
 
     with mock.patch.object(curve, "ranks_mod_p", spy):
+        yield shapes
+
+
+def class_widths(k: int, n: int, m: int) -> dict:
+    """Columns per class of a mod k in the weight-m window."""
+    widths = {}
+    for t in enumerate_im(k, n, m):
+        cls = tuple(a % k for a in t[1:])
+        widths[cls] = widths.get(cls, 0) + 1
+    return widths
+
+
+@settings(max_examples=20)  # enough draws to reach every curve
+@given(
+    curve_kn=st.sampled_from([(2, 4), (3, 3), (3, 4), (4, 3), (5, 3)]),
+    min_bound=st.integers(100, 3000),
+    seed=st.integers(0, 2**31),
+    extra=st.integers(-1, 2),
+)
+def test_blocked_basis_rank_equals_dense_rank(curve_kn, min_bound, seed, extra):
+    # From one fiber fewer than the bound (rank-deficient) to two more, the
+    # certified class ranks add up to the dense rank over every point, and
+    # no class is eliminated.
+    k, n = curve_kn
+    fiber = k ** (n - 1)
+    most = max(full_rank_oversample(k, n, m) for m in (1, 2, 3)) + 2 * fiber
+    pp = next(suitable_params(k, n, most, seed=seed, min_bound=min_bound))
+    for m in (1, 2, 3):
+        basis = enumerate_im(k, n, m).members
+        need = full_rank_oversample(k, n, m)
+        count = need + extra * fiber
+        pts, _ = sample_points(pp, count)
+        dense = rank_mod_p_array(evaluation_matrix(pp, pts, basis), pp.p)
+        with stacks_ranked() as shapes:
+            assert curve._basis_rank(pp, m, pts) == dense, (m, count)
+            full = basis_rank_check(pp, m, count)
+        assert shapes == []
+        assert full == (dense == len(basis)) == (count >= need)
+        with pytest.raises(ParameterError):
+            basis_rank_check(pp, m, need + 1)
+
+
+def test_basis_rank_check_stacks_only_failing_classes(monkeypatch):
+    # (4,4), m = 3: a passing check stacks nothing.  With the last fiber a
+    # copy of the first, every class of two or more columns fails its
+    # certificate (one abscissa twice) and is stacked, within
+    # BASIS_STACK_CELLS; the one-column classes stay certified.  A class of
+    # width w then has rank min(F - 1, w): a Vandermonde block on F - 1
+    # distinct abscissas.
+    need = full_rank_oversample(4, 4, 3)
+    fibers = need // 4 ** 3
+    pp = next(suitable_params(4, 4, need, seed=0))
+    with stacks_ranked() as shapes:
         assert basis_rank_check(pp, 3, need)
-    assert len(shapes) <= 2 and sum(b for b, _, _ in shapes) == 4 ** 3
+    assert shapes == []
+    pts = sample_points(pp, need)[0].copy()
+    pts[-4 ** 3:] = pts[:4 ** 3]
+    monkeypatch.setattr(curve, "sample_points", lambda params, count: (pts, False))
+    widths = class_widths(4, 4, 3).values()
+    with stacks_ranked() as shapes:
+        assert curve._basis_rank(pp, 3, pts) == sum(min(fibers - 1, w) for w in widths)
+    assert sum(b for b, _, _ in shapes) == sum(w > 1 for w in widths)
     assert all(b * rows * cols <= curve.BASIS_STACK_CELLS for b, rows, cols in shapes)
+    assert not basis_rank_check(pp, 3, need)
 
 
-@pytest.mark.parametrize("k, n, m", [(3, 3, 2), (3, 4, 1), (4, 3, 3)])
+DEFECT_CURVES = [(3, 3, 2), (3, 4, 1), (4, 3, 3)]
+
+
+def widest_class(k, n, m):
+    """(class, its columns in basis order: r = 0, 1, ...) of the widest class."""
+    basis = enumerate_im(k, n, m).members
+    widths = class_widths(k, n, m)
+    cls = max(widths, key=widths.get)
+    return cls, [j for j, t in enumerate(basis) if tuple(a % k for a in t[1:]) == cls]
+
+
+def break_one_fiber(monkeypatch, cols, x, change):
+    """Patch curve.evaluation_matrix: the columns cols, at every point over x,
+    become change(entries).  A fiber's points then still split by class, so
+    the dense rank stays the sum of the class ranks on one point per fiber."""
+    evaluate = curve.evaluation_matrix
+
+    def broken(params, points, rows):
+        out = evaluate(params, points, rows)
+        at = np.ix_(np.asarray(points)[:, 0] == x, cols)
+        out[at] = change(out[at])
+        return out
+
+    monkeypatch.setattr(curve, "evaluation_matrix", broken)
+    return broken
+
+
+def assert_only_class_eliminated(k, n, m, pp, evaluate, cls):
+    """The broken class cls alone is stacked, the rank is the dense rank, and
+    the verdict is the dense rank's."""
+    need = full_rank_oversample(k, n, m)
+    pts = sample_points(pp, need)[0]
+    dense = rank_mod_p_array(evaluate(pp, pts, enumerate_im(k, n, m).members), pp.p)
+    with stacks_ranked() as shapes:
+        assert curve._basis_rank(pp, m, pts) == dense
+    assert shapes == [(1, need // k ** (n - 1), class_widths(k, n, m)[cls])]
+    assert basis_rank_check(pp, m, need) == (dense == dim_vm(k, n, m))
+    return dense
+
+
+@pytest.mark.parametrize("k, n, m", DEFECT_CURVES)
 def test_a_deficiency_in_one_class_fails_the_basis_check(monkeypatch, k, n, m):
-    # One column copied onto another of its class (the same a mod k): the
-    # class loses one rank, and the padded stacks' ranks still add up to the
-    # rank of the dense matrix over every point.
+    # One column copied onto another of its class (the same a mod k) at every
+    # point: that class alone fails its x-step, is eliminated, and loses one
+    # rank.
     need = full_rank_oversample(k, n, m)
     pp = next(suitable_params(k, n, need, seed=2))
-    basis = enumerate_im(k, n, m).members
-    by_class = {}
-    for col, t in enumerate(basis):
-        by_class.setdefault(tuple(a % k for a in t[1:]), []).append(col)
-    src, dst = next(cols for cols in by_class.values() if len(cols) > 1)[:2]
+    cls, cols = widest_class(k, n, m)
+    src, dst = cols[:2]
     evaluate = curve.evaluation_matrix
 
     def copied(params, points, rows):
@@ -462,14 +526,73 @@ def test_a_deficiency_in_one_class_fails_the_basis_check(monkeypatch, k, n, m):
         out[:, dst] = out[:, src]
         return out
 
-    ranks = []
-
-    def spy(stack, p):
-        ranks.append(ranks_mod_p(stack, p))
-        return ranks[-1]
-
     monkeypatch.setattr(curve, "evaluation_matrix", copied)
-    monkeypatch.setattr(curve, "ranks_mod_p", spy)
+    assert assert_only_class_eliminated(k, n, m, pp, copied, cls) == dim_vm(k, n, m) - 1
+
+
+@pytest.mark.parametrize("k, n, m", DEFECT_CURVES)
+def test_a_zero_in_a_root_column_is_eliminated(monkeypatch, k, n, m):
+    # The widest class vanishes on the last fiber, its r = 0 column there
+    # too: every x-step still holds, but the root column has a zero, so that
+    # class alone is eliminated, and it loses a rank.
+    need = full_rank_oversample(k, n, m)
+    pp = next(suitable_params(k, n, need, seed=2))
+    cls, cols = widest_class(k, n, m)
+    x = sample_points(pp, need)[0][-1, 0]
+    broken = break_one_fiber(monkeypatch, cols, x, lambda v: 0 * v)
+    assert assert_only_class_eliminated(k, n, m, pp, broken, cls) == dim_vm(k, n, m) - 1
+
+
+@pytest.mark.parametrize("k, n, m", DEFECT_CURVES)
+def test_a_broken_x_step_is_eliminated(monkeypatch, k, n, m):
+    # The widest class's r = 1 column doubles on the last fiber: it is no
+    # longer its r = 0 column times x there, so that class alone is
+    # eliminated.
+    need = full_rank_oversample(k, n, m)
+    pp = next(suitable_params(k, n, need, seed=2))
+    cls, cols = widest_class(k, n, m)
+    x = sample_points(pp, need)[0][-1, 0]
+    assert x % pp.p  # else doubling would change nothing
+    broken = break_one_fiber(monkeypatch, cols[1:2], x, lambda v: 2 * v % pp.p)
+    assert_only_class_eliminated(k, n, m, pp, broken, cls)
+
+
+@pytest.mark.parametrize("k, n, m", DEFECT_CURVES)
+def test_fibers_with_one_x_are_eliminated(monkeypatch, k, n, m):
+    # The last fiber a copy of the first: every class of two or more columns
+    # is eliminated, the one-column classes stay certified, and the widest
+    # class loses a rank, so the check fails.
+    need = full_rank_oversample(k, n, m)
+    fiber = k ** (n - 1)
+    pp = next(suitable_params(k, n, need, seed=2))
+    pts = sample_points(pp, need)[0].copy()
+    pts[-fiber:] = pts[:fiber]
+    monkeypatch.setattr(curve, "sample_points", lambda params, count: (pts, False))
+    dense = rank_mod_p_array(evaluation_matrix(pp, pts, enumerate_im(k, n, m).members), pp.p)
+    with stacks_ranked() as shapes:
+        assert curve._basis_rank(pp, m, pts) == dense == dim_vm(k, n, m) - 1
+    assert sum(b for b, _, _ in shapes) == sum(w > 1 for w in class_widths(k, n, m).values())
     assert not basis_rank_check(pp, m, need)
-    dense = rank_mod_p_array(copied(pp, sample_points(pp, need)[0], basis), pp.p)
-    assert sum(map(sum, ranks)) == dense == len(basis) - 1
+
+
+@pytest.mark.parametrize("k, n, m", [(3, 3, 2), (4, 3, 2), (3, 4, 3)])
+def test_a_class_of_two_a_is_eliminated(monkeypatch, k, n, m):
+    # A window one wider below, (m-1)(k-1) - 1 <= a_j: a class now holds two
+    # a with one residue mod k, so two r = 0 columns, whose x-steps all
+    # hold.  Exactly those classes are eliminated.
+    lo = (m - 1) * (k - 1) - 1
+    lattice = curve._lattice
+    rows = lattice(k, n, m, lo)[0]
+    monkeypatch.setattr(curve, "_lattice", lambda k, n, m: lattice(k, n, m, lo))
+    roots = {}
+    for a in rows[rows[:, 0] == 0, 1:].tolist():
+        roots.setdefault(tuple(v % k for v in a), []).append(a)
+    twice = [cls for cls, a in roots.items() if len(a) > 1]
+    assert twice
+    need = full_rank_oversample(k, n, m)
+    pp = next(suitable_params(k, n, need, seed=2))
+    pts = sample_points(pp, need)[0]
+    dense = rank_mod_p_array(evaluation_matrix(pp, pts, rows), pp.p)
+    with stacks_ranked() as shapes:
+        assert curve._basis_rank(pp, m, pts) == dense
+    assert sum(b for b, _, _ in shapes) == len(twice)
