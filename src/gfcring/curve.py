@@ -20,13 +20,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .indexsets import IndexTuple, _lattice
-from .linalg import ranks_mod_p, require_int64_prime
+from .linalg import rank_mod_p
 from .params import (
     CurveParams,
     ParameterError,
     default_prime_bound,
     dim_vm,
     make_curve_params,
+    require_int64_prime,
 )
 
 
@@ -290,14 +291,6 @@ def full_rank_oversample(k: int, n: int, m: int) -> int:
     return k ** (n - 1) * fibers
 
 
-# Cells per stack of the evaluation blocks that fail their certificate in
-# basis_rank_check, which a passing check never forms.  2^14 ranked all 64
-# classes at (4,4), m = 3, in two stacks, and `verify --k 6 --n 4 --seed 1`
-# peaked at 59.5 MB with it, as with 2^12; 2^16 raised that check's peak RSS
-# by 0.7 MB (2 vCPUs, Python 3.11, numpy 2.4).
-BASIS_STACK_CELLS = 1 << 14
-
-
 def basis_rank_check(params: CurveParams, m: int, oversample: int) -> bool:
     """True iff the weight-m basis evaluated at `oversample` points has rank d_m.
 
@@ -338,9 +331,8 @@ def _basis_rank(params: CurveParams, m: int, points: np.ndarray) -> int:
       width >= 2 needs this.  sample_points' fibers ascend, and the test
       needs no sort: a process's first np.sort raised the peak RSS of this
       check by 0.37 MB (numpy 2.4).
-    Only the classes that fail are eliminated: one (F x widest failing
-    class) block each, a short one padded with zero columns, which add no
-    rank, ranked as ranks_mod_p stacks within BASIS_STACK_CELLS cells.
+    Only the classes that fail are eliminated, each its own (F x width)
+    block, by rank_mod_p.
     """
     k, n, p = params.k, params.n, params.p
     fiber = k ** (n - 1)
@@ -365,15 +357,4 @@ def _basis_rank(params: CurveParams, m: int, points: np.ndarray) -> int:
     if not np.all(x[1:] > x[:-1]):  # sample_points' fibers ascend in x
         failed |= size > 1
     rank = int(np.minimum(size[~failed], len(x)).sum())
-    if not failed.any():
-        return rank
-    # A row of column indices per failing class, in basis order; len(basis)
-    # names the zero column appended to firsts.
-    order = np.argsort(cls, kind="stable")
-    table = np.full((fiber, size.max()), len(basis))
-    table[cls[order], np.arange(len(basis)) - np.repeat(np.cumsum(size) - size, size)] = order
-    table = table[failed, :size[failed].max()]
-    firsts = np.pad(firsts, ((0, 0), (0, 1)))
-    per = max(1, BASIS_STACK_CELLS // max(table.shape[1] * len(firsts), 1))
-    return rank + sum(int(ranks_mod_p(firsts[:, table[at:at + per]].transpose(1, 0, 2), p).sum())
-                      for at in range(0, len(table), per))
+    return rank + sum(rank_mod_p(firsts[:, cls == c], p) for c in np.flatnonzero(failed))

@@ -64,9 +64,14 @@ from .indexsets import (
     standard_set_identity,
     total_degree_d_monomials,
 )
-from .linalg import CHUNK_CELLS, ranks_mod_p
+from .linalg import rank_mod_p
 from .params import CurveParams, ParameterError, dim_vm
 from .reps import character_of
+
+# Cells per chunk of the point check's evaluations and of the relation
+# join: past it the temporaries cost more memory than the saved Python
+# steps are worth.
+CHUNK_CELLS = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -215,9 +220,10 @@ def _character_blocks(
     of their parts under h.  That rank is at least h's count of distinct
     leading fibers, in the order of -sum(a), then sumset row (a trinomial's
     is its down-fiber t - k*e_i, coefficient 1), and, when they vanish, at
-    most (fibers of h) - rank(phi2_h), the kernel's dimension.  A block is
-    ranked by ranks_mod_p only where a unit column fails, the bounds miss,
-    or a relation does not vanish; a passing run ranks none.
+    most (fibers of h) - rank(phi2_h), the kernel's dimension.  h's block,
+    its rows by its fibers, is ranked by rank_mod_p only where a unit column
+    fails, the bounds miss, or a relation does not vanish; a passing run
+    ranks none.
     """
     k, n, p = params.k, params.n, params.p
     fibers, coeff = rels
@@ -230,9 +236,9 @@ def _character_blocks(
     def ranked(h: int, at: np.ndarray, rows: int, fiber: np.ndarray, entry: np.ndarray) -> int:
         """The rank of h's block of `rows` rows by its fibers, entry at (at, fiber)."""
         cols = np.flatnonzero(char == h)
-        block = np.zeros((1, rows, len(cols)), dtype=np.int64)
-        block[0, at, np.searchsorted(cols, fiber)] = entry
-        return int(ranks_mod_p(block, p)[0])
+        block = np.zeros((rows, len(cols)), dtype=np.int64)
+        block[at, np.searchsorted(cols, fiber)] = entry
+        return rank_mod_p(block, p)
 
     # phi2: each window fiber's column, one nonzero entry, 1 at its own row.
     unit = (wkeys[row] == keys[col]) & (value == 1)

@@ -90,6 +90,12 @@ def is_prime(p: int) -> bool:
                for a in MILLER_RABIN_BASES)
 
 
+def require_int64_prime(p: int) -> None:
+    """Products of two residues fit in int64 only while p^2 < 2^62."""
+    if p * p >= 2**62:
+        raise ParameterError(f"p = {p} is too large for int64 arithmetic (need p^2 < 2^62)")
+
+
 def find_prime_and_root(k: int, min_bound: int) -> tuple[int, int]:
     """Smallest prime p >= min_bound with p = 1 (mod k), and a root of unity.
 

@@ -2,7 +2,7 @@
 gfcring computes on one production path, kept here as oracles.
 
   - rank_mod_p_array with its _eliminate, the rank of one matrix, one
-    Python step per pivot: the per-matrix oracle of linalg.ranks_mod_p;
+    Python step per pivot: the oracle of linalg.rank_mod_p;
   - evaluate_theta, the scalar form of curve.evaluation_matrix;
   - is_on_curve and scan_by_x, the point test and the point scan one x
     and one point at a time: the oracle of curve._scan, which tests x in
@@ -73,8 +73,7 @@ from gfcring.ideal import (
     variable_name,
 )
 from gfcring.indexsets import IndexTuple, _lattice, enumerate_im
-from gfcring.linalg import require_int64_prime
-from gfcring.params import CurveParams, ParameterError
+from gfcring.params import CurveParams, ParameterError, require_int64_prime
 from gfcring.reps import all_labels, character_of, nu_closed
 
 

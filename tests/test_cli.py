@@ -127,14 +127,23 @@ def test_verify_single_curve(capsys):
 
 
 def test_verify_eliminates_nothing(capsys, monkeypatch):
-    # A passing verify certifies every rank it takes, the degree-2 ranks and
-    # the basis classes alike, and calls ranks_mod_p nowhere.
+    # The benchmark's passing commands certify every rank they take, the
+    # degree-2 ranks and the basis classes alike, and call rank_mod_p
+    # nowhere: its one 2-D block at a time is sized for failing runs only.
+    # Each command runs at seeds 0 and 1; the basis check is the one of
+    # (4,4), m = 3, at the first prime above twice its points.
     calls = []
     for module in (curve, ideal):
-        monkeypatch.setattr(module, "ranks_mod_p", lambda stack, p: calls.append(stack.shape))
-    code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
-    assert code == 0 and rep["passed"]
-    assert calls == []
+        monkeypatch.setattr(module, "rank_mod_p", lambda mat, p: calls.append(mat.shape))
+    need = curve.full_rank_oversample(4, 4, 3)
+    for seed in ("0", "1"):
+        for argv in (["verify", "--k", "5", "--n", "3"],
+                     ["verify", "--grid", "--kmax", "4", "--nmax", "5", "--mmax", "3"]):
+            code, rep, _ = run_json(capsys, *argv, "--seed", seed)
+            assert code == 0 and rep["passed"] and calls == [], (argv, seed)
+        pp = next(curve.suitable_params(4, 4, need, seed=int(seed), min_bound=2 * need))
+        assert pp.p == 2833
+        assert curve.basis_rank_check(pp, 3, need) and calls == [], seed
 
 
 def test_verify_k_2_n_9_is_frozen(capsys):
@@ -234,8 +243,10 @@ TEST_ONLY = [
     "AffinePoint", "apply_group_to_point",
 ]
 # Views deleted from the package, whose second routes are the tuple references
-# minkowski_di1_by_tuples and enumerate_ci_by_tuples, and the J_h filter of mu.
-DELETED = ["minkowski_di1", "enumerate_ci", "enumerate_jd"]
+# minkowski_di1_by_tuples and enumerate_ci_by_tuples, and the J_h filter of mu;
+# and the stacked rank kernel with its stack bound, replaced by one 2-D
+# linalg.rank_mod_p.
+DELETED = ["minkowski_di1", "enumerate_ci", "enumerate_jd", "ranks_mod_p", "BASIS_STACK_CELLS"]
 
 
 def test_test_only_references_stay_out_of_the_package():

@@ -24,7 +24,7 @@ from gfcring.curve import (
     suitable_params,
 )
 from gfcring.indexsets import enumerate_im
-from gfcring.linalg import ranks_mod_p
+from gfcring.linalg import rank_mod_p
 from gfcring.params import (
     ParameterError,
     dim_vm,
@@ -395,15 +395,15 @@ def test_basis_rank_grid_two_primes():
 
 
 @contextmanager
-def stacks_ranked():
-    """The shapes of the stacks curve hands ranks_mod_p, which still ranks them."""
+def blocks_ranked():
+    """The shapes of the blocks curve hands rank_mod_p, which still ranks them."""
     shapes = []
 
-    def spy(stack, p):
-        shapes.append(stack.shape)
-        return ranks_mod_p(stack, p)
+    def spy(mat, p):
+        shapes.append(mat.shape)
+        return rank_mod_p(mat, p)
 
-    with mock.patch.object(curve, "ranks_mod_p", spy):
+    with mock.patch.object(curve, "rank_mod_p", spy):
         yield shapes
 
 
@@ -437,7 +437,7 @@ def test_blocked_basis_rank_equals_dense_rank(curve_kn, min_bound, seed, extra):
         count = need + extra * fiber
         pts, _ = sample_points(pp, count)
         dense = rank_mod_p_array(evaluation_matrix(pp, pts, basis), pp.p)
-        with stacks_ranked() as shapes:
+        with blocks_ranked() as shapes:
             assert curve._basis_rank(pp, m, pts) == dense, (m, count)
             full = basis_rank_check(pp, m, count)
         assert shapes == []
@@ -446,27 +446,26 @@ def test_blocked_basis_rank_equals_dense_rank(curve_kn, min_bound, seed, extra):
             basis_rank_check(pp, m, need + 1)
 
 
-def test_basis_rank_check_stacks_only_failing_classes(monkeypatch):
-    # (4,4), m = 3: a passing check stacks nothing.  With the last fiber a
-    # copy of the first, every class of two or more columns fails its
-    # certificate (one abscissa twice) and is stacked, within
-    # BASIS_STACK_CELLS; the one-column classes stay certified.  A class of
+def test_basis_rank_check_eliminates_only_failing_classes(monkeypatch):
+    # (4,4), m = 3: a passing check eliminates nothing.  With the last fiber
+    # a copy of the first, every class of two or more columns fails its
+    # certificate (one abscissa twice) and is ranked as one (F x width)
+    # block of its own; the one-column classes stay certified.  A class of
     # width w then has rank min(F - 1, w): a Vandermonde block on F - 1
     # distinct abscissas.
     need = full_rank_oversample(4, 4, 3)
     fibers = need // 4 ** 3
     pp = next(suitable_params(4, 4, need, seed=0))
-    with stacks_ranked() as shapes:
+    with blocks_ranked() as shapes:
         assert basis_rank_check(pp, 3, need)
     assert shapes == []
     pts = sample_points(pp, need)[0].copy()
     pts[-4 ** 3:] = pts[:4 ** 3]
     monkeypatch.setattr(curve, "sample_points", lambda params, count: (pts, False))
     widths = class_widths(4, 4, 3).values()
-    with stacks_ranked() as shapes:
+    with blocks_ranked() as shapes:
         assert curve._basis_rank(pp, 3, pts) == sum(min(fibers - 1, w) for w in widths)
-    assert sum(b for b, _, _ in shapes) == sum(w > 1 for w in widths)
-    assert all(b * rows * cols <= curve.BASIS_STACK_CELLS for b, rows, cols in shapes)
+    assert sorted(shapes) == sorted((fibers, w) for w in widths if w > 1)
     assert not basis_rank_check(pp, 3, need)
 
 
@@ -498,14 +497,14 @@ def break_one_fiber(monkeypatch, cols, x, change):
 
 
 def assert_only_class_eliminated(k, n, m, pp, evaluate, cls):
-    """The broken class cls alone is stacked, the rank is the dense rank, and
+    """The broken class cls alone is eliminated, the rank is the dense rank, and
     the verdict is the dense rank's."""
     need = full_rank_oversample(k, n, m)
     pts = sample_points(pp, need)[0]
     dense = rank_mod_p_array(evaluate(pp, pts, enumerate_im(k, n, m).members), pp.p)
-    with stacks_ranked() as shapes:
+    with blocks_ranked() as shapes:
         assert curve._basis_rank(pp, m, pts) == dense
-    assert shapes == [(1, need // k ** (n - 1), class_widths(k, n, m)[cls])]
+    assert shapes == [(need // k ** (n - 1), class_widths(k, n, m)[cls])]
     assert basis_rank_check(pp, m, need) == (dense == dim_vm(k, n, m))
     return dense
 
@@ -569,9 +568,10 @@ def test_fibers_with_one_x_are_eliminated(monkeypatch, k, n, m):
     pts[-fiber:] = pts[:fiber]
     monkeypatch.setattr(curve, "sample_points", lambda params, count: (pts, False))
     dense = rank_mod_p_array(evaluation_matrix(pp, pts, enumerate_im(k, n, m).members), pp.p)
-    with stacks_ranked() as shapes:
+    with blocks_ranked() as shapes:
         assert curve._basis_rank(pp, m, pts) == dense == dim_vm(k, n, m) - 1
-    assert sum(b for b, _, _ in shapes) == sum(w > 1 for w in class_widths(k, n, m).values())
+    assert sorted(shapes) == sorted((need // fiber, w)
+                                    for w in class_widths(k, n, m).values() if w > 1)
     assert not basis_rank_check(pp, m, need)
 
 
@@ -593,6 +593,6 @@ def test_a_class_of_two_a_is_eliminated(monkeypatch, k, n, m):
     pp = next(suitable_params(k, n, need, seed=2))
     pts = sample_points(pp, need)[0]
     dense = rank_mod_p_array(evaluation_matrix(pp, pts, rows), pp.p)
-    with stacks_ranked() as shapes:
+    with blocks_ranked() as shapes:
         assert curve._basis_rank(pp, m, pts) == dense
-    assert sum(b for b, _, _ in shapes) == len(twice)
+    assert [rows for rows, _ in shapes] == [need // k ** (n - 1)] * len(twice)
