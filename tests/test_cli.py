@@ -717,8 +717,9 @@ def test_verify_rejects_a_huge_prime_before_testing_it(capsys, monkeypatch, argv
 
 
 # A child process under an address-space limit that this interpreter, numpy
-# (with one BLAS thread, whose buffers count against the limit) and the
-# gfcring imports fit in, but the command's enumeration does not.
+# and the gfcring imports fit in, but the command's enumeration does not.
+# gfcring loads numpy with one BLAS thread, so only one thread's buffers
+# count against the limit.
 MEMORY_LIMIT = 600 * 2**20
 
 
@@ -727,7 +728,7 @@ def test_out_of_memory_is_one_json_error_line():
         resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
     src = os.path.dirname(os.path.dirname(gfcring.__file__))
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": src}
     argv = ["multiplicities", "--k", "30", "--n", "6", "--kind", "nu", "--m", "2"]
     proc = subprocess.run([sys.executable, "-m", "gfcring", *argv], capture_output=True,
                           text=True, env=env, preexec_fn=limit, timeout=60)
