@@ -12,8 +12,8 @@ Two relation families span the degree-2 kernel of the evaluation map:
     for every relation index i and t in the corresponding C_i set,
 the latter vanishing because lam_i + x^k + y_{i+1}^k = 0 on the curve.
 
-The monomials are one (N, 2) array of window-index pairs, sorted by their
-index sums' keys in the sumset's mixed radix, and each fiber is one run of
+For export, the monomials are one (N, 2) array of window-index pairs, sorted
+by their index sums' keys in the sumset's mixed radix, each fiber one run of
 its rows in term order, tau first: the runs follow the rows of the sumset
 _lattice(k, n, 2, 0), and one offsets array names them.  The generators
 are window-index arrays read off these runs, with no field in them:
@@ -27,12 +27,11 @@ three fibers and their coefficients, and both kernel checks read these
 arrays.  The symbolic check joins each relation's terms with phi2's entries
 at their fibers, from its closed form.  Its (Z/k)^n character ranks are
 certified, not eliminated, so the span check rests on it (see
-_character_blocks).  The pointwise check, which matches each binomial run's
-index sums to its fiber and evaluates the trinomials at sampled points with
-curve.evaluation_matrix, and verify's comparison of the ranks with
-syzygy_table stay independent of both.  Of the monomials, verify reads only
-the run lengths and that index-sum check.  The verdict is a plain dict, which
-verify prints per prime, character labels joined to strings.
+_character_blocks).  The pointwise check, which evaluates the trinomials at
+sampled points with curve.evaluation_matrix, and verify's comparison of the
+ranks with syzygy_table stay independent of both.  Of the monomials, verify
+reads only their count per fiber, _fiber_sizes, which files each pair under
+its own index sum.  The verdict is a plain dict, printed per prime.
 
 export_ideal writes the generator arrays as the JSON text that
 json.dumps(payload, indent=2) gives, byte for byte, without running the
@@ -103,6 +102,25 @@ def _degree2_data(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs, edges
 
 
+@lru_cache(maxsize=None)
+def _fiber_sizes(k: int, n: int) -> np.ndarray:
+    """The number of degree-2 monomials over each row of _lattice(k, n, 2, 0),
+    read-only intp: each pair i <= j of window rows is counted at its index
+    sum's row, one i at a time, and every row must be hit.  No digit of a sum
+    carries, so a pair's key is the sum of its members' keys; the sums with
+    one i are distinct, so each += counts once."""
+    window = _lattice(k, n, 1)[0]
+    _, keys, dims = _lattice(k, n, 2, 0)
+    assert np.all(2 * window.max(axis=0) < dims)
+    wkey = np.ravel_multi_index(window.T, dims)
+    size = np.zeros(len(keys), dtype=np.intp)
+    for i in range(len(window)):
+        size[_lookup(keys, wkey[i] + wkey[i:])] += 1
+    assert size.all()
+    size.flags.writeable = False
+    return size
+
+
 def generate_binomials(k: int, n: int) -> np.ndarray:
     """(B, 4) int32 window indices (i, j, i', j') of each binomial
     z_i*z_j - z_i'*z_j': every row of every fiber run after the first, paired
@@ -159,35 +177,16 @@ def _phi2_entries(params: CurveParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return at, fiber, value[(low @ (1 << np.arange(n - 1)))[fiber], s]
 
 
-@lru_cache(maxsize=None)
-def _binomials_share_sums(k: int, n: int) -> bool:
-    """Whether every row of every fiber run has that fiber as its index sum:
-    then each binomial M - tau(t) vanishes on the curve, as x^r * prod
-    y_j^(-a_j) is multiplicative in the index.  No prime enters, so it runs
-    once per curve."""
-    window = _lattice(k, n, 1)[0].astype(np.int32)
-    sumset = _lattice(k, n, 2, 0)[0]
-    pairs, edges = _degree2_data(k, n)
-    return all(np.array_equal(w[pairs[:, 0]] + w[pairs[:, 1]], np.repeat(t, np.diff(edges)))
-               for w, t in zip(window.T, sumset.T.astype(np.int32)))
-
-
 def _relations_vanish_at(
     params: CurveParams, rels: tuple[np.ndarray, np.ndarray], points: np.ndarray
 ) -> bool:
-    """Whether every binomial, and every fiber row at each of the (P, n)
-    points, vanishes.
-
-    The binomials are checked by their index sums, with no points.  The
-    rows (fibers, coeff), sumset rows and coefficients, are read off
-    evaluation matrices of points x sumset rows, a block of points at a
-    time, each block's values and terms within CHUNK_CELLS cells (or one
-    point).  The sumset's exponent table, its intp rows in Fortran order,
-    is built once for all blocks.  The terms are laid out term by term, so
-    the sums add rows.
-    """
-    if not _binomials_share_sums(params.k, params.n):
-        return False
+    """Whether every row of rels = (fibers, coeff), sumset rows and their
+    coefficients, vanishes at each of the (P, n) points: read off evaluation
+    matrices of points x sumset rows, a block of points at a time, each
+    block's values and terms within CHUNK_CELLS cells (or one point).  The
+    sumset's exponent table, its intp rows in Fortran order, is built once
+    for all blocks.  The terms are laid out term by term, so the sums add
+    rows."""
     p = params.p
     fibers, coeff = (np.ascontiguousarray(a.T) for a in (rels[0], rels[1] % p))
     sumset = np.asfortranarray(_lattice(params.k, params.n, 2, 0)[0], dtype=np.intp)
@@ -279,7 +278,7 @@ def _character_blocks(
         r, j = np.nonzero((coeff % p != 0) & (char[fibers] == h))
         new = np.diff(r, prepend=-1) != 0  # a relation's first term under h
         ranks[h] = ranked(h, np.cumsum(new) - 1, new.sum(), fibers[r, j], coeff[r, j] % p)
-    binomials = np.diff(_degree2_data(k, n)[1]) - 1  # per fiber, sumset rows ascending
+    binomials = _fiber_sizes(k, n) - 1  # per fiber, sumset rows ascending
     dims = np.bincount(char, binomials, k ** n).astype(np.int64) + ranks
     nonzero = np.flatnonzero(dims)
     label = zip(*(a.tolist() for a in np.unravel_index(nonzero, (k,) * n)))
@@ -306,8 +305,8 @@ def verify_degree2_kernel(params: CurveParams) -> dict:
 
     (a) each trinomial's fiber row, built once, maps to zero in the weight-2
         basis (joined with phi2's entries, exactly mod p; a binomial's row
-        is zero), every binomial's monomials share an index sum, and every
-        trinomial row vanishes at KERNEL_POINTS curve points;
+        is zero, as _fiber_sizes counts each monomial at its index sum), and
+        every trinomial row vanishes at KERNEL_POINTS curve points;
     (b) the relation span has rank dim S_2 - dim V_2 (with the evaluation
         matrix itself of full rank dim V_2), both ranks summed over the
         character blocks, where (a) and two bounds certify them;
@@ -319,12 +318,12 @@ def verify_degree2_kernel(params: CurveParams) -> dict:
     """
     k, n, p = params.k, params.n, params.p
     d2 = dim_vm(k, n, 2)
-    size = np.diff(_degree2_data(k, n)[1])  # the fiber sizes, sumset rows ascending
+    size = _fiber_sizes(k, n)
     dim_s2 = int(size.sum())
     assert dim_s2 == total_degree_d_monomials(k, n, 2)
     rows = _trinomial_rows(params)
 
-    # (a) pointwise: binomials by their index sums, trinomials at points.
+    # (a) pointwise: the trinomials at points.
     points, shortfall = sample_points(params, KERNEL_POINTS)
     if shortfall:
         raise InsufficientPointsError(

@@ -16,7 +16,8 @@ gfcring computes on one production path, kept here as oracles.
     ideal._degree2_data keeps within each fiber and verify's check (d)
     reads off the fibers;
   - degree2_monomials, the rows of ideal._degree2_data as tuples of
-    window members, which export and verify read as index arrays;
+    window members, which export alone reads, as index arrays (verify reads
+    only ideal._fiber_sizes, their count per fiber);
   - reduce_stepwise, the weight-2 rewriting one curve equation at a time,
     the oracle for the closed form of ideal._phi2_entries;
   - reduce_to_basis and phi2_matrix, one fiber's closed-form rewriting and

@@ -210,16 +210,6 @@ def test_verify_builds_no_index_set(capsys, monkeypatch):
     assert built == []
 
 
-def test_verify_compares_binomial_sums_once_per_curve(capsys):
-    # The binomials' index-sum comparison takes no prime: both primes ask,
-    # and it runs once.
-    ideal._binomials_share_sums.cache_clear()
-    code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
-    assert code == 0 and rep["passed"] and len(rep["primes"]) == 2
-    info = ideal._binomials_share_sums.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-
-
 def test_verify_evaluates_through_the_matrix_kernel_only(capsys):
     # The equivariance check reads character_of through evaluation_matrix;
     # the scalar references live in the tests alone.

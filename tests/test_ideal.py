@@ -27,10 +27,10 @@ from gfcring.ideal import (
     variable_name,
     verify_degree2_kernel,
 )
-from gfcring.indexsets import _lattice, enumerate_im
+from gfcring.indexsets import _lattice, enumerate_im, total_degree_d_monomials
 from gfcring.linalg import rank_mod_p
 from gfcring.params import ParameterError, dim_vm, make_curve_params
-from gfcring.reps import character_of, nu_table, syzygy_table
+from gfcring.reps import character_of, mu_table, nu_table, syzygy_table
 import references
 from references import (
     Relation,
@@ -559,7 +559,7 @@ def test_symbolic_check_keeps_no_three_dimensional_product():
     # phi2 rows) product at (2,7) would peak above 4 MiB here.
     pp = make_curve_params(2, 7, seed=1)
     rows = ideal._trinomial_rows(pp)
-    ideal._degree2_data(2, 7), enumerate_im(2, 7, 2)  # warm the caches
+    ideal._fiber_sizes(2, 7), enumerate_im(2, 7, 2)  # warm the caches
     tracemalloc.start()
     try:
         assert _character_blocks(pp, rows)[0]
@@ -570,9 +570,9 @@ def test_symbolic_check_keeps_no_three_dimensional_product():
 
 
 def test_verify_reads_each_fiber_once(monkeypatch):
-    # The degree-2 data are one sort of window-index pairs by an integer key
-    # per index sum.  verify reads the fiber runs instead of building the
-    # generator arrays, and builds the trinomial rows and phi2 once.
+    # verify reads the fiber sizes, counted once per curve, instead of
+    # sorting the monomials or building the generator arrays, and builds the
+    # trinomial rows and phi2 once per prime.
     calls = []
 
     def spy(fn):
@@ -581,15 +581,32 @@ def test_verify_reads_each_fiber_once(monkeypatch):
             return fn(*args)
         return counted
 
-    pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
-    ideal._degree2_data.cache_clear()
-    for fn in (generate_binomials, generate_trinomials, ideal._trinomial_rows,
-               ideal._phi2_entries):
+    primes = list(itertools.islice(suitable_params(3, 4, KERNEL_POINTS, seed=1), 2))
+    ideal._fiber_sizes.cache_clear()
+    for fn in (ideal._degree2_data, generate_binomials, generate_trinomials,
+               ideal._trinomial_rows, ideal._phi2_entries):
         monkeypatch.setattr(ideal, fn.__name__, spy(fn))
-    ideal._degree2_data(3, 4)
-    assert calls == []
-    assert verify_degree2_kernel(pp)["passed"]
-    assert calls == [("_trinomial_rows", (pp,)), ("_phi2_entries", (pp,))]
+    assert all(verify_degree2_kernel(pp)["passed"] for pp in primes)
+    assert calls == [(name, (pp,)) for pp in primes
+                     for name in ("_trinomial_rows", "_phi2_entries")]
+    info = ideal._fiber_sizes.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+
+
+def test_verify_builds_no_array_of_every_monomial():
+    # At (6,4) the (dim S_2, 2) int32 pair array alone is 7.9 MB; with the
+    # index caches warm, the degree-2 check peaks well below it.
+    pp = next(suitable_params(6, 4, KERNEL_POINTS, seed=1))
+    ideal._fiber_sizes.cache_clear()
+    _lattice(6, 4, 1), _lattice(6, 4, 2), _lattice(6, 4, 2, 0)
+    sample_points(pp, KERNEL_POINTS)
+    tracemalloc.start()
+    try:
+        assert verify_degree2_kernel(pp)["passed"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * total_degree_d_monomials(6, 4, 2)
 
 
 def sorted_key_route(k, n):
@@ -604,8 +621,11 @@ def sorted_key_route(k, n):
     }
 
 
-@pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (4, 2), (5, 2), (3, 4), (4, 4), (2, 7),
-                                 (5, 3), (8, 2), (7, 3), (2, 8)])
+FIBER_CURVES = [(2, 4), (3, 3), (4, 2), (5, 2), (3, 4), (4, 4), (2, 7), (5, 3), (8, 2),
+                (7, 3), (2, 8)]
+
+
+@pytest.mark.parametrize("k,n", FIBER_CURVES)
 def test_fiber_runs_match_the_sorted_key_route(k, n):
     expected = sorted_key_route(k, n)
     monos = degree2_monomials(k, n)
@@ -616,34 +636,48 @@ def test_fiber_runs_match_the_sorted_key_route(k, n):
     # check (d)'s key, sumset row - r*F, orders the fibers as the term order does
     term_key = np.arange(len(fibers)) - np.array([t[0] for t in fibers]) * len(fibers)
     assert [fibers[f] for f in np.argsort(term_key)] == list(expected)
+    # verify's count is the sort's run lengths, and per character it is mu
+    size = ideal._fiber_sizes(k, n)
+    assert np.array_equal(size, np.diff(edges))
+    mu = mu_table(k, n, 2)
+    assert np.bincount(sumset_characters(k, n), weights=size, minlength=k ** n).tolist() == [
+        mu[h] for h in itertools.product(range(k), repeat=n)]
+
+
+def binomials_share_sums(k, n):
+    """Whether the two monomials of every generate_binomials row have one
+    index sum, compared coordinate by coordinate: then the binomial
+    vanishes on the curve, as x^r * prod y_j^(-a_j) is multiplicative in
+    the index."""
+    window = _lattice(k, n, 1)[0]
+    i, j, i2, j2 = generate_binomials(k, n).T
+    return np.array_equal(window[i] + window[j], window[i2] + window[j2])
+
+
+@pytest.mark.parametrize("k,n", FIBER_CURVES)
+def test_written_binomials_share_their_index_sums(k, n):
+    assert binomials_share_sums(k, n)
 
 
 def test_degree2_data_is_read_only():
     # The arrays are cached per curve: a write would reach every later
     # verify or export of that curve.
     pairs, edges = ideal._degree2_data(3, 3)
-    with pytest.raises(ValueError):
-        pairs[0, 0] = 1
-    with pytest.raises(ValueError):
-        edges[0] = 1
+    size = ideal._fiber_sizes(3, 3)
+    for array, at in ((pairs, (0, 0)), (edges, 0), (size, 0)):
+        with pytest.raises(ValueError):
+            array[at] = 1
 
 
-def test_point_check_finds_a_monomial_filed_under_a_neighbouring_fiber(monkeypatch):
-    pp = next(suitable_params(3, 4, KERNEL_POINTS, seed=1))
-    pts, _ = sample_points(pp, KERNEL_POINTS)
+def test_binomial_check_finds_a_monomial_filed_under_a_neighbouring_fiber(monkeypatch):
     pairs, edges = ideal._degree2_data(3, 4)
-    none = fiber_rows(pp, [])
-    assert _relations_vanish_at(pp, none, pts)
+    assert binomials_share_sums(3, 4)
     # Move the first row of some fiber with two or more monomials into the
     # run of the fiber before it.
     moved = edges.copy()
     moved[np.flatnonzero(np.diff(edges[1:]) > 1)[0] + 1] += 1
     monkeypatch.setattr(ideal, "_degree2_data", lambda k, n: (pairs, moved))
-    # the comparison's verdict is cached per curve: run it uncached
-    monkeypatch.setattr(ideal, "_binomials_share_sums", ideal._binomials_share_sums.__wrapped__)
-    assert not _relations_vanish_at(pp, none, pts)
-    # The index sums show the misfiled monomial with no point at all.
-    assert not _relations_vanish_at(pp, none, [])
+    assert not binomials_share_sums(3, 4)
 
 
 @given(
