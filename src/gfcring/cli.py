@@ -1,6 +1,8 @@
 """Command-line surface: JSON-first reports, exit codes for scripted grids.
 
-Exit codes: 0 = all embedded assertions passed, 1 = a verification failed,
+Exit codes: 0 = all embedded assertions passed, 1 = a verification failed
+(a false check, or a failed embedded assertion: nothing on stdout, one JSON
+line {"error": "internal check failed in <function>: <message>"} on stderr),
 2 = bad input: an argument argparse rejects, a parameter outside the domain,
 a prime too small to sample points, a non-integer GFC_DEFAULT_PRIME_BOUND,
 an unwritable --out or an input too large for memory.  Exit 2 writes one
@@ -401,6 +403,11 @@ def main(argv: list[str] | None = None) -> int:
         error = "out of memory; try a smaller input" if isinstance(exc, MemoryError) else str(exc)
         sys.stderr.write(json.dumps({"error": error}) + "\n")
         return 2
+    except AssertionError as exc:
+        import traceback  # here, not at the top: only a failed check pays its import
+        where = traceback.extract_tb(exc.__traceback__)[-1].name
+        sys.stderr.write(json.dumps({"error": f"internal check failed in {where}: {exc}"}) + "\n")
+        return 1
     return 1 if report.get("passed") is False else 0
 
 

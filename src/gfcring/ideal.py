@@ -30,8 +30,9 @@ certified, not eliminated, so the span check rests on it (see
 _character_blocks).  The pointwise check, which evaluates the trinomials at
 sampled points with curve.evaluation_matrix, and verify's comparison of the
 ranks with syzygy_table stay independent of both.  Of the monomials, verify
-reads only their count per fiber, _fiber_sizes, which files each pair under
-its own index sum.  The verdict is a plain dict, printed per prime.
+reads only their count per fiber, _fiber_sizes, a lattice-point count in
+closed form over the fiber's sumset row.  The verdict is a plain dict,
+printed per prime.
 
 export_ideal writes the generator arrays as the JSON text that
 json.dumps(payload, indent=2) gives, byte for byte, without running the
@@ -104,19 +105,31 @@ def _degree2_data(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _fiber_sizes(k: int, n: int) -> np.ndarray:
-    """The number of degree-2 monomials over each row of _lattice(k, n, 2, 0),
-    read-only intp: each pair i <= j of window rows is counted at its index
-    sum's row, one i at a time, and every row must be hit.  No digit of a sum
-    carries, so a pair's key is the sum of its members' keys; the sums with
-    one i are distinct, so each += counts once."""
-    window = _lattice(k, n, 1)[0]
-    _, keys, dims = _lattice(k, n, 2, 0)
-    assert np.all(2 * window.max(axis=0) < dims)
-    wkey = np.ravel_multi_index(window.T, dims)
-    size = np.zeros(len(keys), dtype=np.intp)
-    for i in range(len(window)):
-        size[_lookup(keys, wkey[i] + wkey[i:])] += 1
-    assert size.all()
+    """The number of degree-2 monomials over each row t = (r, a) of
+    _lattice(k, n, 2, 0), read-only intp, in closed form from the row; every
+    row must be hit.  An ordered pair of window members (r', a'),
+    (r - r', a - a') over t has a', a - a' in [0, k-1]^(n-1) and, with
+    s = |a'|, max(0, r - |a| + s + 2) <= r' <= min(s - 2, r): ordered is the
+    sum over s of that range's length times split[a, s], the count of those
+    a' with |a'| = s, built a coordinate at a time (k slice-adds each).
+    Swapping the members pairs them off but for the square of t/2, a window
+    member exactly when r and every a_j are even (then a/2 is in the box and
+    r/2 <= |a/2| - 2), so the count is (ordered + [r, a all even]) / 2."""
+    rows = _lattice(k, n, 2, 0)[0]
+    width = (n - 1) * (k - 1) + 1
+    split = np.eye(1, width, dtype=np.intp)  # no coordinate yet: only s = 0
+    for _ in range(n - 1):
+        grown = np.zeros((len(split), 2 * k - 1, width), dtype=np.intp)
+        for d in range(k):  # the next coordinate of a', d
+            grown[:, d:d + k, d:] += split[:, None, :width - d]
+        split = grown.reshape(-1, width)
+    cell = np.ravel_multi_index(rows[:, 1:].T, (2 * k - 1,) * (n - 1))
+    r, total = rows[:, 0], rows[:, 1:].sum(axis=1)
+    ordered = sum(split[cell, s] * np.maximum(0, np.minimum(s - 2, r) + 1
+                                              - np.maximum(0, r - total + s + 2))
+                  for s in range(2, width))
+    size = (ordered + (np.bitwise_or.reduce(rows, axis=1) % 2 == 0)) // 2
+    assert size.all(), "a fiber has no monomial"
     size.flags.writeable = False
     return size
 
@@ -305,8 +318,8 @@ def verify_degree2_kernel(params: CurveParams) -> dict:
 
     (a) each trinomial's fiber row, built once, maps to zero in the weight-2
         basis (joined with phi2's entries, exactly mod p; a binomial's row
-        is zero, as _fiber_sizes counts each monomial at its index sum), and
-        every trinomial row vanishes at KERNEL_POINTS curve points;
+        is zero, as _fiber_sizes counts each index sum's monomials, to a
+        total of dim S_2), and every trinomial row vanishes at KERNEL_POINTS;
     (b) the relation span has rank dim S_2 - dim V_2 (with the evaluation
         matrix itself of full rank dim V_2), both ranks summed over the
         character blocks, where (a) and two bounds certify them;
@@ -320,7 +333,7 @@ def verify_degree2_kernel(params: CurveParams) -> dict:
     d2 = dim_vm(k, n, 2)
     size = _fiber_sizes(k, n)
     dim_s2 = int(size.sum())
-    assert dim_s2 == total_degree_d_monomials(k, n, 2)
+    assert dim_s2 == total_degree_d_monomials(k, n, 2), "the fibers do not sum to dim S_2"
     rows = _trinomial_rows(params)
 
     # (a) pointwise: the trinomials at points.

@@ -18,6 +18,9 @@ gfcring computes on one production path, kept here as oracles.
   - degree2_monomials, the rows of ideal._degree2_data as tuples of
     window members, which export alone reads, as index arrays (verify reads
     only ideal._fiber_sizes, their count per fiber);
+  - fiber_sizes_by_lookup, that count with each pair of window members
+    filed at its index sum's sumset row by the sumset's key search, one
+    window row at a time: the oracle of ideal._fiber_sizes' closed form;
   - reduce_stepwise, the weight-2 rewriting one curve equation at a time,
     the oracle for the closed form of ideal._phi2_entries;
   - reduce_to_basis and phi2_matrix, one fiber's closed-form rewriting and
@@ -73,7 +76,7 @@ from gfcring.ideal import (
     generate_trinomials,
     variable_name,
 )
-from gfcring.indexsets import IndexTuple, _lattice, enumerate_im
+from gfcring.indexsets import IndexTuple, _lattice, _lookup, enumerate_im
 from gfcring.params import CurveParams, ParameterError, require_int64_prime
 from gfcring.reps import all_labels, character_of, nu_closed
 
@@ -372,6 +375,23 @@ def compare_monomials(m1: MonomialKey, m2: MonomialKey) -> int:
 def degree2_monomials(k: int, n: int) -> tuple[MonomialKey, ...]:
     window = enumerate_im(k, n, 1).members
     return tuple((window[i], window[j]) for i, j in _degree2_data(k, n)[0].tolist())
+
+
+def fiber_sizes_by_lookup(k: int, n: int) -> np.ndarray:
+    """The number of degree-2 monomials over each row of _lattice(k, n, 2, 0),
+    intp: each pair i <= j of window rows is counted at its index sum's row,
+    one i at a time, and every row must be hit.  No digit of a sum carries,
+    so a pair's key is the sum of its members' keys; the sums with one i are
+    distinct, so each += counts once."""
+    window = _lattice(k, n, 1)[0]
+    _, keys, dims = _lattice(k, n, 2, 0)
+    assert np.all(2 * window.max(axis=0) < dims)
+    wkey = np.ravel_multi_index(window.T, dims)
+    size = np.zeros(len(keys), dtype=np.intp)
+    for i in range(len(window)):
+        size[_lookup(keys, wkey[i] + wkey[i:])] += 1
+    assert size.all()
+    return size
 
 
 def reduce_stepwise(params: CurveParams, t: IndexTuple) -> dict[IndexTuple, int]:

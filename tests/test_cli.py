@@ -230,7 +230,7 @@ TEST_ONLY = [
     "enumerate_im_by_tuples", "minkowski_di1_by_tuples", "enumerate_ci_by_tuples",
     "shifted_ci_union_by_tuples", "standard_set_by_tuples", "nu_table_by_tuples",
     "rank_mod_p_array", "_eliminate", "character_blocks_one_by_one", "is_on_curve", "scan_by_x",
-    "AffinePoint", "apply_group_to_point",
+    "AffinePoint", "apply_group_to_point", "fiber_sizes_by_lookup",
 ]
 # Views deleted from the package, whose second routes are the tuple references
 # minkowski_di1_by_tuples and enumerate_ci_by_tuples, and the J_h filter of mu;
@@ -615,13 +615,25 @@ def test_prime_bound_env_below_the_lambda_draw(capsys, monkeypatch):
     assert_one_json_error_line(code, out, err)
 
 
-def assert_one_json_error_line(code, out, err):
-    assert code == 2
+def assert_one_json_error_line(code, out, err, expected_code=2):
+    assert code == expected_code
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     assert set(json.loads(lines[0])) == {"error"}
     assert "Traceback" not in err
+
+
+def test_failed_embedded_check_is_one_json_error_line(capsys, monkeypatch):
+    # An assertion inside the pipeline is a failed verification, exit 1,
+    # reported as one line that names the function it failed in.
+    def check_equivariance(params):
+        raise AssertionError("planted")
+
+    monkeypatch.setattr(cli, "check_equivariance", check_equivariance)
+    code, out, err = run(capsys, "verify", "--k", "3", "--n", "3", "--seed", "1")
+    assert_one_json_error_line(code, out, err, 1)
+    assert json.loads(err) == {"error": "internal check failed in check_equivariance: planted"}
 
 
 def test_prime_bound_env_rejects_junk(capsys, monkeypatch):

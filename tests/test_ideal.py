@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfcring import ideal
+from gfcring import ideal, indexsets
 from gfcring.curve import (
     InsufficientPointsError,
     sample_points,
@@ -40,6 +40,7 @@ from references import (
     degree2_monomials,
     enumerate_ci_by_tuples,
     evaluate_theta,
+    fiber_sizes_by_lookup,
     index_sum,
     minkowski_di1_by_tuples,
     monomial_sort_key,
@@ -636,12 +637,38 @@ def test_fiber_runs_match_the_sorted_key_route(k, n):
     # check (d)'s key, sumset row - r*F, orders the fibers as the term order does
     term_key = np.arange(len(fibers)) - np.array([t[0] for t in fibers]) * len(fibers)
     assert [fibers[f] for f in np.argsort(term_key)] == list(expected)
-    # verify's count is the sort's run lengths, and per character it is mu
+    # verify's count is the sort's run lengths and the key search's count,
+    # and per character it is mu
     size = ideal._fiber_sizes(k, n)
     assert np.array_equal(size, np.diff(edges))
+    assert np.array_equal(size, fiber_sizes_by_lookup(k, n))
     mu = mu_table(k, n, 2)
     assert np.bincount(sumset_characters(k, n), weights=size, minlength=k ** n).tolist() == [
         mu[h] for h in itertools.product(range(k), repeat=n)]
+
+
+@pytest.mark.parametrize("k,n", [(6, 4), (4, 5), (3, 6), (2, 10), (8, 4)])
+def test_fiber_sizes_match_the_key_search(k, n):
+    # Curves past the sorted-key route: the closed form against the count
+    # that files every pair at its index sum's row.
+    assert np.array_equal(ideal._fiber_sizes(k, n), fiber_sizes_by_lookup(k, n))
+
+
+def test_fiber_sizes_search_no_key(monkeypatch):
+    # The closed form reads the sumset rows alone: no pair is summed, and no
+    # key is looked up.
+    calls, lookup = [], indexsets._lookup
+
+    def spy(keys, sought):
+        calls.append(len(sought))
+        return lookup(keys, sought)
+
+    for module in (ideal, indexsets):
+        monkeypatch.setattr(module, "_lookup", spy)
+    ideal._fiber_sizes.cache_clear()
+    _lattice(4, 4, 2, 0)
+    assert ideal._fiber_sizes(4, 4).sum() == total_degree_d_monomials(4, 4, 2)
+    assert calls == []
 
 
 def binomials_share_sums(k, n):

@@ -8,15 +8,22 @@ unity, the closed-form nu, the inverses of the evaluation map or the
 character labels, and each is still caught.  Each failing report,
 its ranks included, equals the one made when every character block is
 eliminated on its own (references.character_blocks_one_by_one).
+
+Two more defects trip an assertion embedded in the pipeline instead of a
+report flag: a C_i bound one too loose, whose up-shifts leave the sumset,
+and fiber sizes without the square term of their closed form, which no
+longer sum to dim S_2.  Each must end as a failed verification, exit 1,
+with one JSON error line naming the function whose check failed.
 """
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 import references
-from gfcring import curve, ideal, reps
+from gfcring import curve, ideal, indexsets, reps
 from gfcring import params as parameters
 from gfcring.cli import main
 from gfcring.indexsets import _lattice, ci_shifts
@@ -24,6 +31,17 @@ from gfcring.indexsets import _lattice, ci_shifts
 trinomial_rows, phi2_entries = ideal._trinomial_rows, ideal._phi2_entries
 find_prime_and_root, nu_closed = parameters.find_prime_and_root, reps.nu_closed
 pow_mod, character_of = curve._pow_mod, reps.character_of
+fiber_sizes = ideal._fiber_sizes
+
+
+def recompiled(module, name, old, new):
+    """module's function name, compiled anew in the module's namespace from
+    its source with the one occurrence of old replaced by new."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    scope = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), scope)
+    return scope[name]
 
 
 def next_lambda(params):
@@ -77,6 +95,15 @@ def character_sign(k, m, t):
     return ((t[0] + m) % k, *(aj % k for aj in t[1:]))
 
 
+# ci_shifts with C_i's bound r <= |a| - (k + 3), one past the sumset's.
+loose_ci_bound = recompiled(indexsets, "ci_shifts", "(k + 4)", "(k + 3)")
+
+
+def no_square(k, n):
+    """The closed-form fiber sizes without their square term [r, a all even]."""
+    return fiber_sizes(k, n) - (_lattice(k, n, 2, 0)[0] % 2 == 0).all(axis=1)
+
+
 # Each defect: the modules whose binding it replaces, the name, the mutant.
 TRINOMIALS = (ideal, references), "_trinomial_rows"
 DEFECTS = {
@@ -88,6 +115,8 @@ DEFECTS = {
     "nu_plus": ((reps,), "nu_closed", nu_plus),
     "inverse_exponent": ((curve,), "_pow_mod", inverse_exponent),
     "character_sign": ((reps, ideal, references), "character_of", character_sign),
+    "loose_ci_bound": ((indexsets, ideal), "ci_shifts", loose_ci_bound),
+    "no_square": ((ideal,), "_fiber_sizes", no_square),
 }
 
 
@@ -152,3 +181,26 @@ def test_each_defect_is_caught(capsys, monkeypatch, k, n, defect):
     assert (code, false_flags(json.loads(out))) == (1 if flags else 0, flags)
     monkeypatch.setattr(ideal, "_character_blocks", references.character_blocks_one_by_one)
     assert verify(capsys, k, n) == (code, out)
+
+
+# The error line of each defect that trips an embedded assertion, per curve.
+ERRORS = {
+    ("loose_ci_bound", 3, 3): "internal check failed in _lookup: a sought key is absent",
+    ("loose_ci_bound", 2, 5): "internal check failed in _lookup: a sought key is absent",
+    ("no_square", 3, 3): "internal check failed in verify_degree2_kernel: "
+                         "the fibers do not sum to dim S_2",
+    ("no_square", 2, 5): "internal check failed in verify_degree2_kernel: "
+                         "the fibers do not sum to dim S_2",
+}
+
+
+@pytest.mark.parametrize("k,n,defect", [(k, n, defect) for defect, k, n in ERRORS])
+def test_each_failed_assertion_is_one_json_error_line(capsys, monkeypatch, k, n, defect):
+    modules, name, mutant = DEFECTS[defect]
+    for module in modules:
+        monkeypatch.setattr(module, name, mutant)
+    code = main(["verify", "--k", str(k), "--n", str(n), "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err) == {"error": ERRORS[defect, k, n]}
