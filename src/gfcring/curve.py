@@ -211,6 +211,12 @@ def suitable_params(
         bound = 2 * params.p if first else params.p + 1
 
 
+# Cells per block of the equivariance check's and the degree-2 point check's
+# evaluations, and per chunk of the symbolic check's relation join: past it
+# the temporaries cost more memory than the saved Python steps are worth.
+CHUNK_CELLS = 1 << 16
+
+
 def evaluation_matrix(
     params: CurveParams, points: np.ndarray, rows: np.ndarray | Sequence[IndexTuple]
 ) -> np.ndarray:

@@ -27,12 +27,13 @@ three fibers and their coefficients, and both kernel checks read these
 arrays.  The symbolic check joins each relation's terms with phi2's entries
 at their fibers, from its closed form.  Its (Z/k)^n character ranks are
 certified, not eliminated, so the span check rests on it (see
-_character_blocks).  The pointwise check, which evaluates the trinomials at
-sampled points with curve.evaluation_matrix, and verify's comparison of the
-ranks with syzygy_table stay independent of both.  Of the monomials, verify
-reads only their count per fiber, _fiber_sizes, a lattice-point count in
-closed form over the fiber's sumset row.  The verdict is a plain dict,
-printed per prime.
+_character_blocks).  The pointwise check, which adds up the trinomials'
+terms one term at a time at sampled points, evaluated by
+curve.evaluation_matrix in blocks within curve.CHUNK_CELLS cells, and
+verify's comparison of the ranks with syzygy_table stay independent of both.
+Of the monomials, verify reads only their count per fiber, _fiber_sizes, a
+lattice-point count in closed form over the fiber's sumset row.  The verdict
+is a plain dict, printed per prime.
 
 export_ideal writes the generator arrays as the JSON text that
 json.dumps(payload, indent=2) gives, byte for byte, without running the
@@ -53,7 +54,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .curve import InsufficientPointsError, evaluation_matrix, sample_points
+from .curve import CHUNK_CELLS, InsufficientPointsError, evaluation_matrix, sample_points
 from .indexsets import (
     IndexTuple,
     _lattice,
@@ -67,11 +68,6 @@ from .indexsets import (
 from .linalg import rank_mod_p
 from .params import CurveParams, ParameterError, dim_vm
 from .reps import character_of
-
-# Cells per chunk of the point check's evaluations and of the relation
-# join: past it the temporaries cost more memory than the saved Python
-# steps are worth.
-CHUNK_CELLS = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -194,20 +190,27 @@ def _relations_vanish_at(
     params: CurveParams, rels: tuple[np.ndarray, np.ndarray], points: np.ndarray
 ) -> bool:
     """Whether every row of rels = (fibers, coeff), sumset rows and their
-    coefficients, vanishes at each of the (P, n) points: read off evaluation
-    matrices of points x sumset rows, a block of points at a time, each
-    block's values and terms within CHUNK_CELLS cells (or one point).  The
-    sumset's exponent table, its intp rows in Fortran order, is built once
-    for all blocks.  The terms are laid out term by term, so the sums add
-    rows."""
+    coefficients, vanishes at each of the (P, n) points.  Each block of
+    points, within CHUNK_CELLS cells (or one point), is one evaluation of the
+    sumset, whose exponent table (intp rows in Fortran order) is built once,
+    and one (points x rows) int64 sum of the terms, each gathered a term
+    column at a time; only a column whose coefficients are not all 1 (a
+    trinomial's lam_i column) is multiplied and reduced, so no term exceeds p."""
     p = params.p
-    fibers, coeff = (np.ascontiguousarray(a.T) for a in (rels[0], rels[1] % p))
+    fibers, coeff = rels
+    scale = [None if np.all(c == 1) else c % p for c in coeff.T]
     sumset = np.asfortranarray(_lattice(params.k, params.n, 2, 0)[0], dtype=np.intp)
-    per = max(1, CHUNK_CELLS // max(fibers.size, len(sumset)))
-    return not any(
-        np.any((evaluation_matrix(params, points[at:at + per], sumset)[:, fibers] * coeff % p)
-               .sum(axis=1) % p)
-        for at in range(0, len(points), per))
+    per = max(1, CHUNK_CELLS // max(len(fibers), len(sumset)))
+    for at in range(0, len(points), per):
+        vals = evaluation_matrix(params, points[at:at + per], sumset)
+        total = np.zeros((len(vals), len(fibers)), dtype=np.int64)
+        for column, c in zip(fibers.T, scale):
+            term = vals.take(column, axis=1)
+            total += term if c is None else term * c % p
+        total %= p
+        if total.any():
+            return False
+    return True
 
 
 # --- span-rank bookkeeping ----------------------------------------------------

@@ -14,7 +14,7 @@ Multiplicities:
   - syzygy(d, h) = mu - nu: copies of h among degree-d relations.
 
 check_equivariance tests character_of on the generators' action through
-curve.evaluation_matrix.
+curve.evaluation_matrix, in column blocks within curve.CHUNK_CELLS cells.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import itertools
 
 import numpy as np
 
-from .curve import InsufficientPointsError, apply_group, evaluation_matrix, sample_points
+from .curve import (CHUNK_CELLS, InsufficientPointsError, apply_group, evaluation_matrix,
+                    sample_points)
 from .indexsets import IndexTuple, _lattice, _window, total_degree_d_monomials
 from .params import CurveParams, ParameterError, dim_vm
 
@@ -160,27 +161,36 @@ def check_equivariance(params: CurveParams) -> bool:
     t of weights m = 1..3: at EQUIVARIANCE_POINTS points, translating by the
     generator e_j scales the value by zeta^(h_j - m [j = 0]),
     h = character_of(k, m, t); the m [j = 0] removes the tensor weight, which
-    evaluation omits.  The three windows are one stack of lattice rows with a
-    weight per row, their labels one character_of call on its columns.  The
-    generators suffice, as apply_group scales each coordinate by a power of
-    zeta and the exponent is linear in g.  zeta must have order k, its
-    powers zeta^0..zeta^(k-1) distinct: a root of lower order moves the
-    points and predicts their scaling alike, and passes vacuously.  Raises
-    InsufficientPointsError when the prime has no points.
+    evaluation omits.  zeta must have order k, its powers zeta^0..zeta^(k-1)
+    distinct: a root of lower order moves the points and predicts their
+    scaling alike, and would pass vacuously, so it fails before any
+    evaluation.  The three windows are one stack of lattice rows with a
+    weight per row, walked in column blocks of CHUNK_CELLS cells of points x
+    members: a block's labels are one character_of call on its columns, its
+    values at the points one evaluation_matrix call, and its values at each
+    generator's translates one more call, compared with the scaled values.
+    The generators suffice, as apply_group scales each coordinate by a power
+    of zeta and the exponent is linear in g.  Raises InsufficientPointsError
+    when the prime has no points.
     """
     k, n, p, zeta = params.k, params.n, params.p, params.zeta
     points, _ = sample_points(params, EQUIVARIANCE_POINTS)
     if not len(points):
         raise InsufficientPointsError(f"no affine points over p = {p}")
+    powers = [pow(zeta, e, p) for e in range(k)]
+    if len(set(powers)) < k:
+        return False
     moved = [apply_group(params, points, g) for g in np.eye(n, dtype=int)]
     windows = [_lattice(k, n, m)[0] for m in (1, 2, 3)]
     weight = np.repeat([1, 2, 3], [len(rows) for rows in windows])
     basis = np.concatenate(windows)
-    vals = evaluation_matrix(params, np.concatenate([points, *moved]), basis)
-    vals = vals.reshape(n + 1, len(points), len(basis))
-    exps = np.column_stack(character_of(k, weight, basis.T))
-    exps[:, 0] -= weight
-    powers = [pow(zeta, e, p) for e in range(k)]
-    scale = np.array(powers, dtype=np.int64)[exps % k]
-    return len(set(powers)) == k and all(
-        np.array_equal(vals[j + 1], vals[0] * scale[:, j] % p) for j in range(n))
+    per = max(1, CHUNK_CELLS // len(points))
+    for at in range(0, len(basis), per):
+        block, m = np.asfortranarray(basis[at:at + per], dtype=np.intp), weight[at:at + per]
+        exps = np.column_stack(character_of(k, m, block.T))
+        exps[:, 0] -= m
+        base = evaluation_matrix(params, points, block)
+        if not all(np.array_equal(evaluation_matrix(params, translates, block), base * scale % p)
+                   for translates, scale in zip(moved, np.array(powers)[exps.T % k])):
+            return False
+    return True

@@ -458,6 +458,44 @@ def test_sparse_kernel_check_matches_dense_oracle(k, n, p):
     assert _relations_vanish_at(pp, fiber_rows(pp, []), pts)
 
 
+@pytest.mark.parametrize("k,n,p", [(2, 4, 101), (3, 3, 103), (3, 4, 127)])
+def test_point_check_verdicts_do_not_depend_on_the_block_size(monkeypatch, k, n, p):
+    # At 64 cells a block holds at most one point.  Beside kernel_cases, the
+    # trinomials with lam_i = 1 (all of relation index 1) take every term
+    # without a multiply, and still fail when one second fiber, coefficient
+    # 1, is moved back by one row.
+    pp = next(suitable_params(k, n, KERNEL_POINTS, min_bound=p))
+    pts, _ = sample_points(pp, KERNEL_POINTS)
+    fibers, coeff = ideal._trinomial_rows(pp)
+    unit = coeff[:, 0] == 1
+    assert unit.any()
+    moved = fibers[unit].copy()
+    moved[len(moved) // 2, 1] -= 1
+    cases = [(fiber_rows(pp, rels), expected) for rels, expected in kernel_cases(pp)]
+    cases += [((fibers[unit], coeff[unit]), True), ((moved, coeff[unit]), False)]
+    for cells in (ideal.CHUNK_CELLS, 64):
+        monkeypatch.setattr(ideal, "CHUNK_CELLS", cells)
+        assert [_relations_vanish_at(pp, rows, pts) for rows, _ in cases] == [
+            expected for _, expected in cases]
+
+
+def test_point_check_adds_the_terms_one_at_a_time():
+    # At (2,9) a (points x 3 x trinomials) gather of the terms and its product
+    # peak at 8.7 MiB here; one term column at a time, into one sum, with the
+    # sumset and points cached, the check peaks below 7.5 MiB.
+    pp = next(suitable_params(2, 9, KERNEL_POINTS, seed=1))
+    rows = ideal._trinomial_rows(pp)
+    _lattice(2, 9, 2, 0)
+    pts, _ = sample_points(pp, KERNEL_POINTS)
+    tracemalloc.start()
+    try:
+        assert _relations_vanish_at(pp, rows, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2**20
+
+
 def test_symbolic_kernel_check_is_exact_at_the_largest_prime():
     # p = 2^31 - 1 is the largest prime with p^2 < 2^62, which the ranks
     # accept.  Scaling a trinomial keeps it in the kernel and makes all its

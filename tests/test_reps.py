@@ -1,14 +1,16 @@
 """Character labels, multiplicity formulas, and the equivariance oracle."""
 
+import dataclasses
 import itertools
+import tracemalloc
 from collections import Counter
 from math import comb
 
 import pytest
 
 from gfcring import reps
-from gfcring.curve import sample_points, suitable_params
-from gfcring.indexsets import enumerate_im
+from gfcring.curve import evaluation_matrix, sample_points, suitable_params
+from gfcring.indexsets import _lattice, enumerate_im
 from gfcring.params import ParameterError, dim_vm, is_nonhyperelliptic, make_curve_params
 from gfcring.reps import (
     all_labels,
@@ -185,10 +187,13 @@ def test_check_equivariance():
             assert check_equivariance(next(suitable_params(k, n, 25, seed=seed)))
 
 
-@pytest.mark.parametrize("corrupt", [
+CORRUPTIONS = [
     lambda k, m, t: ((t[0] + m + 1) % k, *((-aj) % k for aj in t[1:])),  # x-part off by one
     lambda k, m, t: ((t[0] + m) % k, *(aj % k for aj in t[1:])),  # y-part sign flipped
-])
+]
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
 def test_check_equivariance_catches_a_wrong_character(monkeypatch, corrupt):
     # The check tests character_of itself, on every window member, so either
     # corruption fails it; at (5,3) all 25 sampled points lie in one x-fiber.
@@ -197,6 +202,71 @@ def test_check_equivariance_catches_a_wrong_character(monkeypatch, corrupt):
     monkeypatch.setattr(reps, "character_of", corrupt)
     for pp in curves.values():
         assert not check_equivariance(pp)
+
+
+def spy_on_evaluations(monkeypatch) -> list:
+    """(points, members) of every evaluation_matrix call from reps."""
+    calls = []
+
+    def counted(params, points, rows):
+        calls.append((len(points), len(rows)))
+        return evaluation_matrix(params, points, rows)
+
+    monkeypatch.setattr(reps, "evaluation_matrix", counted)
+    return calls
+
+
+def test_check_equivariance_verdicts_do_not_depend_on_the_block_size(monkeypatch):
+    # At 64 cells a block is 25 points x 2 members: the true characters pass
+    # and both corruptions fail, block by block, as in the default blocks.
+    curves = [next(suitable_params(k, n, 25)) for k, n in [(3, 3), (4, 2), (5, 3)]]
+
+    def verdicts():
+        out = [check_equivariance(pp) for pp in curves]
+        for corrupt in CORRUPTIONS:
+            with monkeypatch.context() as patched:
+                patched.setattr(reps, "character_of", corrupt)
+                out += [check_equivariance(pp) for pp in curves]
+        return out
+
+    default = verdicts()
+    assert default == [True] * 3 + [False] * 6
+    monkeypatch.setattr(reps, "CHUNK_CELLS", 64)
+    calls = spy_on_evaluations(monkeypatch)
+    assert verdicts() == default
+    members = sum(len(_lattice(3, 3, m)[0]) for m in (1, 2, 3))
+    assert calls[:4 * members // 2] == [(25, 2)] * (4 * members // 2)  # (3,3), 82 members
+    assert max(calls) == (25, 2)
+
+
+def test_check_equivariance_builds_no_matrix_of_every_member():
+    # One evaluation_matrix call on the 25 points, their 4 * 25 translates
+    # and all 12,637 members of weights 1 to 3 peaks at 25 MiB at (6,4);
+    # a block of members at a time, with the index sets and points cached,
+    # the check peaks below 4 MiB.
+    pp = next(suitable_params(6, 4, 25, seed=1))
+    for m in (1, 2, 3):
+        _lattice(6, 4, m)
+    sample_points(pp, reps.EQUIVARIANCE_POINTS)
+    tracemalloc.start()
+    try:
+        assert check_equivariance(pp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("k, low", [(3, lambda p: 1), (4, lambda p: 1), (4, lambda p: p - 1)],
+                         ids=["k3-zeta1", "k4-zeta1", "k4-zeta-1"])
+def test_a_root_of_lower_order_fails_before_any_evaluation(monkeypatch, k, low):
+    # zeta = 1 (order 1) and, for k = 4, zeta = -1 (order 2) move the points
+    # and predict their scaling alike; the check refuses them unevaluated.
+    pp = next(suitable_params(k, 3, 25, seed=1))
+    calls = spy_on_evaluations(monkeypatch)
+    assert not check_equivariance(dataclasses.replace(pp, zeta=low(pp.p)))
+    assert calls == []
+    assert check_equivariance(pp) and calls
 
 
 def test_check_equivariance_needs_points():
