@@ -95,9 +95,8 @@ def _kth_roots(c: int, k: int, p: int, zeta: int) -> list[int]:
 
 
 def sample_points(params: CurveParams, count: int) -> tuple[np.ndarray, bool]:
-    """Deterministically sample up to `count` points with all y_j nonzero
-    (every point of the field when count < 1), as a read-only C-ordered
-    (P, n) int64 array of rows (x, y_2, ..., y_n).
+    """Deterministically sample up to `count` points with all y_j nonzero, as
+    a read-only C-ordered (P, n) int64 array of rows (x, y_2, ..., y_n).
 
     Scans x = 0, 1, 2, ... in blocks of SCAN_BLOCK; an x is kept when every
     -(lam[j-1] + x^k) is a nonzero k-th power residue (its (p-1)/k-th power
@@ -115,14 +114,14 @@ def sample_points(params: CurveParams, count: int) -> tuple[np.ndarray, bool]:
         raise ParameterError(f"the {k}^{n - 1} points of an x-fiber of curve ({k}, {n}) "
                              "need 2^63 bytes or more")
     blocks, scan = _scans(params)
-    while count < 1 or sum(map(len, blocks)) < count:
+    while sum(map(len, blocks)) < count:
         if (block := next(scan, None)) is None:
             break
         blocks.append(block)
     if len(blocks) > 1:
         blocks[:] = [np.concatenate(blocks)]
         blocks[0].flags.writeable = False
-    points = blocks[0][:count] if count > 0 else blocks[0]
+    points = blocks[0][:count]
     return points, len(points) < count
 
 
@@ -184,7 +183,7 @@ def suitable_params(
     """
 
     def found(params: CurveParams) -> int:
-        # sample_points with count 0 would scan the whole field
+        # sampling refuses p^2 >= 2^62, which a run that needs no points must not meet
         return len(sample_points(params, needed_points)[0]) if needed_points else 0
 
     if min_bound is None:
@@ -228,9 +227,7 @@ def evaluation_matrix(
     point and coordinate, and gathers one table column per basis element,
     reducing mod p after every product.  Entries stay below p, so each
     product is exact while p^2 < 2^62.  The basis is read a coordinate at a
-    time, from its intp transpose: intp rows in Fortran order are that
-    exponent table already, so a caller that evaluates one basis at many
-    blocks of points builds it once with np.asfortranarray.
+    time, from its intp transpose, a view of a column-major indexsets table.
     """
     p, width = params.p, params.n
     require_int64_prime(p)

@@ -143,11 +143,12 @@ def generate_binomials(k: int, n: int) -> np.ndarray:
 
 def _trinomial_rows(params: CurveParams) -> tuple[np.ndarray, np.ndarray]:
     """The trinomials in fiber coordinates, one row for each relation index
-    i and t in C_i: (T, 3) sumset rows of t, t+(k,0,..), t-k*e_i and (T, 3)
-    int64 coefficients lam_i, 1, 1 mod p."""
+    i and t in C_i, as two column-major (T, 3) arrays: the sumset rows of t,
+    t+(k,0,..), t-k*e_i and the int64 coefficients lam_i, 1, 1 mod p."""
     shifts = ci_shifts(params.k, params.n)
-    lam = np.array([v % params.p for v in params.lam], dtype=np.int64)[shifts[:, :1] - 1]
-    return shifts[:, 1:], np.column_stack((lam, np.ones((len(shifts), 2), dtype=np.int64)))
+    coeff = np.ones((len(shifts), 3), dtype=np.int64, order="F")
+    coeff[:, 0] = np.array([v % params.p for v in params.lam], dtype=np.int64)[shifts[:, 0] - 1]
+    return shifts[:, 1:], coeff
 
 
 def generate_trinomials(k: int, n: int) -> np.ndarray:
@@ -192,14 +193,14 @@ def _relations_vanish_at(
     """Whether every row of rels = (fibers, coeff), sumset rows and their
     coefficients, vanishes at each of the (P, n) points.  Each block of
     points, within CHUNK_CELLS cells (or one point), is one evaluation of the
-    sumset, whose exponent table (intp rows in Fortran order) is built once,
-    and one (points x rows) int64 sum of the terms, each gathered a term
-    column at a time; only a column whose coefficients are not all 1 (a
-    trinomial's lam_i column) is multiplied and reduced, so no term exceeds p."""
+    sumset, read as its column-major rows are, and one (points x rows) int64
+    sum of the terms, each gathered a term column at a time; only a column
+    whose coefficients are not all 1 (a trinomial's lam_i column) is
+    multiplied and reduced, so no term exceeds p."""
     p = params.p
     fibers, coeff = rels
     scale = [None if np.all(c == 1) else c % p for c in coeff.T]
-    sumset = np.asfortranarray(_lattice(params.k, params.n, 2, 0)[0], dtype=np.intp)
+    sumset = _lattice(params.k, params.n, 2, 0)[0]
     per = max(1, CHUNK_CELLS // max(len(fibers), len(sumset)))
     for at in range(0, len(points), per):
         vals = evaluation_matrix(params, points[at:at + per], sumset)
@@ -408,9 +409,8 @@ def _json_block(brackets: str, items: list[str], depth: int) -> str:
 
 
 # Pieces a SlicedText reads at a time (2^8 to 2^12 time the (4,4) export
-# alike), and the characters of a slice when it is iterated.
+# alike).
 SLICE_PIECES = 1 << 12
-SLICE_CHARS = 1 << 20
 
 
 class SlicedText:
@@ -426,20 +426,6 @@ class SlicedText:
 
     def __len__(self) -> int:
         return self._len
-
-    def __iter__(self) -> Iterator[str]:
-        return self.slices(SLICE_CHARS)
-
-    def __eq__(self, other: object) -> bool:
-        """Equal to the str it spells, compared a slice at a time."""
-        if not isinstance(other, str):
-            return NotImplemented
-        at = 0
-        for part in self:
-            if not other.startswith(part, at):
-                return False
-            at += len(part)
-        return at == len(other)
 
     def slices(self, size: int) -> Iterator[str]:
         """The text, size characters a slice but the last.  The pieces are
@@ -490,7 +476,7 @@ def export_ideal(params: CurveParams, fmt: str) -> SlicedText:
     """Serialize the generators: "json" (machine round-trip) or "cas-text"
     (one generator per line, pasteable into a computer algebra system).
     Every step that can raise runs before it returns; the text is joined
-    only as the result is iterated."""
+    only as its slices are read."""
     k, n, p = params.k, params.n, params.p
     variables = enumerate_im(k, n, 1).members
     bins = generate_binomials(k, n)

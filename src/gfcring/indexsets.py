@@ -6,11 +6,13 @@ Sorting flat tuples lexicographically is exactly the (r, a) ordering used for
 all canonical enumerations.
 
 _lattice lays out the m-th window and the 2-fold sumset from their closed
-forms: (N, n) int64 rows in (r, a) order, and per row one int64 mixed-radix
-key led by r, so keys ascend with the rows.  Where a key, or the bytes of the
-a-coordinate grid it lays out first, would reach 2^63, it raises ParameterError.
-ci_shifts gives the trinomials' fibers as sumset rows, and standard_set is a
-mask over those rows; enumerate_im alone gives its rows as tuples.
+forms: column-major (N, n) int64 rows in (r, a) order, and per row one int64
+mixed-radix key led by r, so keys ascend with the rows.  Where a key, or the
+bytes of the a-coordinate grid it lays out first, would reach 2^63, it raises
+ParameterError.  ci_shifts gives the trinomials' fibers as a column-major
+table of sumset rows, and standard_set is a mask over those rows;
+enumerate_im alone gives its rows as tuples.  Their readers gather them by
+column, an evaluation's exponents among them, and take them as they are.
 
 A "relation index" i runs over 1..n-1; relation i involves lam[i-1] and
 shifts the a-coordinate at 0-based position i-1, i.e. flat position i.
@@ -69,9 +71,10 @@ def _window(k: int, n: int, m: int, lo: int | None = None
 def _lattice(k: int, n: int, m: int, lo: int | None = None
              ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """(rows, keys, dims) of {(r, a): lo <= a_j <= m(k-1), 0 <= r <= |a| - 2m}, lo by
-    default (m-1)(k-1), with keys = ravel_multi_index(rows.T, dims).  Read-only."""
+    default (m-1)(k-1), with keys = ravel_multi_index(rows.T, dims).  Read-only;
+    rows is column-major."""
     r, a, dims = _window(k, n, m, lo)
-    rows = np.column_stack((r, a))[np.argsort(r, kind="stable")]
+    rows = np.asfortranarray(np.column_stack((r, a))[np.argsort(r, kind="stable")])
     keys = np.ravel_multi_index(rows.T, dims)
     rows.flags.writeable = keys.flags.writeable = False
     return rows, keys, dims
@@ -112,9 +115,9 @@ def _lookup(keys: np.ndarray, sought: np.ndarray) -> np.ndarray:
 
 
 def ci_shifts(k: int, n: int) -> np.ndarray:
-    """(T, 4) intp rows (i, t, t + (k, 0, ..., 0), t - k*e_i) for each relation
-    index i and each t in C_i, in that order: the three fibers of every
-    trinomial, each a row of the sumset _lattice(k, n, 2, 0).
+    """Column-major (T, 4) intp rows (i, t, t + (k, 0, ..., 0), t - k*e_i) for
+    each relation index i and each t in C_i, in that order: the three fibers
+    of every trinomial, each a row of the sumset _lattice(k, n, 2, 0).
 
     C_i in closed form is the sumset points with k <= a_i and r <= |a| - (k+4):
     exactly those t for which t + (k, 0, ..., 0) and t - k*e_i also lie in the
@@ -127,8 +130,8 @@ def ci_shifts(k: int, n: int) -> np.ndarray:
         t = np.flatnonzero((rows[:, i] >= k) & low_r)
         up, down = (_lookup(keys, keys[t] + shift)
                     for shift in (k * prod(dims[1:]), -k * prod(dims[i + 1:])))
-        shifts.append(np.column_stack((np.full_like(t, i), t, up, down)))
-    return np.concatenate(shifts)
+        shifts.append(np.stack((np.full_like(t, i), t, up, down)))
+    return np.concatenate(shifts, axis=1).T
 
 
 @lru_cache(maxsize=None)

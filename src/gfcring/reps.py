@@ -186,7 +186,7 @@ def check_equivariance(params: CurveParams) -> bool:
     basis = np.concatenate(windows)
     per = max(1, CHUNK_CELLS // len(points))
     for at in range(0, len(basis), per):
-        block, m = np.asfortranarray(basis[at:at + per], dtype=np.intp), weight[at:at + per]
+        block, m = basis[at:at + per], weight[at:at + per]
         exps = np.column_stack(character_of(k, m, block.T))
         exps[:, 0] -= m
         base = evaluation_matrix(params, points, block)

@@ -52,7 +52,9 @@ gfcring computes on one production path, kept here as oracles.
   - parse_ideal_json, the json export read back as Relations: its
     round-trip oracle;
   - encoder_export and cas_text_export, both export formats written from
-    the Relations, the json one by json.dumps.
+    the Relations, the json one by json.dumps; export_text, the text of
+    ideal.export_ideal joined whole, which the package only writes a slice
+    at a time.
 """
 
 from __future__ import annotations
@@ -66,12 +68,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from gfcring.cli import WRITE_SLICE
 from gfcring.curve import _kth_roots, evaluation_matrix
 from gfcring.ideal import (
     _character_blocks,
     _degree2_data,
     _phi2_entries,
     _trinomial_rows,
+    export_ideal,
     generate_binomials,
     generate_trinomials,
     variable_name,
@@ -317,6 +321,11 @@ def parse_ideal_json(text: str) -> dict:
         "binomials": [rebuild(r, "binomial", 2) for r in data["binomials"]],
         "trinomials": [rebuild(r, "trinomial", 3) for r in data["trinomials"]],
     }
+
+
+def export_text(params: CurveParams, fmt: str) -> str:
+    """export_ideal's text as one str, its slices joined as cli writes them."""
+    return "".join(export_ideal(params, fmt).slices(WRITE_SLICE))
 
 
 def encoder_export(params: CurveParams) -> str:

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 import gfcring
 from gfcring import cli, curve, ideal, indexsets, reps
 from gfcring.cli import main
-from gfcring.ideal import export_ideal
 from gfcring.params import dim_vm, make_curve_params
 import references
 
@@ -230,13 +229,15 @@ TEST_ONLY = [
     "enumerate_im_by_tuples", "minkowski_di1_by_tuples", "enumerate_ci_by_tuples",
     "shifted_ci_union_by_tuples", "standard_set_by_tuples", "nu_table_by_tuples",
     "rank_mod_p_array", "_eliminate", "character_blocks_one_by_one", "is_on_curve", "scan_by_x",
-    "AffinePoint", "apply_group_to_point", "fiber_sizes_by_lookup",
+    "AffinePoint", "apply_group_to_point", "fiber_sizes_by_lookup", "export_text",
 ]
 # Views deleted from the package, whose second routes are the tuple references
 # minkowski_di1_by_tuples and enumerate_ci_by_tuples, and the J_h filter of mu;
-# and the stacked rank kernel with its stack bound, replaced by one 2-D
-# linalg.rank_mod_p.
-DELETED = ["minkowski_di1", "enumerate_ci", "enumerate_jd", "ranks_mod_p", "BASIS_STACK_CELLS"]
+# the stacked rank kernel with its stack bound, replaced by one 2-D
+# linalg.rank_mod_p; and the slice size of an export text read whole, which
+# only the tests read, now through export_text.
+DELETED = ["minkowski_di1", "enumerate_ci", "enumerate_jd", "ranks_mod_p", "BASIS_STACK_CELLS",
+           "SLICE_CHARS"]
 
 
 def test_test_only_references_stay_out_of_the_package():
@@ -404,7 +405,7 @@ def test_export_json_stdout(capsys):
     assert code == 0
     data = references.parse_ideal_json(out)
     pp = make_curve_params(3, 3, p=103)
-    assert out == export_ideal(pp, "json")
+    assert out == references.export_text(pp, "json")
     assert len(data["binomials"]) == 20
     assert len(data["trinomials"]) == 8
 
@@ -524,7 +525,7 @@ def test_output_is_written_in_slices(monkeypatch, tmp_path):
     # No write gets more than WRITE_SLICE characters, and the slices join to
     # the whole text, on stdout and in an --out file.
     monkeypatch.setattr(cli, "WRITE_SLICE", 1000)
-    text = export_ideal(make_curve_params(3, 3, seed=1), "json")
+    text = references.export_text(make_curve_params(3, 3, seed=1), "json")
     stdout = RecordedStdout()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["export", "--k", "3", "--n", "3", "--seed", "1"]) == 0

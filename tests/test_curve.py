@@ -68,9 +68,9 @@ def test_sample_points_shortfall():
     pts, short = sample_points(pp, 500)
     assert short
     assert all(is_on_curve(pp, q) for q in pts)
-    # count 0 scans the whole field, and nothing is missing
-    every, short = sample_points(make_curve_params(3, 3, p=103), 0)
-    assert len(every) == 162 and not short
+    # one point more than the curve has gives all of them, and short
+    every, short = sample_points(make_curve_params(3, 3, p=103), 163)
+    assert len(every) == 162 and short
     # (3,4) over p=127 with the seed-0 lambda draw genuinely has no points
     # with every coordinate nonzero; the shortfall flag must say so.
     pp = make_curve_params(3, 4, p=127)
@@ -93,7 +93,7 @@ def test_suitable_params_prime_policy():
 
 
 def test_suitable_params_without_points_never_samples(monkeypatch):
-    # sample_points with count 0 would scan the whole field
+    # sample_points refuses p^2 >= 2^62, which a run that needs no points must not meet
     def fail(*args):
         raise AssertionError("sample_points called")
 
@@ -165,13 +165,14 @@ def test_block_scan_matches_the_scan_by_x(monkeypatch, block):
 
 def test_block_scan_resumes_mid_block(monkeypatch):
     # Every request, longer or shorter than the last, reads a prefix of the
-    # kept scan; count 0 reads the whole field.
+    # kept scan; one past the field's points reads the whole field.
     monkeypatch.setattr(curve, "SCAN_BLOCK", 3)
     pp = make_curve_params(3, 3, seed=4, p=139)
+    whole = len(by_x(pp, pp.p * 9))
     curve._scans.cache_clear()
-    for count in (7, 60, 30, 61, 0):
+    for count in (7, 60, 30, 61, whole + 1):
         pts, short = sample_points(pp, count)
-        assert pts.tolist() == by_x(pp, count or pp.p * 9) and not short, count
+        assert pts.tolist() == by_x(pp, count) and short == (count > whole), count
     curve._scans.cache_clear()
 
 

@@ -40,6 +40,7 @@ from references import (
     degree2_monomials,
     enumerate_ci_by_tuples,
     evaluate_theta,
+    export_text,
     fiber_sizes_by_lookup,
     index_sum,
     minkowski_di1_by_tuples,
@@ -479,10 +480,9 @@ def test_point_check_verdicts_do_not_depend_on_the_block_size(monkeypatch, k, n,
             expected for _, expected in cases]
 
 
-def test_point_check_adds_the_terms_one_at_a_time():
-    # At (2,9) a (points x 3 x trinomials) gather of the terms and its product
-    # peak at 8.7 MiB here; one term column at a time, into one sum, with the
-    # sumset and points cached, the check peaks below 7.5 MiB.
+def point_check_peak() -> int:
+    """The tracemalloc peak of the point check at (2,9), KERNEL_POINTS points,
+    with the trinomials, the sumset and the points cached; it must pass."""
     pp = next(suitable_params(2, 9, KERNEL_POINTS, seed=1))
     rows = ideal._trinomial_rows(pp)
     _lattice(2, 9, 2, 0)
@@ -490,10 +490,23 @@ def test_point_check_adds_the_terms_one_at_a_time():
     tracemalloc.start()
     try:
         assert _relations_vanish_at(pp, rows, pts)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7.5 * 2**20
+
+
+def test_point_check_adds_the_terms_one_at_a_time():
+    # At (2,9) a (points x 3 x trinomials) gather of the terms and its product
+    # peak at 8.7 MiB here; one term column at a time, into one sum, with the
+    # sumset and points cached, the check peaks below 7.5 MiB.
+    assert point_check_peak() < 7.5 * 2**20
+
+
+def test_point_check_evaluates_the_sumset_as_it_is_laid_out():
+    # The column-major sumset is the evaluation's exponent table: the check
+    # peaks at 2.9 MiB here, and at 5.2 MiB with a copy of the sumset in
+    # another layout.
+    assert point_check_peak() < 4 * 2**20
 
 
 def test_symbolic_kernel_check_is_exact_at_the_largest_prime():
@@ -815,7 +828,7 @@ def test_variable_name():
 
 def test_export_json_roundtrip():
     pp = make_curve_params(3, 3, p=103)
-    text = "".join(export_ideal(pp, "json"))
+    text = export_text(pp, "json")
     data = parse_ideal_json(text)
     assert (data["k"], data["n"], data["p"]) == (3, 3, 103)
     assert data["lambda"] == pp.lam
@@ -823,7 +836,7 @@ def test_export_json_roundtrip():
     assert data["binomials"] == binomial_relations(3, 3)
     assert data["trinomials"] == trinomial_relations(pp)
     # and the round trip is idempotent at the text level
-    assert json.loads(text) == json.loads("".join(export_ideal(pp, "json")))
+    assert json.loads(text) == json.loads(export_text(pp, "json"))
 
 
 def enumerated_generators(pp):
@@ -848,7 +861,7 @@ def enumerated_generators(pp):
 @pytest.mark.parametrize("k, n", [(3, 3), (2, 5), (4, 3), (2, 4), (4, 2)])
 def test_export_writes_the_enumerated_generators(k, n):
     pp = make_curve_params(k, n, seed=1)
-    data = parse_ideal_json("".join(export_ideal(pp, "json")))
+    data = parse_ideal_json(export_text(pp, "json"))
     bins, tris = enumerated_generators(pp)
     assert [rel.terms for rel in data["binomials"]] == bins
     assert [(rel.index, rel.terms) for rel in data["trinomials"]] == tris
@@ -862,7 +875,7 @@ def test_export_builds_no_relation_and_copies_its_text_once():
     export_ideal(pp, "json")  # the cached index sets and fiber runs
     tracemalloc.start()
     try:
-        text = "".join(export_ideal(pp, "json"))
+        text = export_text(pp, "json")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -874,11 +887,11 @@ def test_export_builds_no_relation_and_copies_its_text_once():
 @given(seed=st.integers(0, 2**31), min_bound=st.integers(100, 5000))
 def test_export_json_is_the_encoder_text(k, n, seed, min_bound):
     pp = make_curve_params(k, n, seed=seed, min_bound=min_bound)
-    assert export_ideal(pp, "json") == references.encoder_export(pp)
+    assert export_text(pp, "json") == references.encoder_export(pp)
 
 
 def test_parse_ideal_json_rejects_a_corrupt_trinomial():
-    text = "".join(export_ideal(make_curve_params(3, 3, p=103), "json"))
+    text = export_text(make_curve_params(3, 3, p=103), "json")
     for term, j in ((0, 1), (2, 0)):
         data = json.loads(text)
         # moves one fiber coordinate, so the third term no longer sits exactly
@@ -937,7 +950,7 @@ def _factor_entry_not_an_int(data):
     (_factor_entry_not_an_int, "trinomial"),
 ])
 def test_parse_ideal_json_rejects_a_malformed_payload(corrupt, named):
-    data = json.loads("".join(export_ideal(make_curve_params(3, 3, p=103), "json")))
+    data = json.loads(export_text(make_curve_params(3, 3, p=103), "json"))
     corrupt(data)
     with pytest.raises(ParameterError, match=named):
         parse_ideal_json(json.dumps(data))
@@ -951,7 +964,7 @@ def test_parse_ideal_json_rejects_a_payload_that_is_not_an_object(text):
 
 def test_export_cas_text():
     pp = make_curve_params(3, 3, p=103)
-    text = "".join(export_ideal(pp, "cas-text"))
+    text = export_text(pp, "cas-text")
     lines = text.splitlines()
     assert lines[0] == "// k=3 n=3 p=103"
     assert lines[1].startswith("// lambda parameters: l1=1 l2=")
@@ -973,7 +986,7 @@ def test_export_unknown_format():
 def test_exported_quadrics_rank_humbert():
     # the genus-5 curve family is cut out by exactly 3 independent quadrics
     pp = make_curve_params(2, 4, p=101)
-    data = parse_ideal_json("".join(export_ideal(pp, "json")))
+    data = parse_ideal_json(export_text(pp, "json"))
     rels = data["binomials"] + data["trinomials"]
     assert len(rels) == 3
     mat = relation_matrix(pp, rels)

@@ -5,8 +5,10 @@ partition_count_table, the lattice dynamic program, lives here as the oracle
 for reps.mu_table, which counts in the group ring of (Z/k)^n instead, and
 for the depth-first count_partitions of tests/references.py."""
 
+import ast
 import random
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +194,35 @@ def test_key_array_sets_match_tuple_references(k, n):
     assert list(map(tuple, standard_set(k, n).tolist())) == list(standard_set_by_tuples(k, n))
     assert standard_set_identity(k, n) is (
         standard_set_by_tuples(k, n) == enumerate_im_by_tuples(k, n, 2))
+
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gfcring").glob("*.py"))
+
+
+def fortran_layouts(source: str) -> list[int]:
+    """The lines of `source` that name asfortranarray: as an attribute, an
+    imported name or a bare name."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if "asfortranarray" in (getattr(node, key, None) for key in ("attr", "name", "id"))]
+
+
+def test_only_indexsets_lays_out_the_index_tables():
+    # indexsets builds its tables column-major, and every reader takes them
+    # as they are, so no other module calls np.asfortranarray.
+    assert sorted(fortran_layouts("np.asfortranarray(a)\nb = numpy.asfortranarray\n"
+                                  "from numpy import asfortranarray\nasfortranarray(c)\n"
+                                  "np.ascontiguousarray(d)\n")) == [1, 2, 3, 4]
+    assert [path.name for path in SOURCES if fortran_layouts(path.read_text())] == [
+        "indexsets.py"]
+
+
+@pytest.mark.parametrize("k, n", [(3, 3), (2, 7), (5, 3)])
+def test_index_tables_are_column_major(k, n):
+    # Each fiber or coordinate column a reader gathers by is one contiguous run.
+    tables = [indexsets._lattice(k, n, m)[0] for m in (1, 2, 3)]
+    tables += [indexsets._lattice(k, n, 2, 0)[0], ci_shifts(k, n),
+               ideal._trinomial_rows(make_curve_params(k, n, seed=1))[1]]
+    assert [(t.flags.f_contiguous, t.dtype) for t in tables] == [(True, np.int64)] * 6
 
 
 def test_oversize_index_keys_raise_before_allocation():
