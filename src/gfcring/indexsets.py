@@ -5,14 +5,12 @@ last n-1 entries are the denominator exponents attached to y_2, ..., y_n.
 Sorting flat tuples lexicographically is exactly the (r, a) ordering used for
 all canonical enumerations.
 
-_lattice lays out the m-th window and the 2-fold sumset from their closed
-forms: column-major (N, n) int64 rows in (r, a) order, and per row one int64
-mixed-radix key led by r, so keys ascend with the rows.  Where a key, or the
-bytes of the a-coordinate grid it lays out first, would reach 2^63, it raises
-ParameterError.  ci_shifts gives the trinomials' fibers as a column-major
-table of sumset rows, and standard_set is a mask over those rows;
-enumerate_im alone gives its rows as tuples.  Their readers gather them by
-column, an evaluation's exponents among them, and take them as they are.
+_lattice lays out the m-th window and the 2-fold sumset in place from their
+closed forms: column-major (N, n) int64 rows in (r, a) order, each with an
+ascending int64 mixed-radix key led by r; a key, or an a-coordinate grid's
+bytes, that would reach 2^63 raises ParameterError.  ci_shifts fills the C_i
+of _ci_pass into one table, standard_set reads them as a mask over the sumset
+rows, and enumerate_im alone gives rows as tuples; readers copy no table.
 
 A "relation index" i runs over 1..n-1; relation i involves lam[i-1] and
 shifts the a-coordinate at 0-based position i-1, i.e. flat position i.
@@ -48,10 +46,12 @@ class IndexSet:
         return iter(self.members)
 
 
-def _window(k: int, n: int, m: int, lo: int | None = None
-            ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """(r, a, dims) of _lattice's set, unsorted: the a-coordinate grid in
-    lexicographic order, each a repeated once per r = 0..|a| - 2m."""
+@lru_cache(maxsize=None)
+def _lattice(k: int, n: int, m: int, lo: int | None = None
+             ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """(rows, keys, dims) of {(r, a): lo <= a_j <= m(k-1), 0 <= r <= |a| - 2m}, lo by
+    default (m-1)(k-1), keys = ravel_multi_index(rows.T, dims); read-only.  rows is
+    column-major, from one flatnonzero over (r, a-cell) and one gather per a-column."""
     if m < 1:
         raise ParameterError(f"need m >= 1, got {m}")
     hi, lo = m * (k - 1), (m - 1) * (k - 1) if lo is None else lo
@@ -61,20 +61,13 @@ def _window(k: int, n: int, m: int, lo: int | None = None
     if (n - 1) * (hi - lo + 1) ** (n - 1) * np.dtype(np.intp).itemsize >= 1 << 63:
         raise ParameterError(f"the a-coordinate grid at (k, n, m) = ({k}, {n}, {m}) "
                              "needs 2^63 bytes or more")
-    a = np.indices((hi - lo + 1,) * (n - 1)).reshape(n - 1, -1).T + lo  # lexicographic
-    count = np.maximum(a.sum(axis=1) - 2 * m + 1, 0)
-    a = np.repeat(a, count, axis=0)
-    return np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count), a, dims
-
-
-@lru_cache(maxsize=None)
-def _lattice(k: int, n: int, m: int, lo: int | None = None
-             ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """(rows, keys, dims) of {(r, a): lo <= a_j <= m(k-1), 0 <= r <= |a| - 2m}, lo by
-    default (m-1)(k-1), with keys = ravel_multi_index(rows.T, dims).  Read-only;
-    rows is column-major."""
-    r, a, dims = _window(k, n, m, lo)
-    rows = np.asfortranarray(np.column_stack((r, a))[np.argsort(r, kind="stable")])
+    a = np.indices((hi - lo + 1,) * (n - 1)).reshape(n - 1, -1) + lo  # lexicographic
+    at = np.flatnonzero(a.sum(axis=0) - 2 * m >= np.arange(dims[0])[:, None])  # r-major
+    rows = np.empty((len(at), n), dtype=np.int64, order="F")
+    np.floor_divide(at, a.shape[1], out=rows[:, 0])
+    at %= a.shape[1]  # the a-cell of each row
+    for j in range(1, n):
+        np.take(a[j - 1], at, out=rows[:, j])
     keys = np.ravel_multi_index(rows.T, dims)
     rows.flags.writeable = keys.flags.writeable = False
     return rows, keys, dims
@@ -114,34 +107,42 @@ def _lookup(keys: np.ndarray, sought: np.ndarray) -> np.ndarray:
     return at
 
 
-def ci_shifts(k: int, n: int) -> np.ndarray:
-    """Column-major (T, 4) intp rows (i, t, t + (k, 0, ..., 0), t - k*e_i) for
-    each relation index i and each t in C_i, in that order: the three fibers
-    of every trinomial, each a row of the sumset _lattice(k, n, 2, 0).
-
-    C_i in closed form is the sumset points with k <= a_i and r <= |a| - (k+4):
-    exactly those t for which t + (k, 0, ..., 0) and t - k*e_i also lie in the
-    sumset (e_i = unit vector at flat position i, the a-coordinate tied to
-    relation index i)."""
+def _ci_pass(k: int, n: int):
+    """Per relation index i, (i, t, up, down): the sumset rows of C_i = {k <= a_i,
+    r <= |a| - (k+4)}, exactly the t with t + (k, 0, ..., 0) and t - k*e_i in the
+    sumset (e_i the unit vector at flat position i), and of those two shifts."""
     rows, keys, dims = _lattice(k, n, 2, 0)
     low_r = rows[:, 0] <= rows[:, 1:].sum(axis=1) - (k + 4)
-    shifts = []
     for i in range(1, n):
         t = np.flatnonzero((rows[:, i] >= k) & low_r)
-        up, down = (_lookup(keys, keys[t] + shift)
-                    for shift in (k * prod(dims[1:]), -k * prod(dims[i + 1:])))
-        shifts.append(np.stack((np.full_like(t, i), t, up, down)))
-    return np.concatenate(shifts, axis=1).T
+        yield i, t, *(_lookup(keys, keys[t] + shift)
+                      for shift in (k * prod(dims[1:]), -k * prod(dims[i + 1:])))
+
+
+@lru_cache(maxsize=1)  # the last curve's: a grid keeps no earlier curve's table
+def ci_shifts(k: int, n: int) -> np.ndarray:
+    """_ci_pass as one column-major, read-only (T, 4) intp table: the three
+    fibers of every trinomial, read by both primes of verify and by export."""
+    i, t, up, down = zip(*_ci_pass(k, n))
+    table = np.empty((sum(map(len, t)), 4), dtype=np.intp, order="F")
+    for j, column in enumerate((t, up, down), 1):
+        np.concatenate(column, out=table[:, j])
+    start = 0
+    for i_, t_ in zip(i, t):  # column 0 in place, with no (T,) temporary
+        table[start:start + len(t_), 0] = i_
+        start += len(t_)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
 def standard_set(k: int, n: int) -> np.ndarray:
-    """The fibers of the 2-fold sumset that survive every relation
-    elimination, as a read-only (S, n) array of sumset rows: the sumset
-    without the down-shift t - k*e_i of every t in every C_i.  That shift of
-    C_i collects the sumset points whose i-th a-coordinate is below the
-    degree-2 window (a_i <= k-2).  Built once per curve."""
-    out = np.delete(_lattice(k, n, 2, 0)[0], ci_shifts(k, n)[:, 3], axis=0)
+    """The sumset rows that survive every relation elimination, read-only: one
+    mask clears each down-shift t - k*e_i of _ci_pass.  Built once per curve."""
+    keep = np.ones(len(_lattice(k, n, 2, 0)[0]), dtype=bool)
+    for *_, down in _ci_pass(k, n):
+        keep[down] = False
+    out = _lattice(k, n, 2, 0)[0][keep]
     out.flags.writeable = False
     return out
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .curve import (CHUNK_CELLS, InsufficientPointsError, apply_group, evaluation_matrix,
                     sample_points)
-from .indexsets import IndexTuple, _lattice, _window, total_degree_d_monomials
+from .indexsets import IndexTuple, _lattice, total_degree_d_monomials
 from .params import CurveParams, ParameterError, dim_vm
 
 
@@ -64,8 +64,8 @@ def nu_table(k: int, n: int, m: int, closed: bool = True) -> dict[IndexTuple, in
     """All k^n multiplicities at once, keyed by label in all_labels order.
 
     closed=False bincounts the window members' characters (the brute-force
-    route), read off the unsorted window grid; closed=True runs nu_closed on
-    the label columns, in int64.
+    route), read off the window's rows, built uncached; closed=True runs
+    nu_closed on the label columns, in int64.
     """
     if closed:
         if (n + 2) * (m + k) >= 1 << 63:  # bounds every intermediate of nu_closed
@@ -74,8 +74,7 @@ def nu_table(k: int, n: int, m: int, closed: bool = True) -> dict[IndexTuple, in
             raise ParameterError(f"the {k}^{n} character labels are too many to lay out")
         counts = nu_closed(k, n, m, np.indices((k,) * n).reshape(n, -1))
     else:
-        r, a, _ = _window(k, n, m)
-        chars = character_of(k, m, (r, *a.T))
+        chars = character_of(k, m, _lattice.__wrapped__(k, n, m)[0].T)
         counts = np.bincount(np.ravel_multi_index(chars, (k,) * n), minlength=k ** n)
     return dict(zip(all_labels(k, n), counts.tolist()))
 

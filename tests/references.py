@@ -36,6 +36,10 @@ gfcring computes on one production path, kept here as oracles.
   - enumerate_im_by_tuples, minkowski_di1_by_tuples, enumerate_ci_by_tuples,
     shifted_ci_union_by_tuples and standard_set_by_tuples, the index sets
     that indexsets lays out as key arrays, built one tuple at a time;
+  - lattice_by_argsort, indexsets._lattice's tables laid out from the
+    unsorted grid by an argsort and a column-major copy, and
+    ci_shifts_by_stack, the C_i table stacked per relation index: the
+    oracles of the tables indexsets builds in place;
   - nu_table_by_tuples, both nu routes one label or one window member at a
     time;
   - action_exponent, the scalar form of reps.character_of's action;
@@ -64,6 +68,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -587,6 +592,39 @@ def shifted_ci_union_by_tuples(k: int, n: int) -> set[IndexTuple]:
     """The down-shifts t - k*e_i of every t in every C_i, as a set."""
     return {(*t[:i], t[i] - k, *t[i + 1:])
             for i in range(1, n) for t in enumerate_ci_by_tuples(k, n, i)}
+
+
+def lattice_by_argsort(k: int, n: int, m: int, lo: int | None = None
+                       ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """indexsets._lattice laid out the long way: the unsorted grid, each a
+    repeated once per r = 0..|a| - 2m, gathered into (r, a) order by a
+    stable argsort on r and copied column-major."""
+    if m < 1:
+        raise ParameterError(f"need m >= 1, got {m}")
+    hi, lo = m * (k - 1), (m - 1) * (k - 1) if lo is None else lo
+    dims = (max((n - 1) * hi - 2 * m, 0) + 1, *(hi + 1,) * (n - 1))
+    a = np.indices((hi - lo + 1,) * (n - 1)).reshape(n - 1, -1).T + lo  # lexicographic
+    count = np.maximum(a.sum(axis=1) - 2 * m + 1, 0)
+    a = np.repeat(a, count, axis=0)
+    r = np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    rows = np.asfortranarray(np.column_stack((r, a))[np.argsort(r, kind="stable")])
+    keys = np.ravel_multi_index(rows.T, dims)
+    rows.flags.writeable = keys.flags.writeable = False
+    return rows, keys, dims
+
+
+def ci_shifts_by_stack(k: int, n: int) -> np.ndarray:
+    """indexsets.ci_shifts as one (4, |C_i|) stack per relation index i,
+    concatenated and transposed."""
+    rows, keys, dims = _lattice(k, n, 2, 0)
+    low_r = rows[:, 0] <= rows[:, 1:].sum(axis=1) - (k + 4)
+    shifts = []
+    for i in range(1, n):
+        t = np.flatnonzero((rows[:, i] >= k) & low_r)
+        up, down = (_lookup(keys, keys[t] + shift)
+                    for shift in (k * prod(dims[1:]), -k * prod(dims[i + 1:])))
+        shifts.append(np.stack((np.full_like(t, i), t, up, down)))
+    return np.concatenate(shifts, axis=1).T
 
 
 def standard_set_by_tuples(k: int, n: int) -> tuple[IndexTuple, ...]:

@@ -172,20 +172,39 @@ def test_verify_scans_each_prime_once(capsys, monkeypatch):
     assert set(rep["primes"]) <= set(scanned) and len(scanned) == len(set(scanned))
 
 
-def test_verify_builds_standard_set_once(capsys, monkeypatch):
-    # verify and both primes' degree-2 checks share one cached standard set,
-    # one mask over the sumset's rows.
+def ci_passes(monkeypatch) -> list[tuple[int, int]]:
+    """The curves of each C_i pass made from now on, recorded by a spy."""
     calls = []
-    ci_shifts = indexsets.ci_shifts
+    ci_pass = indexsets._ci_pass
 
     def spy(k, n):
         calls.append((k, n))
-        return ci_shifts(k, n)
+        return ci_pass(k, n)
 
+    monkeypatch.setattr(indexsets, "_ci_pass", spy)
+    return calls
+
+
+def test_verify_builds_standard_set_once(capsys, monkeypatch):
+    # verify and both primes' degree-2 checks share one cached standard set,
+    # one mask over the sumset's rows: with the C_i table cached, the one C_i
+    # pass left is the mask's.
     indexsets.standard_set.cache_clear()
-    monkeypatch.setattr(indexsets, "ci_shifts", spy)
+    indexsets.ci_shifts(4, 4)
+    calls = ci_passes(monkeypatch)
     code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
     assert code == 0 and rep["passed"]
+    assert calls == [(4, 4)]
+
+
+def test_verify_builds_the_ci_table_once(capsys, monkeypatch):
+    # Both primes' degree-2 checks read one cached C_i table: with the
+    # standard set cached, the one C_i pass left is the table's.
+    indexsets.ci_shifts.cache_clear()
+    indexsets.standard_set(4, 4)
+    calls = ci_passes(monkeypatch)
+    code, rep, _ = run_json(capsys, "verify", "--k", "4", "--n", "4", "--seed", "1")
+    assert code == 0 and rep["passed"] and len(rep["primes"]) == 2
     assert calls == [(4, 4)]
 
 
@@ -230,14 +249,16 @@ TEST_ONLY = [
     "shifted_ci_union_by_tuples", "standard_set_by_tuples", "nu_table_by_tuples",
     "rank_mod_p_array", "_eliminate", "character_blocks_one_by_one", "is_on_curve", "scan_by_x",
     "AffinePoint", "apply_group_to_point", "fiber_sizes_by_lookup", "export_text",
+    "lattice_by_argsort", "ci_shifts_by_stack",
 ]
 # Views deleted from the package, whose second routes are the tuple references
 # minkowski_di1_by_tuples and enumerate_ci_by_tuples, and the J_h filter of mu;
 # the stacked rank kernel with its stack bound, replaced by one 2-D
-# linalg.rank_mod_p; and the slice size of an export text read whole, which
-# only the tests read, now through export_text.
+# linalg.rank_mod_p; the slice size of an export text read whole, which
+# only the tests read, now through export_text; and the unsorted window grid,
+# whose layout lattice_by_argsort keeps.
 DELETED = ["minkowski_di1", "enumerate_ci", "enumerate_jd", "ranks_mod_p", "BASIS_STACK_CELLS",
-           "SLICE_CHARS"]
+           "SLICE_CHARS", "_window"]
 
 
 def test_test_only_references_stay_out_of_the_package():
@@ -439,6 +460,8 @@ REFERENCE = os.path.join(os.path.dirname(__file__), "reference")
      "verify_k_3_n_4_seed_5_prime_2147483647"),
     ("verify --grid --kmax 3 --nmax 4 --mmax 2 --seed 1", 0,
      "verify_grid_kmax_3_nmax_4_mmax_2_seed_1"),
+    ("verify --grid --kmax 4 --nmax 5 --mmax 3 --seed 1", 0,
+     "verify_grid_kmax_4_nmax_5_mmax_3_seed_1"),
     ("verify --k 3 --n 3 --seed 1 --format pretty", 0, "verify_k_3_n_3_seed_1_pretty"),
     ("export --k 3 --n 3 --format cas-text", 0, "export_k_3_n_3_cas-text"),
     ("basis --k 3 --n 3 --m 2", 0, "basis_k_3_n_3_m_2"),

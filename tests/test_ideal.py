@@ -233,6 +233,7 @@ def test_trinomial_initial_check_can_fail(monkeypatch):
 
     def down_first(params):
         fibers, coeff = trinomial_rows(params)
+        fibers = fibers.copy()  # a view of the cached, read-only C_i table
         fibers[0, [0, 2]] = fibers[0, [2, 0]]
         coeff[0, [0, 2]] = coeff[0, [2, 0]]
         return fibers, coeff

@@ -7,6 +7,7 @@ for the depth-first count_partitions of tests/references.py."""
 
 import ast
 import random
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -27,9 +28,11 @@ from gfcring.indexsets import (
 from gfcring.params import ParameterError, dim_vm, genus, is_nonhyperelliptic, make_curve_params
 from gfcring.reps import all_labels, character_of, mu_table, nu_table, syzygy_table
 from references import (
+    ci_shifts_by_stack,
     count_partitions,
     enumerate_ci_by_tuples,
     enumerate_im_by_tuples,
+    lattice_by_argsort,
     member_im,
     minkowski_di1_by_tuples,
     shifted_ci_union_by_tuples,
@@ -207,13 +210,13 @@ def fortran_layouts(source: str) -> list[int]:
 
 
 def test_only_indexsets_lays_out_the_index_tables():
-    # indexsets builds its tables column-major, and every reader takes them
-    # as they are, so no other module calls np.asfortranarray.
+    # indexsets builds its tables column-major in place, and every reader
+    # takes them as they are, so no module calls np.asfortranarray: no table
+    # is laid out twice.
     assert sorted(fortran_layouts("np.asfortranarray(a)\nb = numpy.asfortranarray\n"
                                   "from numpy import asfortranarray\nasfortranarray(c)\n"
                                   "np.ascontiguousarray(d)\n")) == [1, 2, 3, 4]
-    assert [path.name for path in SOURCES if fortran_layouts(path.read_text())] == [
-        "indexsets.py"]
+    assert SOURCES and [path.name for path in SOURCES if fortran_layouts(path.read_text())] == []
 
 
 @pytest.mark.parametrize("k, n", [(3, 3), (2, 7), (5, 3)])
@@ -223,6 +226,52 @@ def test_index_tables_are_column_major(k, n):
     tables += [indexsets._lattice(k, n, 2, 0)[0], ci_shifts(k, n),
                ideal._trinomial_rows(make_curve_params(k, n, seed=1))[1]]
     assert [(t.flags.f_contiguous, t.dtype) for t in tables] == [(True, np.int64)] * 6
+
+
+# Windows of weight 1-3, the sumset (lo = 0), and weight m over lo = 0 and 1.
+LAYOUTS = [(1, None), (2, None), (3, None), (2, 0), (3, 0), (1, 0), (2, 1)]
+
+
+@pytest.mark.parametrize("k, n", [(2, 3), (3, 3), (4, 2), (5, 2), (2, 7), (5, 3), (4, 4), (3, 5)])
+def test_tables_built_in_place_match_the_argsort_layout(k, n):
+    for m, lo in LAYOUTS:
+        (rows, keys, dims), (ref_rows, ref_keys, ref_dims) = (
+            indexsets._lattice(k, n, m, lo), lattice_by_argsort(k, n, m, lo))
+        assert dims == ref_dims, (m, lo)
+        for got, want in ((rows, ref_rows), (keys, ref_keys)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype, (m, lo)
+            assert got.flags.f_contiguous == want.flags.f_contiguous, (m, lo)
+            assert got.flags.c_contiguous == want.flags.c_contiguous, (m, lo)
+            assert not (got.flags.writeable or want.flags.writeable), (m, lo)
+    table, ref = ci_shifts(k, n), ci_shifts_by_stack(k, n)
+    assert np.array_equal(table, ref) and table.dtype == ref.dtype
+    assert table.flags.f_contiguous and not table.flags.writeable
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lattice_peaks_near_its_tables():
+    # Each table is laid out once, in place: no unsorted grid, argsort gather
+    # or column-major copy beside it (the argsort layout peaks at 2.8x).
+    rows, keys, _ = indexsets._lattice(2, 9, 2, 0)
+    peak = traced_peak(lambda: indexsets._lattice.__wrapped__(2, 9, 2, 0))
+    assert peak <= 1.5 * (rows.nbytes + keys.nbytes)
+
+
+def test_standard_set_builds_no_ci_table():
+    # The mask reads the C_i pass's down-shifts one relation index at a
+    # time; the (T, 4) table alone would be more than its whole peak.
+    indexsets._lattice(2, 9, 2, 0)
+    peak = traced_peak(lambda: standard_set.__wrapped__(2, 9))
+    assert peak < ci_shifts(2, 9).nbytes
 
 
 def test_oversize_index_keys_raise_before_allocation():
@@ -249,6 +298,7 @@ def test_key_lookups_assert_the_key_they_find(monkeypatch):
 
     pp = make_curve_params(3, 3, p=103)
     assert len(ci_shifts(3, 3)) and len(ideal._phi2_entries(pp)[0])
+    ci_shifts.cache_clear()
     monkeypatch.setattr(indexsets, "np", OneRowOff())
     for call in (lambda: ci_shifts(3, 3), lambda: ideal._phi2_entries(pp)):
         with pytest.raises(AssertionError, match="absent"):

@@ -95,8 +95,8 @@ def character_sign(k, m, t):
     return ((t[0] + m) % k, *(aj % k for aj in t[1:]))
 
 
-# ci_shifts with C_i's bound r <= |a| - (k + 3), one past the sumset's.
-loose_ci_bound = recompiled(indexsets, "ci_shifts", "(k + 4)", "(k + 3)")
+# The C_i pass with C_i's bound r <= |a| - (k + 3), one past the sumset's.
+loose_ci_bound = recompiled(indexsets, "_ci_pass", "(k + 4)", "(k + 3)")
 
 
 def no_square(k, n):
@@ -115,7 +115,7 @@ DEFECTS = {
     "nu_plus": ((reps,), "nu_closed", nu_plus),
     "inverse_exponent": ((curve,), "_pow_mod", inverse_exponent),
     "character_sign": ((reps, ideal, references), "character_of", character_sign),
-    "loose_ci_bound": ((indexsets, ideal), "ci_shifts", loose_ci_bound),
+    "loose_ci_bound": ((indexsets,), "_ci_pass", loose_ci_bound),
     "no_square": ((ideal,), "_fiber_sizes", no_square),
 }
 
@@ -199,6 +199,8 @@ def test_each_failed_assertion_is_one_json_error_line(capsys, monkeypatch, k, n,
     modules, name, mutant = DEFECTS[defect]
     for module in modules:
         monkeypatch.setattr(module, name, mutant)
+    for cached in (indexsets.ci_shifts, indexsets.standard_set):  # built from the C_i pass
+        cached.cache_clear()
     code = main(["verify", "--k", str(k), "--n", str(n), "--seed", "1"])
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
